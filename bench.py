@@ -55,7 +55,7 @@ def bench_ingest() -> dict:
     import ray.data as rd
 
     from logcrawler_ray.pipelines.ingest import ingest
-    from logcrawler_ray.sources.store import ImageStore
+    from logcrawler_ray.sources.objstore import open_store
 
     path = ensure_corpus()
     # untimed warm read (page cache), also yields input size
@@ -67,7 +67,7 @@ def bench_ingest() -> dict:
     store_root = f"/tmp/graft_bench/store_{NUM_CPUS}_{time.time_ns()}"
     t0 = time.perf_counter()
     src = rd.read_parquet(path)
-    store = ImageStore(store_root)
+    store = open_store(store_root)
     # task-mode decode (concurrency=None): DecodeStats state is cheap, and
     # a fixed actor pool pays ~5 s startup per run (measured — see
     # CLAUDE.md perf lessons; actor pools are for expensive ctor state)

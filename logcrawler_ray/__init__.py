@@ -6,8 +6,9 @@ operator inventory):
 - pipelines: ``CrawlEngine``/``CrawlConfig`` (frontier crawl),
   ``ingest`` (decode+stats+phash+dedup), ``update_image_stats``,
   combine pipelines.
-- sources: ``ImageStore`` (atomic partitioned store with delete-vector
-  views), corpus synthesizers, NaoTH binary scanners, ``SyntheticWeb``.
+- sources: ``open_store`` (the one partitioned table store: manifest-last
+  commits on a plain path or any fsspec URL, delete-vector views,
+  snapshot reads), corpus synthesizers, NaoTH binary scanners, ``SyntheticWeb``.
 - stages: ``DecodeStats``, ``FetchWorker``, dedup (exact/MinHash/SimHash),
   ANN, as-of joins, skew helpers, multimodal stages.
 - state: bloom/cuckoo URL-seen, frontier shards, politeness, checkpoints.
@@ -18,8 +19,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CrawlConfig",
     "CrawlEngine",
-    "ImageStore",
     "ingest",
+    "open_store",
 ]
 
 
@@ -28,10 +29,10 @@ def __getattr__(name):  # lazy: importing the package must not pull ray
         from .pipelines import crawl
 
         return getattr(crawl, name)
-    if name == "ImageStore":
-        from .sources.store import ImageStore
+    if name == "open_store":
+        from .sources.objstore import open_store
 
-        return ImageStore
+        return open_store
     if name == "ingest":
         from .pipelines.ingest import ingest
 

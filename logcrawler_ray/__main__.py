@@ -9,10 +9,10 @@
   python -m logcrawler_ray stats  --store DIR --pid P [--force]
   python -m logcrawler_ray report --store DIR
   python -m logcrawler_ray compact --store DIR --pid P [--target-rows N]
-  python -m logcrawler_ray gc      --store URL   # object-store backend
+  python -m logcrawler_ray gc      --store DIR [--grace S]
 
-``--store`` accepts a plain path (local backend) or an fsspec URL
-(``s3://…`` routes to the object-store backend via open_store).
+``--store`` accepts a plain path or an fsspec URL (``s3://…``); both
+open the same store via open_store.
 
 The CLI owns its Ray session (guarded init; the driver contract in
 __ray_entry__.py never goes through here).
@@ -141,11 +141,6 @@ def cmd_gc(args) -> int:
     from .sources.objstore import open_store
 
     store = open_store(args.store)
-    if not hasattr(store, "gc"):
-        # local backend has no unreferenced-object state: commits sweep
-        # their own stale tmp dirs
-        print(json.dumps({"removed": 0}))
-        return 0
     per = {p: store.gc(p, grace_s=args.grace) for p in store.partitions()}
     print(json.dumps({"removed": sum(per.values()),
                       "per_pid": {k: v for k, v in per.items() if v}}))
@@ -156,14 +151,14 @@ def cmd_repr_export(args) -> int:
     import os
 
     from .pipelines.repr_export import export_representation_sets
-    from .sources.store import ImageStore
+    from .sources.objstore import open_store
 
     folders = sorted(
         os.path.join(args.root, d) for d in os.listdir(args.root)
         if os.path.isdir(os.path.join(args.root, d)))
     if args.reverse:  # the reference's --reverse traversal (03:70)
         folders = folders[::-1]
-    store = ImageStore(args.store) if args.store else None
+    store = open_store(args.store) if args.store else None
     done = export_representation_sets(folders, store=store, force=args.force)
     print(json.dumps({"processed": len(done), "folders": sorted(done)}))
     return 0
@@ -249,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     k.add_argument("--target-rows", type=int, default=100_000)
     k.set_defaults(fn=cmd_compact)
 
-    g = sub.add_parser("gc", help="reclaim unreferenced objects (object-store backend)")
+    g = sub.add_parser("gc", help="reclaim data objects no manifest references")
     g.add_argument("--store", required=True)
     g.add_argument("--grace", type=float, default=3600.0,
                    help="only reclaim objects older than this many seconds "
@@ -262,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
                             "(03_representation_exporter analog)")
     e.add_argument("--root", required=True, help="directory of log folders")
     e.add_argument("--store", default=None,
-                   help="optional ImageStore for the DB-field manifest meta")
+                   help="optional store for the DB-field manifest meta")
     e.add_argument("--force", action="store_true")
     e.add_argument("--reverse", action="store_true")
     e.set_defaults(fn=cmd_repr_export)

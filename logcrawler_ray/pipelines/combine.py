@@ -16,8 +16,8 @@ representation "ImageTop", BOTTOM becomes "Image" (raw), with "ImageJPEG"/
 
 Failure policy: the reference deletes a partially-written combined.log on
 error (02:156-162); here serialization is pure bytes-in/bytes-out, and the
-caller commits via ImageStore/atomic rename, so a crash leaves no partial
-output by construction.
+caller commits through the store's manifest-last protocol, so a crash
+leaves no partial output by construction.
 
 These are pure functions of (game_bytes, images_bytes) -> usable inside
 ``map_batches`` over ``read_binary_files`` pairs — one task per log, which

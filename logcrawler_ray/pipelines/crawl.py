@@ -13,7 +13,7 @@ folders with per-log is_done count checks (reference:
        map_batches(FetchWorker actor pool) fetches bytes+links,
        map_batches(DecodeStats actor pool) decodes + stats + phash.
        Errors flow to channels (fetch_ok/decode_ok), never crash the wave.
-    3. COMMIT — ok rows are appended to the ImageStore as partition
+    3. COMMIT — ok rows are appended to the store as partition
        ``wave-k`` (atomic manifest; per-partition lineage = wave metrics).
     4. ENQUEUE — discovered links, in (parent seq, link index) order:
        canonicalize (M17 analog) -> robots filter (+ per-host crawl-delay
@@ -43,7 +43,8 @@ import pyarrow.compute as pc
 from ..functions.hashing import hash64_str, splitmix64
 from ..functions.urlnorm import canonicalize, host_hash, host_of, path_of
 from ..sources.hosts import SyntheticWeb
-from ..sources.store import ImageStore, write_fragment
+from ..sources.objstore import open_store
+from ..sources.store import write_fragment
 from ..stages.decode import DecodeStats
 from ..stages.fetch import FetchWorker
 from ..state.checkpoint import CheckpointDir
@@ -60,10 +61,8 @@ class CrawlConfig:
     max_depth: int = 3
     max_waves: int = 50
     seen_capacity: int = 1 << 16  # per shard
-    fetch_concurrency: int | tuple = 4  # actor-pool size of the fused WaveStage
-    # NOTE decode is fused into WaveStage (fetch_concurrency sizes the one
-    # pool); decode_concurrency is accepted for config compatibility only
-    decode_concurrency: int | tuple = 4
+    # actor-pool size of the fused fetch+decode WaveStage
+    fetch_concurrency: int | tuple = 4
     batch_size: int = 64
     # Actor pools are per-Dataset-execution in Ray Data, so a BSP loop pays
     # pool startup (~2 s) EVERY wave. With cheap per-actor state (the
@@ -359,10 +358,6 @@ def _links_in_order(table: pa.Table) -> tuple[list[str], list[int]]:
 class CrawlEngine:
     def __init__(self, cfg: CrawlConfig, store_root: str, ckpt_root: str):
         self.cfg = cfg
-        # open_store routes fsspec URLs (s3://…) to the rename-free
-        # ObjectStore backend; plain paths stay on the local fast path.
-        from ..sources.objstore import open_store
-
         self.store = open_store(store_root)
         # fetch-log stream: one partition per wave in a sibling namespace
         # (own _manifests dir, so image readers over `store` never see it)
@@ -500,8 +495,7 @@ class CrawlEngine:
                             n_shards=self.cfg.n_shards,
                             max_depth=self.cfg.max_depth,
                             compression=self.store.compression,
-                            storage_options=getattr(self.store,
-                                                    "storage_options", None))
+                            storage_options=self.store.storage_options)
         if self.cfg.use_actors:
             routed = ds.map_batches(
                 WaveStage, fn_constructor_kwargs=stage_kwargs,

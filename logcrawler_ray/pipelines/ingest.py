@@ -10,7 +10,7 @@ pipeline:
       -> filter decode_ok                        # error channel, not quit()
       -> add host-hash bucket                    # ONE partition key everywhere
       -> dedup_exact on phash (skinny shuffle)   # O7/O3
-      -> ImageStore.append (atomic manifest)     # resumable sink
+      -> store commit (atomic manifest)          # resumable sink
 
 No stage materializes the full dataset; the only all-to-all is the skinny
 (phash, image_id) dedup pass (see stages/dedup.py).
@@ -21,7 +21,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..sources.store import ImageStore, write_fragment
+from ..sources.objstore import ObjectStore
+from ..sources.store import write_fragment
 from ..stages.decode import DecodeStats
 from ..stages.dedup import dedup_exact
 
@@ -130,7 +131,7 @@ class IngestStage:
         return ok.select(["phash", "image_id"])
 
 
-def ingest_sharded(source_files: list[str], store: ImageStore, *,
+def ingest_sharded(source_files: list[str], store: ObjectStore, *,
                    pid: str = "ingest", files_per_shard: int = 8,
                    concurrency: int | tuple[int, int] | None = None,
                    batch_size: int = 64, n_buckets: int = DEFAULT_BUCKETS,
@@ -164,7 +165,7 @@ def ingest_sharded(source_files: list[str], store: ImageStore, *,
         store._assert_sink_visible()  # fused-sink tasks write from workers
         tmp_dir = store.external_tmp(spid)
         kwargs = dict(tmp_dir=tmp_dir, n_buckets=n_buckets,
-                      storage_options=getattr(store, "storage_options", None),
+                      storage_options=store.storage_options,
                       compression=store.compression)
         ds = rd.read_parquet(group)
         if concurrency is None:
@@ -200,8 +201,8 @@ def ingest_sharded(source_files: list[str], store: ImageStore, *,
         if store.rows(spid) == 0:
             # a shard whose rows ALL failed decode commits fileless — its
             # read_dataset is a zero-column Dataset that would poison the
-            # union's schema (review r5; same hazard SnapshotStoreMixin
-            # guards with carries_schema). Zero rows = zero dup losers.
+            # union's schema (review r5; same hazard the store's snapshot
+            # reads guard with carries_schema). Zero rows = zero dup losers.
             continue
         part = store.read_dataset(spid, columns=["phash", "image_id"]).map_batches(
             tag_shard(spid), batch_format="pyarrow")
@@ -236,7 +237,7 @@ def ingest_sharded(source_files: list[str], store: ImageStore, *,
         loser_dir = store.scratch_dir("losers-")
         routed = exact_losers_files(
             skinny, "phash", "image_id", "__shard", loser_dir, dups=dups,
-            storage_options=getattr(store, "storage_options", None))
+            storage_options=store.storage_options)
         for spid in shard_ids:
             if spid in routed:
                 path, _n = routed[spid]
@@ -253,7 +254,7 @@ def ingest_sharded(source_files: list[str], store: ImageStore, *,
     return pid
 
 
-def read_sharded(store: ImageStore, pid: str, columns: list[str] | None = None):
+def read_sharded(store: ObjectStore, pid: str, columns: list[str] | None = None):
     """Union Dataset over a sharded-ingest result's per-shard delete views."""
     meta = store.manifest(pid).get("meta", {})
     shards = meta.get("shards")
@@ -269,7 +270,7 @@ def read_sharded(store: ImageStore, pid: str, columns: list[str] | None = None):
     return ds
 
 
-def ingest(source_ds, store: ImageStore | None = None, pid: str = "ingest", *,
+def ingest(source_ds, store: ObjectStore | None = None, pid: str = "ingest", *,
            concurrency: int | tuple[int, int] | None = None, batch_size: int = 64,
            dedup: bool = True, n_buckets: int = DEFAULT_BUCKETS,
            keep_bytes: bool = True):
@@ -314,7 +315,7 @@ def ingest(source_ds, store: ImageStore | None = None, pid: str = "ingest", *,
         store._assert_sink_visible()  # fused-sink tasks write from workers
         tmp_dir = store.external_tmp(raw_pid)
         kwargs = dict(tmp_dir=tmp_dir, keep_bytes=keep_bytes,
-                      storage_options=getattr(store, "storage_options", None),
+                      storage_options=store.storage_options,
                       n_buckets=n_buckets, compression=store.compression,
                       emit="partials" if dedup else "skinny")
         if concurrency is None:
@@ -359,7 +360,7 @@ def ingest(source_ds, store: ImageStore | None = None, pid: str = "ingest", *,
     return store.read_dataset(pid)
 
 
-def neardup_pass(store: ImageStore, base_pid: str, pid: str | None = None, *,
+def neardup_pass(store: ObjectStore, base_pid: str, pid: str | None = None, *,
                  max_hamming: int = 2, max_bucket: int = 4096,
                  max_driver_pairs: int = 500_000,
                  num_loser_files: int = 16) -> str:
@@ -386,7 +387,7 @@ def neardup_pass(store: ImageStore, base_pid: str, pid: str | None = None, *,
       writes its own sorted+unique loser file (the exact_losers_files
       shape — round-3 verdict: no single-writer funnel); the driver never
       holds a pair, a label or a loser
-      (:meth:`ImageStore.commit_delete_view_files`).
+      (:meth:`ObjectStore.commit_delete_view_files`).
 
     Both tiers drop the SAME set (CC and the min-string winner rule do not
     depend on the id hashing), so tier choice never changes results.
@@ -459,7 +460,7 @@ def neardup_pass(store: ImageStore, base_pid: str, pid: str | None = None, *,
                                   id64_col="__id64", id_col="image_id")
     store._assert_sink_visible()  # worker writes into store scratch below
     loser_dir = store.scratch_dir("neardup-losers-")
-    sink_opts = getattr(store, "storage_options", None)
+    sink_opts = store.storage_options
 
     def rebucket(t: pa.Table) -> pa.Table:
         return t.append_column("__g", _bucket_of(t["image_id"],

@@ -4,7 +4,7 @@ Mirrors 03_representation_exporter.py:58-115: for every log folder,
 compute the distinct representation-name sets of its cognition log
 (combined.log if present, else game.log) and its motion log (sensor.log),
 write ``representation.json`` next to the log, and record the same dict in
-a manifest "DB field" — here an ImageStore partition meta entry, the
+a manifest "DB field" — here a store partition meta entry, the
 engine's database analog. ``is_done`` = the json file already exists
 (03:75-77), unless force.
 
@@ -31,7 +31,7 @@ def export_representation_sets(log_folders: list[str], *, store=None,
     """Returns {folder: representation_dict} for folders processed this run
     (skipped-as-done folders excluded, like the reference's early continue).
 
-    When ``store`` (an ImageStore) is given, each folder's dict is also
+    When ``store`` (an ``open_store`` store) is given, each folder's dict is also
     committed as partition meta ``repr-<basename>`` — the client.logs.update
     representation_list analog (03:108-115)."""
     import ray.data as rd

@@ -1,4 +1,4 @@
-"""Second-pass update pipelines over the ImageStore — the reference's
+"""Second-pass update pipelines over the table store — the reference's
 bulk_update scripts re-expressed as partition rewrites.
 
 ``update_image_stats`` mirrors 13_calculate_image_stats.py:61-124: list
@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from ..sources.store import ImageStore
+from ..sources.objstore import ObjectStore
 from ..stages.decode import DecodeStats
 
 
-def update_image_stats(store: ImageStore, pid: str, *, batch_size: int = 128,
+def update_image_stats(store: ObjectStore, pid: str, *, batch_size: int = 128,
                        force: bool = False) -> int:
     """Compute/refresh stats columns for one partition; returns rows updated.
 

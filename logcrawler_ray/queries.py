@@ -11,7 +11,9 @@ Ray is initialised by the driver; nothing here calls ray.init().
 
 from __future__ import annotations
 
+import atexit
 import os
+import shutil
 import tempfile
 
 import numpy as np
@@ -49,10 +51,13 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None, **kw):
 # (review r5): a fixed world-shared path lets two concurrent runs (e.g.
 # sf0.01 and sf0.1 in CI) grade against each other's staged files, and a
 # second user would hit PermissionError on the first user's 0755 dir.
-# Both queries() and oracle_sql() read this module constant in the same
-# process, so the staged path and the SQL's read_parquet always agree.
+# queries() and oracle_sql() MUST be evaluated in the same process: the SQL
+# bakes this per-process path in at import time, so an oracle run from
+# another process would read a path that does not exist. The dir is removed
+# at interpreter exit, so repeated runs leave no stage dirs behind.
 _STAGE_DIR = (f"{tempfile.gettempdir()}/lcray_oracle_stage"
               f"-{os.getuid()}-{os.getpid()}")
+atexit.register(shutil.rmtree, _STAGE_DIR, ignore_errors=True)
 
 
 def _stage(name: str, table: pa.Table) -> str:

@@ -1,46 +1,58 @@
-"""ObjectStore — the ImageStore table layout on an OBJECT STORE.
+"""ObjectStore — the engine's one table store: Lance-style partitioned
+parquet with per-partition manifests, written against fsspec so ``root``
+can be a plain path, ``file://…``/``local://…`` (fsspec LocalFileSystem),
+``s3://bucket/prefix``, ``gs://…`` or ``memory://…`` (protocol tests).
+Reference pushes artifacts to MinIO, patch_exporter/main.py:117-145.
 
-Same duck-type interface as :class:`..sources.store.ImageStore` (the
-pipelines only ever call the shared surface: ``is_done / partitions /
-rows / append_* / external_tmp / commit_external / commit_delete_view* /
-read_* / merge_insert / rewrite_partition / scratch_dir /
-drop_partition``), but written
-against fsspec so ``root`` can be ``s3://bucket/prefix``,
-``gs://…``, ``memory://…`` (protocol tests), or ``file://…`` — the
-multi-node story the local backend's ``shared_fs`` contract only
-documents (SCALE.md §6a; reference pushes artifacts to MinIO,
-patch_exporter/main.py:117-145).
+Layout::
 
-Object stores have NO atomic rename, so the commit protocol differs from
-the local backend's tmp-dir ``os.replace``:
+    root/
+      _manifests/<pid>.json                 # {"rows": n, "files": [...], "meta": {...}}
+      data/<pid>/stage-<uuid>/*.parquet
 
-- Data objects are IMMUTABLE, written once under
-  ``data/<pid>/stage-<uuid>/*.parquet`` and never moved.
-- A manifest PUT is the ONLY commit point (single-object PUT is atomic /
-  last-writer-wins on S3/GCS/ABS): ``_manifests/<pid>.json`` lists the
-  exact root-relative keys of the partition's fragments. Readers resolve
-  files through the manifest ONLY — a crashed writer leaves unreferenced
-  garbage objects that are invisible to every reader and reclaimable by
-  :meth:`gc`.
-- Upsert (:meth:`merge_insert`) is METADATA-ONLY for untouched
-  fragments: the new manifest re-references their existing keys (the
-  local backend must hard-link; here zero bytes move).
+The manifests replace the reference's two resume mechanisms in one
+structure: the per-log count ledger (``log_status`` expected-vs-actual
+counts, reference: 04_calculate_logstatus_cognition.py:41-64,
+07_input_cognition_data_rust.py:28-42) and the marker files / ``fast_ls``
+directory counting (06_extract_images.py:45-105, scripts/fast_ls.c:6-27):
+``is_done(pid)`` is a manifest stat, never a directory listing, and a
+killed job simply skips committed partitions on rerun.
 
-Nothing in this module calls rename/move — guarded by a raising-FS test
+One commit protocol on every filesystem (object stores have no atomic
+rename, so the protocol never needs one):
+
+- Data objects are IMMUTABLE, written once under a fresh
+  ``data/<pid>/stage-<uuid>/`` prefix and never moved.
+- The manifest write is the ONLY commit point: a single-object PUT on an
+  object store (atomic / last-writer-wins on S3/GCS/ABS), tmp + fsync +
+  ``os.replace`` of the manifest file on a filesystem. The manifest lists
+  the exact keys of the partition's fragments and readers resolve files
+  through it ONLY. A writer that crashes before its manifest write leaves
+  the previous manifest naming the previous stage — the partition reads
+  exactly as before — plus unreferenced objects that :meth:`ObjectStore.gc`
+  reclaims.
+- Upsert (:meth:`ObjectStore.merge_insert`) is METADATA-ONLY for untouched
+  fragments: the new manifest re-references their existing keys.
+
+The reference deletes partial output on failure instead
+(02_combine_logs.py:156-162) — the same invariant, made atomic here.
+Data objects are never renamed — guarded by a raising-FS test
 (tests/test_objstore.py).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import posixpath
 import time
 import uuid
+from contextlib import contextmanager
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from .store import ImageStore, SnapshotStoreMixin, write_fragment
+from .store import write_fragment
 
 
 def _merge_one_fragment(fs_or_url, frag_key: str, dst_key: str, key: str,
@@ -80,28 +92,49 @@ def _merge_one_fragment(fs_or_url, frag_key: str, dst_key: str, key: str,
     return dst_key, kept.num_rows
 
 
-def open_store(root: str, compression: str = "none", **kw):
-    """Factory: fsspec URL -> :class:`ObjectStore`; plain path (or
-    ``file://``) -> the local :class:`ImageStore` fast path."""
-    if "://" in root and not root.startswith("file://"):
-        return ObjectStore(root, compression=compression, **kw)
-    if root.startswith("file://"):
-        root = root[len("file://"):]
-    return ImageStore(root, compression=compression, **kw)
+def open_store(root: str, compression: str = "none", **kw) -> ObjectStore:
+    """The one store constructor used by the pipelines, the CLI and the
+    benchmarks: any plain path or fsspec URL -> :class:`ObjectStore`."""
+    return ObjectStore(root, compression=compression, **kw)
 
 
-class ObjectStore(SnapshotStoreMixin):
+class ObjectStore:
     """Partitioned table store on an fsspec filesystem with manifest-last
-    atomic commits (no renames — see module docstring)."""
+    atomic commits (no renames of data — see module docstring).
+
+    ``compression="none"`` by default: the payload column carries
+    already-compressed image bytes (png/qjpeg/zlib), so parquet-level
+    snappy costs ~4x write CPU for zero size win.
+
+    Whole-store reads (``read_table()`` / ``read_dataset()`` / ``rows()``
+    with no pid) are SNAPSHOTS:
+
+    - a committed delete-vector view SHADOWS its base partition (reading
+      both would double-count the base and ignore the deletes);
+    - a partition MATERIALIZED in place of a view (``merge_insert`` /
+      ``rewrite_partition`` on a view pid) keeps shadowing the old base
+      via the manifest's ``supersedes`` list — the snapshot invariant
+      survives the view's lifecycle, not just its creation;
+    - sibling views over one base are BOTH live (a user-created
+      ambiguity: the snapshot is then their union);
+    - the maintenance writers (``merge_insert`` / ``rewrite_partition``
+      / ``drop_partition``) REFUSE to touch a live view's base. The hot
+      append paths (``append_table`` / ``commit_external`` /
+      ``append_dataset``) are deliberately unguarded — the check costs
+      one manifest scan per commit, and no pipeline appends over a
+      view's base (the engine always commits bases before views).
+    """
 
     def __init__(self, root_url: str, compression: str = "none", fs=None,
-                 shared_fs: bool = True, retries: int = 4,
+                 shared_fs: bool | None = None, retries: int = 4,
                  storage_options: dict | None = None):
+        """``shared_fs=True`` declares that a LOCAL-filesystem root is
+        visible to every node of the cluster (NFS/FUSE mount); fused sinks
+        refuse to run on a multi-node cluster without it (see
+        :meth:`_assert_sink_visible`). Object-store roots are shared by
+        definition, so ``shared_fs=False`` is rejected for them."""
         import fsspec
 
-        if not shared_fs:
-            raise ValueError("an object store is shared by definition; "
-                             "shared_fs=False is contradictory here")
         self.retries = retries
         # fsspec connection kwargs (endpoint_url, key/secret, ...) — kept on
         # the store and SHIPPED TO EVERY TASK-SIDE url_to_fs so workers
@@ -116,9 +149,18 @@ class ObjectStore(SnapshotStoreMixin):
         self.root = root_url.rstrip("/")
         self._rootp = root.rstrip("/")
         self.compression = compression
-        self.shared_fs = True  # an object store is shared by definition
         proto = fs.protocol if isinstance(fs.protocol, str) else fs.protocol[0]
         self._proto = proto
+        # local filesystem: keys are plain OS paths (task-side writes and
+        # pyarrow reads stay on the os fast path)
+        self._local = proto in ("file", "local")
+        if shared_fs is False and not self._local:
+            raise ValueError("an object store is shared by definition; "
+                             "shared_fs=False is contradictory here")
+        self.shared_fs = bool(shared_fs) or not self._local
+        # pid -> manifest map served by manifest() during one whole-store
+        # read (see _manifest_cache)
+        self._mcache: dict[str, dict] | None = None
         try:
             fs.makedirs(self._key("_manifests"), exist_ok=True)
         except Exception:
@@ -148,33 +190,174 @@ class ObjectStore(SnapshotStoreMixin):
     def _url(self, key: str) -> str:
         """fsspec URL for a root-relative or absolute key (what remote
         TASKS use to re-open the same filesystem)."""
-        if self._proto in ("file", "local"):
+        if self._local:
             return key  # plain path: task-side writes stay on the os fast path
         return f"{self._proto}://{key}"
 
     def _manifest_key(self, pid: str) -> str:
         return self._key("_manifests", f"{pid}.json")
 
-    def _stage_key(self, pid: str) -> str:
-        return self._key("data", pid, f"stage-{uuid.uuid4().hex}")
-
     def _new_stage(self, pid: str) -> str:
         """Fresh immutable staging prefix; directory pre-created only on
         directory-ful filesystems (pure object stores need none)."""
-        stage = self._stage_key(pid)
-        if self._proto in ("file", "local"):
+        stage = self._key("data", pid, f"stage-{uuid.uuid4().hex}")
+        if self._local:
             self.fs.makedirs(stage, exist_ok=True)
         return stage
 
     def _pafs(self):
         """pyarrow FileSystem view of self.fs (for ray.data / pq readers)."""
-        from pyarrow.fs import FSSpecHandler, PyFileSystem
+        from pyarrow.fs import FSSpecHandler, LocalFileSystem, PyFileSystem
 
-        if self._proto in ("file", "local"):
-            from pyarrow.fs import LocalFileSystem
-
+        if self._local:
             return LocalFileSystem()
         return PyFileSystem(FSSpecHandler(self.fs))
+
+    # -- snapshot semantics (whole-store reads) ------------------------------
+    def _all_manifests(self) -> dict[str, dict]:
+        """pid -> manifest, every manifest fetched exactly ONCE (manifest
+        GETs are the dominant metadata cost on a remote object store).
+        Served straight from an active :meth:`_manifest_cache`."""
+        if self._mcache is not None:
+            return self._mcache
+        return {p: self.manifest(p) for p in self.partitions()}
+
+    @contextmanager
+    def _manifest_cache(self, ms: dict[str, dict]):
+        """Serve ``manifest()`` from a prefetched map for the duration of a
+        whole-store read, so per-pid view resolution (files / _view_of /
+        base reads) re-uses the one fetch pass instead of issuing per-pid
+        GETs. Driver-side reads only; writers never run under the cache.
+        Nests: an inner scope restores the outer cache on exit."""
+        prev = self._mcache
+        self._mcache = ms
+        try:
+            yield
+        finally:
+            self._mcache = prev
+
+    def _assert_not_view_base(self, pid: str, action: str) -> None:
+        """Mutating or dropping the BASE of a live delete-vector view
+        would silently desync the view's frozen row count from its reads
+        (or orphan it entirely) — refuse loudly; the caller must drop or
+        materialize the view first."""
+        for p, m in self._all_manifests().items():
+            v = m.get("view")
+            if v and v["base"] == pid:
+                raise ValueError(
+                    f"{action} on '{pid}', which is the base of live view "
+                    f"'{p}'; drop or materialize the view first")
+
+    @staticmethod
+    def _live_of(ms: dict[str, dict]) -> dict[str, dict]:
+        shadowed: set[str] = set()
+        for m in ms.values():
+            v = m.get("view")
+            if v:
+                shadowed.add(v["base"])
+            shadowed.update(m.get("supersedes") or ())
+        return {p: m for p, m in ms.items() if p not in shadowed}
+
+    def _live_manifests(self) -> dict[str, dict]:
+        return self._live_of(self._all_manifests())
+
+    @staticmethod
+    def _shadow_from(m: dict) -> list[str]:
+        """What a partition committed in place of the one holding
+        manifest ``m`` must keep shadowing: the view's base plus any
+        supersedes list the manifest already carries (inherited from
+        earlier incarnations of the pid)."""
+        sup = list(m.get("supersedes") or ())
+        v = m.get("view")
+        if v and v["base"] not in sup:
+            return [v["base"], *sup]
+        return sup
+
+    def _materialize_view_plan(self, pid: str, m: dict, fragment_fn):
+        """Plan for rewriting view ``pid`` into a plain partition:
+        ``(wrapped_fragment_fn, base, supersedes)`` — the wrapped fn runs
+        the delete vector before the caller's fn; chained views refuse
+        loudly (only THIS view's deletes would be applied)."""
+        base = m["view"]["base"]
+        if self._view_of(base):
+            raise ValueError(
+                f"rewrite_partition through chained views ({pid} -> "
+                f"{base} -> ...) is unsupported; read + append instead")
+        key_col, dropped = self._delete_keys(pid)
+        anti = self._anti_view
+
+        def wrapped(t, _fn=fragment_fn):
+            return _fn(anti(t, key_col, dropped, None))
+
+        return wrapped, base, self._shadow_from(m)
+
+    def _materialize_upsert(self, pid: str, updates, key: str) -> None:
+        """merge_insert on a view pid: materialize into a plain partition,
+        keeping the base SHADOWED in the whole-store snapshot.
+
+        STREAMING, never the whole partition in driver memory: the
+        rewrite pass runs base fragments through the delete vector and
+        drops the updated keys ONE FRAGMENT AT A TIME; the follow-up
+        plain upsert then re-references every rewritten fragment
+        (nothing contains an updated key anymore) and adds the updates
+        as one new fragment. Two commits instead of one — a crash
+        between them leaves a correct store that simply lacks the
+        upsert, the same observable state as crashing before a
+        single-commit upsert."""
+        import pyarrow.compute as pc
+
+        upd_keys = pa.array(sorted(set(updates[key].to_pylist())))
+
+        def drop_updated(t: pa.Table) -> pa.Table:
+            return t.filter(pc.invert(pc.is_in(t[key], value_set=upd_keys)))
+
+        self.rewrite_partition(pid, drop_updated)
+        self.merge_insert(pid, updates, key=key)
+
+    def _snapshot_read_table(self, columns):
+        """Whole-store table read with snapshot semantics; ``None`` means
+        no live view exists, so the caller's flat files() fast path is
+        exact (files()/rows() already restrict to live pids). Runs under
+        the caller's manifest prefetch."""
+        live = self._live_of(self._all_manifests())
+        if not any(m.get("view") for m in live.values()):
+            return None
+        tabs = [t for t in (self.read_table(p, columns=columns)
+                            for p in live) if t.num_columns]
+        return pa.concat_tables(tabs) if tabs else pa.table({})
+
+    def _snapshot_read_dataset(self, columns):
+        """Whole-store Dataset read with snapshot semantics (union of
+        per-pid reads); ``None`` -> flat fast path is exact."""
+        ms = self._all_manifests()
+        live = self._live_of(ms)
+        if not any(m.get("view") for m in live.values()):
+            return None
+        import ray.data as rd
+
+        def carries_schema(p: str) -> bool:
+            # fileless partitions — including views over fileless bases —
+            # carry no schema and would poison the union; resolved from
+            # the already-fetched manifest map (zero extra GETs)
+            m, seen = ms[p], set()
+            while True:
+                v = m.get("view")
+                if not v:
+                    return bool(m["files"])
+                b = v["base"]
+                if b in seen or b not in ms:
+                    return False
+                seen.add(b)
+                m = ms[b]
+
+        pids = [p for p in live if carries_schema(p)]
+        if not pids:
+            return rd.from_arrow(pa.table({}))
+        dss = [self.read_dataset(p, columns=columns) for p in pids]
+        out = dss[0]
+        for d in dss[1:]:
+            out = out.union(d)
+        return out
 
     # -- commit protocol -----------------------------------------------------
     def is_done(self, pid: str) -> bool:
@@ -190,11 +373,13 @@ class ObjectStore(SnapshotStoreMixin):
             for k in names if k.endswith(".json"))
 
     def manifest(self, pid: str) -> dict:
-        if (m := self._cached_manifest(pid)) is not None:
-            return m
+        if self._mcache is not None and pid in self._mcache:
+            return self._mcache[pid]
         return json.loads(self._retry(self.fs.cat_file, self._manifest_key(pid)))
 
     def rows(self, pid: str | None = None) -> int:
+        """Row count from manifests only — no data-file reads or listings.
+        Whole-store = the SNAPSHOT (see :class:`ObjectStore`)."""
         if pid is not None:
             return self.manifest(pid)["rows"]
         return sum(m["rows"] for m in self._live_manifests().values())
@@ -203,10 +388,9 @@ class ObjectStore(SnapshotStoreMixin):
         """THE commit point: one atomic object PUT, nothing else.
 
         Single-object PUT is atomic on real object stores (S3/GCS/ABS);
-        a plain filesystem mounted via ``fs`` has NO atomic in-place
-        write, so there we fall back to the local protocol's
-        tmp+fsync+os.replace (rename is fine on a filesystem — the
-        rename-free contract is for stores that lack one)."""
+        a local filesystem has NO atomic in-place write, so there the
+        manifest goes tmp+fsync+os.replace (only the manifest file is
+        ever renamed; data objects never move)."""
         # overwriting a partition that shadows others must keep shadowing
         # them (single inheritance chokepoint — every commit path PUTs
         # here): the pid's shadow set (view base + supersedes) only grows
@@ -218,9 +402,7 @@ class ObjectStore(SnapshotStoreMixin):
             if old:
                 manifest = {**manifest, "supersedes": old}
         payload = json.dumps(manifest).encode()
-        if self._proto in ("file", "local"):
-            import os
-
+        if self._local:
             dst = self._manifest_key(pid)
             tmp = dst + f".tmp.{uuid.uuid4().hex}"
             with open(tmp, "wb") as f:
@@ -242,6 +424,9 @@ class ObjectStore(SnapshotStoreMixin):
     # -- writers --------------------------------------------------------------
     def append_table(self, pid: str, table: pa.Table, meta: dict | None = None,
                      supersedes: list[str] | None = None) -> None:
+        """Atomically write one partition from a driver-side Arrow table.
+        ``supersedes`` keeps the snapshot shadow when this write
+        MATERIALIZES a former view."""
         stage = self._new_stage(pid)
         key = posixpath.join(stage, "part-0.parquet")
         write_fragment(table, self._url(key), compression=self.compression,
@@ -252,8 +437,10 @@ class ObjectStore(SnapshotStoreMixin):
         self._put_manifest(pid, manifest)
 
     def append_dataset(self, pid: str, ds, meta: dict | None = None) -> int:
+        """Atomically write one partition from a ray.data.Dataset (streamed
+        into a fresh stage, then the manifest commit). Returns rows."""
         stage = self._new_stage(pid)
-        if self._proto in ("file", "local"):
+        if self._local:
             ds.write_parquet(stage, compression=self.compression)
         else:
             ds.write_parquet(stage, filesystem=self._pafs(),
@@ -275,10 +462,14 @@ class ObjectStore(SnapshotStoreMixin):
             return []
 
     def compact_partition(self, pid: str, target_rows: int = 100_000) -> int:
-        """Merge small fragments into ~``target_rows``-row objects (same
-        contract as ImageStore.compact_partition: content-identical, safe
-        under live views, driver memory bounded by one output file).
-        Commits manifest-last; old objects become gc-able garbage."""
+        """Merge small fragments into ~``target_rows``-row objects (lakehouse
+        compaction — the flip side of the many-small-files write default
+        that read fan-out wants). Content-identical rewrite: row counts,
+        keys and order-within-fragments are unchanged, so it is safe under
+        live views over this partition. Driver memory is bounded by one
+        output file's rows. ``supersedes`` and meta ride through the
+        commit; old objects become gc-able garbage. Returns the new
+        fragment count."""
         m = self.manifest(pid)
         if m.get("view"):
             raise ValueError("compact the BASE partition; views have no "
@@ -318,31 +509,59 @@ class ObjectStore(SnapshotStoreMixin):
         return len(new_files)
 
     def append_meta(self, pid: str, meta: dict) -> None:
-        """Commit a fileless zero-row metadata-only partition (shared
-        surface with ImageStore.append_meta)."""
+        """Commit a FILELESS zero-row partition that exists only for its
+        manifest metadata (e.g. ingest_sharded's shard listing) — invisible
+        to whole-store reads and counted as 0 rows, unlike a data
+        partition smuggling the listing as rows."""
         self._put_manifest(pid, {"rows": 0, "files": [], "meta": meta})
 
     def external_tmp(self, pid: str) -> str:
-        """Staging prefix (URL) that fused-sink TASKS write parquet objects
-        into directly — on an object store the 'tmp dir' IS the final,
-        immutable location: commit just references the keys (no move)."""
+        """Staging prefix (path or URL) that fused-sink TASKS write parquet
+        objects into directly (payload bytes go from the producing task
+        straight to parquet, never through a second Ray Data execution).
+        The prefix IS the final, immutable location: :meth:`commit_external`
+        just references the keys (no move)."""
         return self._url(self._new_stage(pid))
 
     def _assert_sink_visible(self) -> None:
-        # memory:// is PER-PROCESS: Ray workers would write into their own
-        # private store, commit_external would list an empty stage and
-        # silently commit 0 rows (ADVICE r4). Unconditional (review r5):
-        # every caller is a pipeline whose sink tasks execute via Ray Data,
-        # which AUTO-INITS Ray lazily — gating on ray.is_initialized() left
-        # the exact silent 0-row commit open for drivers that had not
-        # called ray.init() yet. Real object stores pass.
+        """Refuse a fused sink whose worker-written objects the driver
+        could not see.
+
+        memory:// is PER-PROCESS: Ray workers would write into their own
+        private store, commit_external would list an empty stage and
+        silently commit 0 rows (ADVICE r4). Unconditional (review r5):
+        every caller is a pipeline whose sink tasks execute via Ray Data,
+        which AUTO-INITS Ray lazily — gating on ray.is_initialized() left
+        the exact silent 0-row commit open for drivers that had not
+        called ray.init() yet.
+
+        A local root on a MULTI-NODE cluster is only correct when every
+        node mounts it — otherwise rows written by remote workers would be
+        silently lost while the footer-count commit still succeeds
+        (round-2 advice). Fails loudly unless ``shared_fs=True``. Real
+        object stores pass."""
         if self._proto == "memory":
             raise RuntimeError(
                 "memory:// ObjectStore is process-local — Ray task sinks "
                 "would write to a different store; use local:// or a "
                 "shared filesystem URL for Ray-executed pipelines")
+        if self.shared_fs:
+            return
+        import ray
+
+        if ray.is_initialized():
+            alive = [n for n in ray.nodes() if n.get("Alive")]
+            if len(alive) > 1:
+                raise RuntimeError(
+                    "fused-sink partitions require a shared store root on a "
+                    f"multi-node cluster ({len(alive)} alive nodes); "
+                    "construct open_store(root, shared_fs=True) only if "
+                    "every node mounts the same path")
 
     def commit_external(self, pid: str, tmp_dir: str, meta: dict | None = None) -> int:
+        """Commit the fragments tasks wrote into ``tmp_dir``; row count
+        from parquet footers only. Stale stages of the same pid (from a
+        crashed earlier attempt) are reclaimed by the post-commit gc."""
         stage = self.fs._strip_protocol(tmp_dir)
         keys = self._stage_files(stage)
         rows = self._footer_rows(keys)
@@ -351,11 +570,11 @@ class ObjectStore(SnapshotStoreMixin):
         return rows
 
     def drop_partition(self, pid: str, *, force: bool = False) -> None:
-        """Uncommit + reclaim a partition (shared surface — CrawlEngine
-        resets stale wave partitions through this). Manifest delete first
-        so readers never see a half-deleted partition. Refuses while a
-        live view still reads through this partition (``force=True``
-        skips the scan for pre-ordered dependents-first sweeps)."""
+        """Uncommit + reclaim a partition (CrawlEngine resets stale wave
+        partitions through this). Manifest delete first so readers never
+        see a half-deleted partition. Refuses while a live view still
+        reads through this partition (``force=True`` skips the scan for
+        pre-ordered dependents-first sweeps)."""
         if not force:
             self._assert_not_view_base(pid, "drop_partition")
         try:
@@ -427,8 +646,10 @@ class ObjectStore(SnapshotStoreMixin):
 
     # -- scratch space (distributed loser passes) ------------------------------
     def scratch_dir(self, prefix: str) -> str:
+        """Worker-visible scratch prefix for distributed loser passes
+        (same visibility contract as :meth:`external_tmp`)."""
         d = self._key("_scratch", f"{prefix}{uuid.uuid4().hex}")
-        if self._proto in ("file", "local"):
+        if self._local:
             self.fs.makedirs(d, exist_ok=True)
         return self._url(d)
 
@@ -441,6 +662,13 @@ class ObjectStore(SnapshotStoreMixin):
     # -- delete-vector views ----------------------------------------------------
     def commit_delete_view(self, pid: str, base_pid: str, delete_keys,
                            key_col: str, meta: dict | None = None) -> int:
+        """Commit ``pid`` as a logical view: base partition minus rows whose
+        ``key_col`` is in ``delete_keys`` — dedup as METADATA, the
+        delete-vector pattern of lakehouse formats (and Lance deletions):
+        no second copy of the payload bytes is ever written. Returns the
+        view's row count."""
+        # dedupe + sort: a duplicate key must not double-count against the
+        # manifest row total the readers and resume logic trust
         keys = sorted(set(delete_keys))
         stage = self._new_stage(pid)
         dkey = posixpath.join(stage, "deletes.parquet")
@@ -451,27 +679,33 @@ class ObjectStore(SnapshotStoreMixin):
 
     def commit_delete_view_file(self, pid: str, base_pid: str, delete_file: str,
                                 key_col: str, meta: dict | None = None) -> int:
+        """Commit a delete-vector view whose key file was written by a
+        DISTRIBUTED loser pass (stages/dedup.py::exact_losers_files) — the
+        keys never transit the driver; the count comes from the parquet
+        footer. The file must already hold sorted, unique keys."""
         return self.commit_delete_view_files(pid, base_pid, [delete_file],
                                              key_col, meta)
 
     def commit_delete_view_files(self, pid: str, base_pid: str,
                                  delete_files: list[str], key_col: str,
                                  meta: dict | None = None) -> int:
-        """Loser files written by distributed tasks (under a scratch
-        prefix on THIS filesystem): server-side copy into the view's stage
-        (an object COPY, no byte download), then manifest-last commit."""
+        """Multi-file variant: each file was written by a separate
+        distributed task (one per loser-hash bucket — pipelines/ingest.py
+        ::neardup_pass's distributed tier) under a scratch prefix on THIS
+        filesystem. Files must be disjoint with sorted, unique keys. Each
+        is copied into the view's stage (a server-side object COPY on
+        object stores), then manifest-last commit; counts come from the
+        parquet footers, keys never transit the driver."""
         if not delete_files:
             return self.commit_delete_view(pid, base_pid, [], key_col, meta)
         stage = self._new_stage(pid)
-        names, keys = [], []
+        keys = []
         for i, f in enumerate(delete_files):
-            src = self.fs._strip_protocol(f)
             dst = posixpath.join(stage, f"deletes-{i:05d}.parquet")
-            self._retry(self.fs.copy, src, dst)
-            names.append(dst)
+            self._retry(self.fs.copy, self.fs._strip_protocol(f), dst)
             keys.append(dst)
         n = self._footer_rows(keys)
-        return self._commit_view(pid, base_pid, names, key_col, n, meta)
+        return self._commit_view(pid, base_pid, keys, key_col, n, meta)
 
     def _commit_view(self, pid: str, base_pid: str, delete_keys_files: list[str],
                      key_col: str, n_deleted: int, meta: dict | None) -> int:
@@ -487,6 +721,8 @@ class ObjectStore(SnapshotStoreMixin):
         return self.manifest(pid).get("view")
 
     def _delete_keys(self, pid: str) -> tuple[str, pa.Array]:
+        """Delete keys of a view as an Arrow array (NEVER a Python set —
+        readers probe it with vectorized ``pc.is_in``)."""
         import pyarrow.compute as pc
 
         v = self._view_of(pid)
@@ -498,13 +734,30 @@ class ObjectStore(SnapshotStoreMixin):
         tab = pa.concat_tables(tabs)
         return v["key_col"], pc.unique(tab[v["key_col"]].combine_chunks())
 
+    @staticmethod
+    def _anti_view(t: pa.Table, key_col: str, drop: pa.Array,
+                   columns: list[str] | None) -> pa.Table:
+        """Vectorized delete-vector probe shared by every view reader: one
+        ``pc.is_in`` + invert per batch, no per-row Python."""
+        import pyarrow.compute as pc
+
+        if len(drop) == 0 or pa.types.is_null(drop.type):
+            out = t  # empty delete vector (written untyped)
+        else:
+            out = t.filter(pc.invert(pc.is_in(t[key_col], value_set=drop)))
+        if columns is not None and key_col not in columns:
+            out = out.select(columns)
+        return out
+
     # -- readers ------------------------------------------------------------
     def files(self, pid: str | None = None) -> list[str]:
-        if pid is None and getattr(self, "_mcache", None) is None:
+        """Data files of committed partitions only (crashed stages
+        invisible; view partitions resolve to their base's files)."""
+        if pid is None and self._mcache is None:
             with self._manifest_cache(self._all_manifests()):
                 return self.files(None)
         out: list[str] = []
-        for p in [pid] if pid else self._live_pids():
+        for p in [pid] if pid else self._live_manifests():
             m = self.manifest(p)
             if m.get("view"):
                 out.extend(self.files(m["view"]["base"]))
@@ -516,7 +769,7 @@ class ObjectStore(SnapshotStoreMixin):
         import ray.data as rd
 
         if pid is None:
-            if getattr(self, "_mcache", None) is None:
+            if self._mcache is None:
                 # ONE manifest prefetch covers the snapshot probe AND the
                 # flat files(None) fallthrough
                 with self._manifest_cache(self._all_manifests()):
@@ -535,8 +788,10 @@ class ObjectStore(SnapshotStoreMixin):
             ds = self.read_dataset(base, columns=cols)
             import ray
 
+            # losers broadcast ONCE as an Arrow array; every task probes it
+            # with a vectorized is_in (never a per-row Python loop)
             ref = ray.put(dropped)
-            anti = ImageStore._anti_view
+            anti = self._anti_view
 
             def anti_fn(t: pa.Table) -> pa.Table:
                 return anti(t, key_col, ray.get(ref), columns)
@@ -549,7 +804,7 @@ class ObjectStore(SnapshotStoreMixin):
 
     def read_table(self, pid: str | None = None, columns: list[str] | None = None) -> pa.Table:
         if pid is None:
-            if getattr(self, "_mcache", None) is None:
+            if self._mcache is None:
                 with self._manifest_cache(self._all_manifests()):
                     return self.read_table(None, columns=columns)
             snap = self._snapshot_read_table(columns)
@@ -564,7 +819,7 @@ class ObjectStore(SnapshotStoreMixin):
             tab = self.read_table(base, columns=cols)
             if not tab.num_columns:  # fileless base: nothing to anti-join
                 return tab
-            return ImageStore._anti_view(tab, key_col, dropped, columns)
+            return self._anti_view(tab, key_col, dropped, columns)
         files = self.files(pid)
         if not files:
             return pa.table({})
@@ -575,19 +830,26 @@ class ObjectStore(SnapshotStoreMixin):
                 tabs.append(pq.read_table(f, columns=columns))
         return pa.concat_tables(tabs)
 
-    # -- upsert ----------------------------------------------------------------
+    # -- upsert (the reference's bulk_update, S10) ------------------------------
     def merge_insert(self, pid: str, updates: pa.Table, key: str, *,
                      allow_view_base: bool = False) -> None:
-        """Upsert by key. Untouched fragments are re-referenced in the new
-        manifest AS-IS (zero copies, zero moves — strictly better than the
-        local backend's hard links); only fragments containing an updated
-        key are rewritten into a fresh stage."""
+        """Upsert rows of one partition by key (reference:
+        13_calculate_image_stats.py:109-116 / 14_calculate_closest_frames.py:122-129
+        ``bulk_update``), committed atomically.
+
+        Untouched fragments are re-referenced in the new manifest AS-IS
+        (zero copies, zero moves); only fragments containing an updated
+        key are rewritten into a fresh stage — in parallel Ray tasks when
+        a session is live. Driver memory stays O(updates), never
+        O(partition)."""
         if not self.is_done(pid):
             self.append_table(pid, updates)
             return
-        if not allow_view_base:  # True = key-and-count-preserving upsert
+        if not allow_view_base:  # True = caller asserts the upsert is
+            # key-and-count-preserving, so dependent views stay exact
             self._assert_not_view_base(pid, "merge_insert")
         if self._view_of(pid):
+            # view partitions have no fragments of their own: materialize
             self._materialize_upsert(pid, updates, key)
             self.gc(pid)  # the view's now-unreferenced delete objects
             return
@@ -607,11 +869,11 @@ class ObjectStore(SnapshotStoreMixin):
                 for i, f in enumerate(files)]
         import ray
 
-        # Fan out one task per fragment (mirrors ImageStore.merge_insert's
-        # task merge). memory:// is process-local — tasks on other workers
-        # would see a different store, so it stays serial.
+        # Fan out one task per fragment. memory:// is process-local —
+        # tasks on other workers would see a different store, so it stays
+        # serial.
         if (ray.is_initialized() and len(jobs) > 1
-                and self._proto not in ("memory",)):
+                and self._proto != "memory"):
             task = ray.remote(num_cpus=1)(_merge_one_fragment)
             kref = ray.put(upd_keys)
             results = ray.get([
@@ -638,6 +900,12 @@ class ObjectStore(SnapshotStoreMixin):
 
     def rewrite_partition(self, pid: str, fragment_fn, meta: dict | None = None,
                           *, allow_view_base: bool = False) -> int:
+        """Map every fragment through ``fragment_fn(pa.Table) -> pa.Table``
+        into a new atomically-committed partition, ONE FRAGMENT AT A TIME
+        (driver memory = one fragment) — the streaming path for
+        schema-widening rewrites. A VIEW pid is materialized: each base
+        fragment passes through the delete vector first, and the new
+        plain partition keeps the base shadowed. Returns total rows."""
         if not allow_view_base:  # True = fn is row-count/key-preserving
             self._assert_not_view_base(pid, "rewrite_partition")
         m = self.manifest(pid)

@@ -1,50 +1,11 @@
-"""ImageStore — the engine's Lance-style table sink.
-
-The north rule targets Lance tables; this container has no ``lance`` wheel,
-so the store is written against a minimal dataset interface with two
-backends:
-
-- ``lance`` (used automatically when importable), and
-- a partitioned-Parquet layout with per-partition atomic manifests that
-  reproduces the Lance properties the pipeline relies on: atomic appends,
-  per-partition lineage, fast row counts without listing data files, and
-  idempotent resume.
-
-Layout (parquet backend)::
-
-    root/
-      _manifests/<partition_id>.json   # {"rows": n, "files": [...], "meta": {...}}
-      data/<partition_id>/*.parquet
-
-This replaces the reference's two resume mechanisms in one structure:
-the per-log count ledger (``log_status`` expected-vs-actual counts,
-reference: 04_calculate_logstatus_cognition.py:41-64,
-07_input_cognition_data_rust.py:28-42) and the marker files / ``fast_ls``
-directory counting (06_extract_images.py:45-105, scripts/fast_ls.c:6-27):
-``is_done(pid)`` is a manifest stat, never a directory listing, and a
-killed job simply skips committed partitions on rerun.
-
-Writes are write-to-temp-then-rename (the reference deletes partial output
-on failure instead, 02_combine_logs.py:156-162 — same invariant, atomically).
-"""
+"""Parquet fragment writer shared by the table store
+(:mod:`.objstore`) and every task-side sink that writes store fragments
+directly (crawl WaveStage, IngestStage, distributed loser passes)."""
 
 from __future__ import annotations
 
-import json
-import os
-import shutil
-import uuid
-from contextlib import contextmanager
-
 import pyarrow as pa
 import pyarrow.parquet as pq
-
-try:  # pragma: no cover - not present in this container
-    import lance  # noqa: F401
-
-    HAVE_LANCE = True
-except ImportError:
-    HAVE_LANCE = False
 
 # Low-cardinality string columns worth parquet dictionary encoding. The
 # pyarrow default (use_dictionary=True) hashes EVERY value — including
@@ -60,9 +21,9 @@ def write_fragment(table: pa.Table, path: str, compression: str = "none",
     dictionary encoding only where it pays (see ``_DICT_COLS``).
 
     ``path`` may be an fsspec URL (``s3://…``, ``memory://…``) — the
-    ObjectStore backend hands fused-sink tasks a staging URL and each task
-    PUTs its fragment directly; plain paths keep the local fast path.
-    ``storage_options`` are the ObjectStore's fsspec connection kwargs
+    store hands fused-sink tasks a staging URL and each task PUTs its
+    fragment directly; plain paths keep the local fast path.
+    ``storage_options`` are the store's fsspec connection kwargs
     (endpoint, credentials) — REQUIRED wherever the driver's filesystem was
     built with them, else task-side writes reconnect with defaults and
     misroute (ADVICE r4)."""
@@ -86,744 +47,3 @@ def write_fragment(table: pa.Table, path: str, compression: str = "none",
         return
     pq.write_table(table, path, compression=compression,
                    use_dictionary=use_dict)
-
-
-class SnapshotStoreMixin:
-    """Whole-store SNAPSHOT semantics shared by :class:`ImageStore` and
-    the object-store backend (duck-typed over ``partitions() / manifest()
-    / files() / read_table() / read_dataset()``):
-
-    - a committed delete-vector view SHADOWS its base partition (reading
-      both would double-count the base and ignore the deletes);
-    - a partition MATERIALIZED in place of a view (``merge_insert`` /
-      ``rewrite_partition`` on a view pid) keeps shadowing the old base
-      via the manifest's ``supersedes`` list — the snapshot invariant
-      survives the view's lifecycle, not just its creation;
-    - sibling views over one base are BOTH live (a user-created
-      ambiguity: the snapshot is then their union);
-    - the maintenance writers (``merge_insert`` / ``rewrite_partition``
-      / ``drop_partition``) REFUSE to touch a live view's base. The hot
-      append paths (``append_table`` / ``commit_external`` /
-      ``append_dataset``) are deliberately unguarded — the check costs
-      one manifest scan per commit, and no pipeline appends over a
-      view's base (the engine always commits bases before views).
-    """
-
-    def _all_manifests(self) -> dict[str, dict]:
-        """pid -> manifest, every manifest fetched exactly ONCE (manifest
-        GETs are the dominant metadata cost on a remote object store).
-        Served straight from an active :meth:`_manifest_cache`."""
-        c = getattr(self, "_mcache", None)
-        if c is not None:
-            return c
-        return {p: self.manifest(p) for p in self.partitions()}
-
-    @contextmanager
-    def _manifest_cache(self, ms: dict[str, dict]):
-        """Serve ``manifest()`` from a prefetched map for the duration of a
-        whole-store read, so per-pid view resolution (files / _view_of /
-        base reads) re-uses the one fetch pass instead of issuing per-pid
-        GETs. Driver-side reads only; writers never run under the cache.
-        Nests: an inner scope restores the outer cache on exit."""
-        prev = getattr(self, "_mcache", None)
-        self._mcache = ms
-        try:
-            yield
-        finally:
-            self._mcache = prev
-
-    def _cached_manifest(self, pid: str) -> dict | None:
-        c = getattr(self, "_mcache", None)
-        return c.get(pid) if c is not None else None
-
-    def _assert_not_view_base(self, pid: str, action: str) -> None:
-        """Mutating or dropping the BASE of a live delete-vector view
-        would silently desync the view's frozen row count from its reads
-        (or orphan it entirely) — refuse loudly; the caller must drop or
-        materialize the view first."""
-        for p, m in self._all_manifests().items():
-            v = m.get("view")
-            if v and v["base"] == pid:
-                raise ValueError(
-                    f"{action} on '{pid}', which is the base of live view "
-                    f"'{p}'; drop or materialize the view first")
-
-    @staticmethod
-    def _live_of(ms: dict[str, dict]) -> dict[str, dict]:
-        shadowed: set[str] = set()
-        for m in ms.values():
-            v = m.get("view")
-            if v:
-                shadowed.add(v["base"])
-            shadowed.update(m.get("supersedes") or ())
-        return {p: m for p, m in ms.items() if p not in shadowed}
-
-    def _live_manifests(self) -> dict[str, dict]:
-        return self._live_of(self._all_manifests())
-
-    def _live_pids(self) -> list[str]:
-        return list(self._live_manifests())
-
-    @staticmethod
-    def _shadow_from(m: dict) -> list[str]:
-        """What a partition committed in place of the one holding
-        manifest ``m`` must keep shadowing: the view's base plus any
-        supersedes list the manifest already carries (inherited from
-        earlier incarnations of the pid)."""
-        sup = list(m.get("supersedes") or ())
-        v = m.get("view")
-        if v and v["base"] not in sup:
-            return [v["base"], *sup]
-        return sup
-
-    def _shadow_of(self, pid: str) -> list[str]:
-        return self._shadow_from(self.manifest(pid))
-
-    def _materialize_view_plan(self, pid: str, m: dict, fragment_fn):
-        """Plan for rewriting view ``pid`` into a plain partition:
-        ``(wrapped_fragment_fn, base, supersedes)`` — the wrapped fn runs
-        the delete vector before the caller's fn; chained views refuse
-        loudly (only THIS view's deletes would be applied)."""
-        base = m["view"]["base"]
-        if self._view_of(base):
-            raise ValueError(
-                f"rewrite_partition through chained views ({pid} -> "
-                f"{base} -> ...) is unsupported; read + append instead")
-        key_col, dropped = self._delete_keys(pid)
-        anti = ImageStore._anti_view
-
-        def wrapped(t, _fn=fragment_fn):
-            return _fn(anti(t, key_col, dropped, None))
-
-        return wrapped, base, self._shadow_from(m)
-
-    def _materialize_upsert(self, pid: str, updates, key: str) -> None:
-        """merge_insert on a view pid: materialize into a plain partition,
-        keeping the base SHADOWED in the whole-store snapshot.
-
-        STREAMING, never the whole partition in driver memory: the
-        rewrite pass runs base fragments through the delete vector and
-        drops the updated keys ONE FRAGMENT AT A TIME; the follow-up
-        plain upsert then re-references every rewritten fragment
-        (nothing contains an updated key anymore) and adds the updates
-        as one new fragment. Two commits instead of one — a crash
-        between them leaves a correct store that simply lacks the
-        upsert, the same observable state as crashing before a
-        single-commit upsert."""
-        import pyarrow.compute as pc
-
-        upd_keys = pa.array(sorted(set(updates[key].to_pylist())))
-
-        def drop_updated(t: pa.Table) -> pa.Table:
-            return t.filter(pc.invert(pc.is_in(t[key], value_set=upd_keys)))
-
-        self.rewrite_partition(pid, drop_updated)
-        self.merge_insert(pid, updates, key=key)
-
-    def _snapshot_read_table(self, columns):
-        """Whole-store table read with snapshot semantics; ``None`` means
-        no live view exists, so the caller's flat files() fast path is
-        exact (files()/rows() already restrict to live pids). Runs the
-        whole resolution — including the caller's files() fallthrough —
-        under ONE manifest prefetch."""
-        if getattr(self, "_mcache", None) is None:
-            with self._manifest_cache(self._all_manifests()):
-                return self._snapshot_read_table(columns)
-        ms = self._all_manifests()
-        live = self._live_of(ms)
-        if not any(m.get("view") for m in live.values()):
-            return None
-        tabs = [t for t in (self.read_table(p, columns=columns)
-                            for p in live) if t.num_columns]
-        return pa.concat_tables(tabs) if tabs else pa.table({})
-
-    def _snapshot_read_dataset(self, columns):
-        """Whole-store Dataset read with snapshot semantics (union of
-        per-pid reads); ``None`` -> flat fast path is exact."""
-        if getattr(self, "_mcache", None) is None:
-            with self._manifest_cache(self._all_manifests()):
-                return self._snapshot_read_dataset(columns)
-        ms = self._all_manifests()
-        live = self._live_of(ms)
-        if not any(m.get("view") for m in live.values()):
-            return None
-        import ray.data as rd
-
-        def carries_schema(p: str) -> bool:
-            # fileless partitions — including views over fileless bases —
-            # carry no schema and would poison the union; resolved from
-            # the already-fetched manifest map (zero extra GETs)
-            m, seen = ms[p], set()
-            while True:
-                v = m.get("view")
-                if not v:
-                    return bool(m["files"])
-                b = v["base"]
-                if b in seen or b not in ms:
-                    return False
-                seen.add(b)
-                m = ms[b]
-
-        pids = [p for p in live if carries_schema(p)]
-        if not pids:
-            return rd.from_arrow(pa.table({}))
-        dss = [self.read_dataset(p, columns=columns) for p in pids]
-        out = dss[0]
-        for d in dss[1:]:
-            out = out.union(d)
-        return out
-
-
-class ImageStore(SnapshotStoreMixin):
-    """Partitioned table store with atomic per-partition commits.
-
-    ``compression="none"`` by default: the payload column carries
-    already-compressed image bytes (png/qjpeg/zlib), so parquet-level
-    snappy costs ~4x write CPU for zero size win."""
-
-    def __init__(self, root: str, compression: str = "none",
-                 shared_fs: bool = False):
-        """``shared_fs=True`` declares that ``root`` is visible to every
-        node of the cluster (NFS/FUSE mount). The fused-sink pattern
-        (tasks write partition files directly, the driver commits by
-        footer count) REQUIRES either a single node or a shared root —
-        see :meth:`external_tmp`."""
-        self.root = root
-        self.compression = compression
-        self.shared_fs = shared_fs
-        os.makedirs(self._manifest_dir, exist_ok=True)
-        os.makedirs(os.path.join(root, "data"), exist_ok=True)
-        self._recover_aside()  # heal any crash mid-_swap_dir
-
-    @property
-    def _manifest_dir(self) -> str:
-        return os.path.join(self.root, "_manifests")
-
-    def _manifest_path(self, pid: str) -> str:
-        return os.path.join(self._manifest_dir, f"{pid}.json")
-
-    def _part_dir(self, pid: str) -> str:
-        return os.path.join(self.root, "data", pid)
-
-    # -- commit protocol ---------------------------------------------------
-    def is_done(self, pid: str) -> bool:
-        return os.path.exists(self._manifest_path(pid))
-
-    def partitions(self) -> list[str]:
-        return sorted(
-            f[: -len(".json")] for f in os.listdir(self._manifest_dir) if f.endswith(".json")
-        )
-
-    def rows(self, pid: str | None = None) -> int:
-        """Row count from manifests only — no data-file reads or listings.
-        Whole-store = the SNAPSHOT (see :class:`SnapshotStoreMixin`)."""
-        if pid is not None:
-            return self.manifest(pid)["rows"]
-        return sum(m["rows"] for m in self._live_manifests().values())
-
-    def manifest(self, pid: str) -> dict:
-        if (m := self._cached_manifest(pid)) is not None:
-            return m
-        with open(self._manifest_path(pid)) as f:
-            return json.load(f)
-
-    def drop_partition(self, pid: str, *, force: bool = False) -> None:
-        """Uncommit + reclaim a partition (shared surface with ObjectStore).
-        Manifest removed first so readers never see a half-deleted one.
-        Refuses while a live view still reads through this partition;
-        ``force=True`` skips the scan when the caller has already ordered
-        drops dependents-first (CrawlEngine's closure sweep)."""
-        if not force:
-            self._assert_not_view_base(pid, "drop_partition")
-        try:
-            os.remove(self._manifest_path(pid))
-        except OSError:
-            pass
-        shutil.rmtree(self._part_dir(pid), ignore_errors=True)
-
-    def _swap_dir(self, pid: str, tmp_dir: str) -> str | None:
-        """Install ``tmp_dir`` as the partition dir WITHOUT a delete-first
-        window (review r5): the old dir is renamed aside (atomic), the new
-        one renamed in, and the aside copy is removed only AFTER the new
-        manifest is durable. A crash anywhere leaves either the old or the
-        new (dir, manifest) pair recoverable — :meth:`_recover_aside` at
-        store open rolls back or completes by checking which dir the
-        manifest's file list matches. The old rmtree-before-replace order
-        could strand a manifest pointing at deleted files (permanent loss:
-        maintenance writers are never re-run)."""
-        final_dir = self._part_dir(pid)
-        old_dir = None
-        if os.path.exists(final_dir):
-            old_dir = final_dir + f".old.{uuid.uuid4().hex}"
-            os.replace(final_dir, old_dir)
-        os.replace(tmp_dir, final_dir)
-        return old_dir
-
-    def _recover_aside(self) -> None:
-        """Crash recovery for :meth:`_swap_dir`, run at store open: for each
-        aside dir, keep whichever of (final, aside) the committed manifest's
-        file list actually matches and remove the other."""
-        data = os.path.join(self.root, "data")
-        for name in os.listdir(data):
-            if ".old." not in name:
-                continue
-            pid = name.rsplit(".old.", 1)[0]
-            old = os.path.join(data, name)
-            final = self._part_dir(pid)
-            try:
-                m = self.manifest(pid)
-            except FileNotFoundError:
-                shutil.rmtree(old, ignore_errors=True)  # pid was dropped
-                continue
-            v = m.get("view")
-            need = set(v.get("delete_files") or [v["delete_file"]]) if v \
-                else set(m["files"])
-            have = set(os.listdir(final)) if os.path.isdir(final) else None
-            if have is not None and need <= have:
-                # manifest matches the new dir: the commit completed
-                shutil.rmtree(old, ignore_errors=True)
-            else:
-                # crashed mid-swap: the manifest still describes the old
-                # dir — roll the uncommitted new dir back out
-                if have is not None:
-                    shutil.rmtree(final, ignore_errors=True)
-                os.replace(old, final)
-
-    def _commit(self, pid: str, tmp_dir: str, rows: int, meta: dict | None,
-                supersedes: list[str] | None = None) -> None:
-        # overwriting a partition that shadows others must keep shadowing
-        # them — the pid's shadow set (view base + supersedes) only grows
-        # until the pid is dropped, whatever writer replaces it
-        if supersedes is None and os.path.exists(self._manifest_path(pid)):
-            supersedes = self._shadow_from(self.manifest(pid))
-        final_dir = self._part_dir(pid)
-        old_dir = self._swap_dir(pid, tmp_dir)
-        files = sorted(os.listdir(final_dir))
-        manifest = {"rows": rows, "files": files, "meta": meta or {}}
-        if supersedes:
-            manifest["supersedes"] = supersedes
-        mtmp = self._manifest_path(pid) + f".tmp.{uuid.uuid4().hex}"
-        with open(mtmp, "w") as f:
-            json.dump(manifest, f)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(mtmp, self._manifest_path(pid))
-        if old_dir is not None:
-            shutil.rmtree(old_dir, ignore_errors=True)
-
-    # -- writers -----------------------------------------------------------
-    def append_table(self, pid: str, table: pa.Table, meta: dict | None = None,
-                     supersedes: list[str] | None = None) -> None:
-        """Atomically write one partition from a driver-side Arrow table.
-        ``supersedes`` keeps the snapshot shadow when this write
-        MATERIALIZES a former view (see :class:`SnapshotStoreMixin`)."""
-        tmp_dir = self._part_dir(pid) + f".tmp.{uuid.uuid4().hex}"
-        os.makedirs(tmp_dir)
-        write_fragment(table, os.path.join(tmp_dir, "part-0.parquet"),
-                       compression=self.compression)
-        self._commit(pid, tmp_dir, table.num_rows, meta, supersedes)
-
-    def compact_partition(self, pid: str, target_rows: int = 100_000) -> int:
-        """Merge small fragments into ~``target_rows``-row files (lakehouse
-        compaction — the flip side of the many-small-files write default
-        that read fan-out wants). Content-identical rewrite: row counts,
-        keys and order-within-fragments are unchanged, so it is safe under
-        live views over this partition. Driver memory is bounded by
-        ``target_rows`` (one output file's rows at a time). ``supersedes``
-        and meta ride through the commit. Returns the new fragment count."""
-        m = self.manifest(pid)
-        if m.get("view"):
-            raise ValueError("compact the BASE partition; views have no "
-                             "fragments of their own")
-        tmp_dir = self._part_dir(pid) + f".tmp.{uuid.uuid4().hex}"
-        os.makedirs(tmp_dir)
-        buf: list[pa.Table] = []
-        buffered = n_out = total = 0
-
-        def flush():
-            nonlocal buf, buffered, n_out, total
-            if not buf:
-                return
-            write_fragment(pa.concat_tables(buf),
-                           os.path.join(tmp_dir, f"compact-{n_out:05d}.parquet"),
-                           compression=self.compression)
-            total += buffered
-            n_out += 1
-            buf, buffered = [], 0
-
-        for f in self.files(pid):
-            t = pq.read_table(f)
-            buf.append(t)
-            buffered += t.num_rows
-            if buffered >= target_rows:
-                flush()
-        flush()
-        self._commit(pid, tmp_dir, total, m.get("meta"))
-        return n_out
-
-    def append_meta(self, pid: str, meta: dict) -> None:
-        """Commit a FILELESS zero-row partition that exists only for its
-        manifest metadata (e.g. ingest_sharded's shard listing) — invisible
-        to whole-store reads and counted as 0 rows, unlike a data
-        partition smuggling the listing as rows."""
-        tmp_dir = self._part_dir(pid) + f".tmp.{uuid.uuid4().hex}"
-        os.makedirs(tmp_dir)
-        self._commit(pid, tmp_dir, 0, meta)
-
-    def external_tmp(self, pid: str) -> str:
-        """Pre-create a tmp dir for tasks that write partition files
-        DIRECTLY (the fused-stage sink pattern: payload bytes go from the
-        producing task straight to parquet, never through a second Ray Data
-        execution). Commit with :meth:`commit_external`.
-
-        On a MULTI-NODE cluster this is only correct when ``root`` is a
-        shared filesystem — otherwise rows written by remote workers would
-        be silently lost while the footer-count commit still succeeds
-        (round-2 advice). Fails loudly unless ``shared_fs=True``."""
-        self._assert_sink_visible()
-        d = self._part_dir(pid) + f".tmp.{uuid.uuid4().hex}"
-        os.makedirs(d)
-        return d
-
-    def _assert_sink_visible(self) -> None:
-        if self.shared_fs:
-            return
-        try:
-            import ray
-        except ImportError:  # pragma: no cover
-            return
-        if ray.is_initialized():
-            alive = [n for n in ray.nodes() if n.get("Alive")]
-            if len(alive) > 1:
-                raise RuntimeError(
-                    "fused-sink partitions require a shared store root on a "
-                    f"multi-node cluster ({len(alive)} alive nodes); "
-                    "construct ImageStore(root, shared_fs=True) only if "
-                    "every node mounts the same path")
-
-    def scratch_dir(self, prefix: str) -> str:
-        """Worker-visible scratch space for distributed loser passes
-        (same shared-root contract as :meth:`external_tmp`)."""
-        import tempfile
-
-        return tempfile.mkdtemp(prefix=prefix, dir=self.root)
-
-    def rm_scratch(self, path: str) -> None:
-        shutil.rmtree(path, ignore_errors=True)
-
-    def commit_external(self, pid: str, tmp_dir: str, meta: dict | None = None) -> int:
-        """Atomically commit files tasks wrote into ``tmp_dir``; row count
-        from parquet footers only. Leftover tmp dirs of the same pid (from
-        a crashed earlier attempt) are swept."""
-        rows = sum(pq.read_metadata(os.path.join(tmp_dir, f)).num_rows
-                   for f in os.listdir(tmp_dir) if f.endswith(".parquet"))
-        self._commit(pid, tmp_dir, rows, meta)
-        base = self._part_dir(pid) + ".tmp."
-        parent = os.path.dirname(base)
-        stem = os.path.basename(base)
-        for d in os.listdir(parent):
-            if d.startswith(stem):
-                shutil.rmtree(os.path.join(parent, d), ignore_errors=True)
-        return rows
-
-    def append_dataset(self, pid: str, ds, meta: dict | None = None) -> int:
-        """Atomically write one partition from a ray.data.Dataset (streamed).
-
-        The Dataset is written in parallel to a temp dir, then the rename +
-        manifest commit makes it visible. Returns rows written.
-        """
-        tmp_dir = self._part_dir(pid) + f".tmp.{uuid.uuid4().hex}"
-        os.makedirs(tmp_dir)
-        ds.write_parquet(tmp_dir, compression=self.compression)
-        rows = sum(pq.read_metadata(os.path.join(tmp_dir, f)).num_rows
-                   for f in os.listdir(tmp_dir) if f.endswith(".parquet"))
-        self._commit(pid, tmp_dir, rows, meta)
-        return rows
-
-    # -- delete-vector views ----------------------------------------------
-    def commit_delete_view(self, pid: str, base_pid: str, delete_keys,
-                           key_col: str, meta: dict | None = None) -> int:
-        """Commit ``pid`` as a logical view: base partition minus rows whose
-        ``key_col`` is in ``delete_keys`` — dedup as METADATA, the
-        delete-vector pattern of lakehouse formats (and Lance deletions):
-        no second copy of the payload bytes is ever written. Returns the
-        view's row count."""
-        # dedupe + sort: a duplicate key must not double-count against the
-        # manifest row total the readers and resume logic trust
-        keys = sorted(set(delete_keys))
-        tmp_dir = self._part_dir(pid) + f".tmp.{uuid.uuid4().hex}"
-        os.makedirs(tmp_dir)
-        pq.write_table(pa.table({key_col: keys}),
-                       os.path.join(tmp_dir, "deletes.parquet"),
-                       compression=self.compression)
-        return self._commit_view(pid, base_pid, tmp_dir, key_col,
-                                 len(keys), meta)
-
-    def commit_delete_view_file(self, pid: str, base_pid: str,
-                                delete_file: str, key_col: str,
-                                meta: dict | None = None) -> int:
-        """Commit a delete-vector view whose key file was written by a
-        DISTRIBUTED loser pass (stages/dedup.py::exact_losers_files) — the
-        keys never transit the driver; the count comes from the parquet
-        footer. The file must already hold sorted, unique keys."""
-        return self.commit_delete_view_files(pid, base_pid, [delete_file],
-                                             key_col, meta)
-
-    def commit_delete_view_files(self, pid: str, base_pid: str,
-                                 delete_files: list[str], key_col: str,
-                                 meta: dict | None = None) -> int:
-        """Multi-file variant: each file was written by a separate
-        distributed task (one per loser-hash bucket — pipelines/ingest.py
-        ::neardup_pass's distributed tier), so no single writer funnels
-        every loser. Files must be disjoint (keys co-located per file by a
-        key-hash route) with sorted, unique keys; counts come from the
-        parquet footers, keys never transit the driver."""
-        if not delete_files:
-            return self.commit_delete_view(pid, base_pid, [], key_col, meta)
-        n = sum(pq.read_metadata(f).num_rows for f in delete_files)
-        tmp_dir = self._part_dir(pid) + f".tmp.{uuid.uuid4().hex}"
-        os.makedirs(tmp_dir)
-        names = []
-        for i, f in enumerate(delete_files):
-            name = f"deletes-{i:05d}.parquet"
-            shutil.move(f, os.path.join(tmp_dir, name))
-            names.append(name)
-        return self._commit_view(pid, base_pid, tmp_dir, key_col, n, meta,
-                                 delete_files=names)
-
-    def _commit_view(self, pid: str, base_pid: str, tmp_dir: str,
-                     key_col: str, n_deleted: int, meta: dict | None,
-                     delete_files: list[str] | None = None) -> int:
-        rows = self.rows(base_pid) - n_deleted
-        old_dir = self._swap_dir(pid, tmp_dir)
-        view = {"base": base_pid, "key_col": key_col}
-        if delete_files is None:
-            view["delete_file"] = "deletes.parquet"
-        else:
-            view["delete_files"] = delete_files
-        manifest = {"rows": rows, "files": [],
-                    "view": view,
-                    "meta": meta or {}}
-        if self.is_done(pid):
-            inherited = [p for p in self._shadow_from(self.manifest(pid))
-                         if p != base_pid]
-            if inherited:
-                manifest["supersedes"] = inherited
-        mtmp = self._manifest_path(pid) + f".tmp.{uuid.uuid4().hex}"
-        with open(mtmp, "w") as f:
-            json.dump(manifest, f)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(mtmp, self._manifest_path(pid))
-        if old_dir is not None:
-            shutil.rmtree(old_dir, ignore_errors=True)
-        return rows
-
-    def _view_of(self, pid: str) -> dict | None:
-        return self.manifest(pid).get("view")
-
-    def _delete_keys(self, pid: str) -> tuple[str, pa.Array]:
-        """Delete keys of a view as an Arrow array (NEVER a Python set —
-        readers probe it with vectorized ``pc.is_in``)."""
-        import pyarrow.compute as pc
-
-        v = self._view_of(pid)
-        names = v.get("delete_files") or [v["delete_file"]]
-        tab = pa.concat_tables(
-            pq.read_table(os.path.join(self._part_dir(pid), n))
-            for n in names)
-        return v["key_col"], pc.unique(tab[v["key_col"]].combine_chunks())
-
-    @staticmethod
-    def _anti_view(t: pa.Table, key_col: str, drop: pa.Array,
-                   columns: list[str] | None) -> pa.Table:
-        """Vectorized delete-vector probe shared by both readers: one
-        ``pc.is_in`` + invert per batch, no per-row Python."""
-        import pyarrow.compute as pc
-
-        if len(drop) == 0 or pa.types.is_null(drop.type):
-            out = t  # empty delete vector (written untyped)
-        else:
-            out = t.filter(pc.invert(pc.is_in(t[key_col], value_set=drop)))
-        if columns is not None and key_col not in columns:
-            out = out.select(columns)
-        return out
-
-    # -- readers -----------------------------------------------------------
-    def files(self, pid: str | None = None) -> list[str]:
-        """Data files of committed partitions only (uncommitted temps
-        invisible; view partitions resolve to their base's files)."""
-        if pid is None and getattr(self, "_mcache", None) is None:
-            with self._manifest_cache(self._all_manifests()):
-                return self.files(None)
-        out: list[str] = []
-        for p in [pid] if pid else self._live_pids():
-            m = self.manifest(p)
-            if m.get("view"):
-                out.extend(self.files(m["view"]["base"]))
-            else:
-                d = self._part_dir(p)
-                out.extend(os.path.join(d, f) for f in m["files"])
-        return out
-
-    def read_dataset(self, pid: str | None = None, columns: list[str] | None = None):
-        import ray.data as rd
-
-        if pid is None:
-            if getattr(self, "_mcache", None) is None:
-                # ONE manifest prefetch covers the snapshot probe AND the
-                # flat files(None) fallthrough
-                with self._manifest_cache(self._all_manifests()):
-                    return self.read_dataset(None, columns=columns)
-            snap = self._snapshot_read_dataset(columns)
-            if snap is not None:
-                return snap
-        if pid is not None and self._view_of(pid):
-            base = self._view_of(pid)["base"]
-            if not self.files(base):  # fileless base: nothing to anti-join
-                return self.read_dataset(base)
-            key_col, dropped = self._delete_keys(pid)
-            cols = columns
-            if cols is not None and key_col not in cols:
-                cols = [*cols, key_col]
-            ds = self.read_dataset(base, columns=cols)
-            import ray
-
-            # losers broadcast ONCE as an Arrow array; every task probes it
-            # with a vectorized is_in (never a per-row Python loop)
-            ref = ray.put(dropped)
-            anti = ImageStore._anti_view
-
-            def anti_fn(t: pa.Table) -> pa.Table:
-                return anti(t, key_col, ray.get(ref), columns)
-
-            return ds.map_batches(anti_fn, batch_format="pyarrow")
-        files = self.files(pid)
-        if not files:
-            return rd.from_arrow(pa.table({}))
-        return rd.read_parquet(files, columns=columns)
-
-    def read_table(self, pid: str | None = None, columns: list[str] | None = None) -> pa.Table:
-        if pid is None:
-            if getattr(self, "_mcache", None) is None:
-                with self._manifest_cache(self._all_manifests()):
-                    return self.read_table(None, columns=columns)
-            snap = self._snapshot_read_table(columns)
-            if snap is not None:
-                return snap
-        if pid is not None and self._view_of(pid):
-            key_col, dropped = self._delete_keys(pid)
-            base = self._view_of(pid)["base"]
-            cols = columns
-            if cols is not None and key_col not in cols:
-                cols = [*cols, key_col]
-            tab = self.read_table(base, columns=cols)
-            if not tab.num_columns:  # fileless base: nothing to anti-join
-                return tab
-            return ImageStore._anti_view(tab, key_col, dropped, columns)
-        files = self.files(pid)
-        if not files:
-            return pa.table({})
-        return pa.concat_tables(pq.read_table(f, columns=columns) for f in files)
-
-    # -- upsert (the reference's bulk_update, S10) --------------------------
-    @staticmethod
-    def _merge_fragment(path: str, out_path: str, key: str, upd_keys: pa.Array,
-                        compression: str) -> int:
-        """One fragment of an upsert: untouched fragments HARD-LINK into the
-        new partition dir (zero data bytes moved); affected fragments are
-        rewritten without the updated keys. Returns surviving row count."""
-        import pyarrow.compute as pc
-
-        keys_only = pq.read_table(path, columns=[key])
-        hit = pc.is_in(keys_only[key], value_set=upd_keys)
-        n_hit = pc.sum(hit).as_py() or 0
-        if n_hit == 0:
-            try:
-                os.link(path, out_path)
-            except OSError:
-                shutil.copy2(path, out_path)
-            return keys_only.num_rows
-        frag = pq.read_table(path)
-        kept = frag.filter(pc.invert(pc.is_in(frag[key], value_set=upd_keys)))
-        if kept.num_rows:
-            write_fragment(kept, out_path, compression=compression)
-        return kept.num_rows
-
-    def merge_insert(self, pid: str, updates: pa.Table, key: str, *,
-                     allow_view_base: bool = False) -> None:
-        """Upsert rows of one partition by key (reference:
-        13_calculate_image_stats.py:109-116 / 14_calculate_closest_frames.py:122-129
-        ``bulk_update``), committed atomically.
-
-        PER-FRAGMENT (round-1 What's-wrong #5 fix): only fragments that
-        contain an updated key are rewritten — and in parallel Ray tasks
-        when a session is live; untouched fragments hard-link into the new
-        partition dir. Driver memory stays O(updates), never O(partition).
-        """
-        if not self.is_done(pid):
-            self.append_table(pid, updates)
-            return
-        if not allow_view_base:  # True = caller asserts the upsert is
-            # key-and-count-preserving, so dependent views stay exact
-            self._assert_not_view_base(pid, "merge_insert")
-        if self._view_of(pid):
-            # view partitions have no fragments of their own: materialize
-            self._materialize_upsert(pid, updates, key)
-            return
-
-        files = self.files(pid)
-        schema_names = pq.read_schema(files[0]).names if files else updates.column_names
-        updates = updates.select(schema_names)
-        upd_keys = pa.array(sorted(set(updates[key].to_pylist())))
-        tmp_dir = self._part_dir(pid) + f".tmp.{uuid.uuid4().hex}"
-        os.makedirs(tmp_dir)
-
-        jobs = [(f, os.path.join(tmp_dir, os.path.basename(f))) for f in files]
-        import ray
-
-        if ray.is_initialized() and len(jobs) > 1:
-            merge = ray.remote(num_cpus=1)(ImageStore._merge_fragment)
-            kref = ray.put(upd_keys)
-            rows = sum(ray.get([merge.remote(src, dst, key, kref, self.compression)
-                                for src, dst in jobs]))
-        else:
-            rows = sum(ImageStore._merge_fragment(src, dst, key, upd_keys,
-                                                  self.compression)
-                       for src, dst in jobs)
-        write_fragment(updates,
-                       os.path.join(tmp_dir, f"upsert-{uuid.uuid4().hex}.parquet"),
-                       compression=self.compression)
-        m = self.manifest(pid)
-        self._commit(pid, tmp_dir, rows + updates.num_rows, m.get("meta"),
-                     supersedes=m.get("supersedes"))
-
-    def rewrite_partition(self, pid: str, fragment_fn, meta: dict | None = None,
-                          *, allow_view_base: bool = False) -> int:
-        """Map every fragment through ``fragment_fn(pa.Table) -> pa.Table``
-        into a new atomically-committed partition, ONE FRAGMENT AT A TIME
-        (driver memory = one fragment) — the streaming path for
-        schema-widening rewrites. A VIEW pid is materialized: each base
-        fragment passes through the delete vector first, and the new
-        plain partition keeps the base shadowed. Returns total rows."""
-        if not allow_view_base:  # True = fn is row-count/key-preserving
-            self._assert_not_view_base(pid, "rewrite_partition")
-        m = self.manifest(pid)
-        supersedes = m.get("supersedes")
-        if m.get("view"):
-            fragment_fn, _base, supersedes = self._materialize_view_plan(
-                pid, m, fragment_fn)
-        files = self.files(pid)
-        tmp_dir = self._part_dir(pid) + f".tmp.{uuid.uuid4().hex}"
-        os.makedirs(tmp_dir)
-        rows = 0
-        for f in files:
-            out = fragment_fn(pq.read_table(f))
-            if out.num_rows:
-                write_fragment(out, os.path.join(tmp_dir, os.path.basename(f)),
-                               compression=self.compression)
-                rows += out.num_rows
-        self._commit(pid, tmp_dir, rows,
-                     meta if meta is not None else m.get("meta"),
-                     supersedes=supersedes)
-        return rows

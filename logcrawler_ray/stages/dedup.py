@@ -369,7 +369,7 @@ def exact_losers_files(skinny_ds, key: str, order_col: str, part_col: str,
        skinny row whose ``order_col`` differs from its key's winner;
     4. ``groupby(part_col).map_groups`` writes one sorted+unique
        ``losers-<part>.parquet`` per partition into ``out_dir`` — ready for
-       :meth:`ImageStore.commit_delete_view_file`.
+       :meth:`ObjectStore.commit_delete_view_file`.
 
     Both shuffles move only skinny (key, order, part) rows. Reference
     analog: the count-ledger anti-join (07_input_cognition_data_rust.py:

@@ -162,9 +162,9 @@ def test_phash_near_dup_string_ids(ray_session):
 
 def test_neardup_pass_commits_cluster_losers(ray_session, tmp_path):
     from logcrawler_ray.pipelines.ingest import neardup_pass
-    from logcrawler_ray.sources.store import ImageStore
+    from logcrawler_ray.sources.objstore import open_store
 
-    store = ImageStore(str(tmp_path / "store"))
+    store = open_store(str(tmp_path / "store"))
     # phashes: {a,b,c} one near-dup cluster (chain a-b, b-c at hamming 1);
     # d far away (32 set bits); e exact-equal to a (hamming 0 joins)
     tab = pa.table({
@@ -189,7 +189,7 @@ def test_neardup_pass_tiers_agree(ray_session, tmp_path):
     exactly the set the driver tier drops — tier choice is a size decision,
     never a semantics decision."""
     from logcrawler_ray.pipelines.ingest import neardup_pass
-    from logcrawler_ray.sources.store import ImageStore
+    from logcrawler_ray.sources.objstore import open_store
 
     rng = np.random.default_rng(23)
     base = rng.integers(0, 2**63, 40, dtype=np.int64).astype(np.uint64)
@@ -203,7 +203,7 @@ def test_neardup_pass_tiers_agree(ray_session, tmp_path):
 
     kept = {}
     for tier, cap in [("driver", 500_000), ("distributed", 0)]:
-        store = ImageStore(str(tmp_path / tier))
+        store = open_store(str(tmp_path / tier))
         store.append_table("base", tab)
         pid = neardup_pass(store, "base", max_hamming=2,
                            max_driver_pairs=cap)
@@ -215,14 +215,11 @@ def test_neardup_pass_tiers_agree(ray_session, tmp_path):
             # single-writer funnel (round-3 verdict), files disjoint
             view = store.manifest(pid)["view"]
             assert len(view["delete_files"]) > 1
-            import os
-
             import pyarrow.parquet as pq
 
-            parts = [pq.read_table(
-                os.path.join(store.root, "data", pid, f))
-                ["image_id"].to_pylist()
-                for f in view["delete_files"]]
+            # manifest keys are the exact delete-file paths
+            parts = [pq.read_table(f)["image_id"].to_pylist()
+                     for f in view["delete_files"]]
             flat = [x for p in parts for x in p]
             assert len(flat) == len(set(flat))  # cross-file disjoint
     assert kept["driver"] == kept["distributed"]

@@ -100,8 +100,8 @@ def test_cli_dump_frame(tmp_path, capsys):
 
 
 def test_cli_compact_and_gc(ray_session, tmp_path, capsys):
-    """compact merges a crawl wave's fragments; gc on an object-store root
-    reports reclaimed objects (0 when clean), local root reports 0."""
+    """compact merges a crawl wave's fragments; gc on a plain-path root and
+    on a local:// URL root reports reclaimed objects (0 when clean)."""
     store, ckpt = str(tmp_path / "s"), str(tmp_path / "c")
     main(["crawl", "--store", store, "--ckpt", ckpt, "--seeds", "8",
           "--hosts", "4", "--waves", "2", "--wave-size", "32"])
@@ -119,7 +119,7 @@ def test_cli_compact_and_gc(ray_session, tmp_path, capsys):
     rc = main(["gc", "--store", store])
     assert rc == 0
     assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["removed"] == 0
-    # object-store root: gc walks partitions (clean store -> 0 removed)
+    # URL root: gc walks partitions (clean store -> 0 removed)
     obj = f"local://{tmp_path}/obj"
     ost = open_store(obj)
     ost.append_table("p", pq.read_table(st.files(wave)[0]))

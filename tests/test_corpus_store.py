@@ -1,4 +1,4 @@
-"""Corpus fixture generator + ImageStore tests (no Ray needed)."""
+"""Corpus fixture generator + table store tests (no Ray needed)."""
 
 import numpy as np
 import pyarrow as pa
@@ -8,7 +8,7 @@ from logcrawler_ray.codecs import registry
 from logcrawler_ray.functions.phash import phash_batch
 from logcrawler_ray.functions.hashing import to_uint64
 from logcrawler_ray.sources import corpus
-from logcrawler_ray.sources.store import ImageStore
+from logcrawler_ray.sources.objstore import open_store
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +66,7 @@ def test_decode_all_rows(tab):
 
 # ---------------------------------------------------------------- store
 def test_store_commit_and_resume(tmp_path):
-    store = ImageStore(str(tmp_path / "s"))
+    store = open_store(str(tmp_path / "s"))
     t = pa.table({"image_id": ["a", "b"], "v": [1, 2]})
     assert not store.is_done("p0")
     store.append_table("p0", t, meta={"wave": 0})
@@ -78,7 +78,7 @@ def test_store_commit_and_resume(tmp_path):
 
 
 def test_store_multiple_partitions(tmp_path):
-    store = ImageStore(str(tmp_path / "s"))
+    store = open_store(str(tmp_path / "s"))
     store.append_table("a", pa.table({"k": [1]}))
     store.append_table("b", pa.table({"k": [2, 3]}))
     assert store.rows() == 3
@@ -86,7 +86,7 @@ def test_store_multiple_partitions(tmp_path):
 
 
 def test_store_merge_insert(tmp_path):
-    store = ImageStore(str(tmp_path / "s"))
+    store = open_store(str(tmp_path / "s"))
     store.append_table("p", pa.table({"image_id": ["a", "b"], "v": [1, 2]}))
     store.merge_insert("p", pa.table({"image_id": ["b", "c"], "v": [20, 30]}), key="image_id")
     out = store.read_table("p")
@@ -97,67 +97,46 @@ def test_store_merge_insert(tmp_path):
 def test_store_uncommitted_invisible(tmp_path):
     import os
 
-    store = ImageStore(str(tmp_path / "s"))
-    # simulate a crashed write: temp dir exists but no manifest
-    os.makedirs(str(tmp_path / "s" / "data" / "p0.tmp.dead"))
+    from logcrawler_ray.sources.store import write_fragment
+
+    store = open_store(str(tmp_path / "s"))
+    # simulate a crashed write: a staged fragment exists but no manifest
+    stage = tmp_path / "s" / "data" / "p0" / "stage-dead"
+    os.makedirs(stage)
+    write_fragment(pa.table({"k": [1]}), str(stage / "part-0.parquet"))
     assert store.partitions() == []
     assert store.files() == []
 
 
-def test_store_crash_mid_swap_rolls_back(tmp_path):
-    """_swap_dir crash windows (review r5): the old rmtree-before-replace
-    order could strand a manifest pointing at deleted files. With the
-    rename-aside protocol, a crash BETWEEN the two renames leaves the old
-    data aside; reopening the store must restore it."""
-    import os
-    import shutil
-
-    root = str(tmp_path / "s")
-    store = ImageStore(root)
-    t = pa.table({"image_id": ["a", "b"], "v": [1, 2]})
-    store.append_table("p", t)
-    # crash state A: final dir renamed aside, replacement never arrived
-    final = os.path.join(root, "data", "p")
-    os.replace(final, final + ".old.deadbeef")
-    store2 = ImageStore(root)  # reopen heals
-    assert store2.read_table("p").equals(t)
-    assert not os.path.exists(final + ".old.deadbeef")
-
-
-def test_store_completed_swap_drops_aside(tmp_path):
-    """Crash state B: commit completed (manifest matches the new dir) but
-    the aside copy was never removed — reopening sweeps it, keeping the
-    committed data."""
-    import os
-    import shutil
-
-    root = str(tmp_path / "s")
-    store = ImageStore(root)
-    t = pa.table({"image_id": ["a", "b"], "v": [1, 2]})
-    store.append_table("p", t)
-    final = os.path.join(root, "data", "p")
-    # a stale aside copy of some earlier version
-    shutil.copytree(final, final + ".old.cafebabe")
-    with open(os.path.join(final + ".old.cafebabe", "junk.bin"), "wb") as f:
-        f.write(b"old-version-leftover")
-    store2 = ImageStore(root)
-    assert store2.read_table("p").equals(t)
-    assert not os.path.exists(final + ".old.cafebabe")
-
-
-def test_store_crash_mid_swap_view(tmp_path):
-    """Same rollback for view partitions (delete-file dirs)."""
+def test_view_recommit_crash_before_manifest_keeps_old_view(tmp_path,
+                                                            monkeypatch):
+    """Re-committing a delete view that crashes before its manifest is
+    replaced must leave the OLD view intact: the old manifest still names
+    the old deletes file, so rows() and reads agree after reopening."""
     import os
 
     root = str(tmp_path / "s")
-    store = ImageStore(root)
-    store.append_table("base", pa.table({"image_id": ["a", "b", "c"],
-                                         "v": [1, 2, 3]}))
-    store.commit_delete_view("view", "base", ["b"], key_col="image_id")
-    assert store.rows("view") == 2
-    final = os.path.join(root, "data", "view")
-    os.replace(final, final + ".old.0123")
-    store2 = ImageStore(root)
+    store = open_store(root)
+    store.append_table("base", pa.table({"image_id": ["a", "b", "c", "d"],
+                                         "v": [1, 2, 3, 4]}))
+    store.commit_delete_view("view", "base", ["a"], key_col="image_id")
+    assert store.rows("view") == 3
+
+    real_replace = os.replace
+    target = os.path.join("_manifests", "view.json")
+
+    def crashing_replace(src, dst, *a, **kw):
+        if str(dst).endswith(target):
+            raise OSError("simulated crash before the manifest commit")
+        return real_replace(src, dst, *a, **kw)
+
+    monkeypatch.setattr(os, "replace", crashing_replace)
+    with pytest.raises(OSError, match="simulated crash"):
+        store.commit_delete_view("view", "base", ["a", "b", "c"],
+                                 key_col="image_id")
+    monkeypatch.setattr(os, "replace", real_replace)
+
+    store2 = open_store(root)  # reopen after the crash
+    assert store2.rows("view") == store2.read_table("view").num_rows == 3
     assert sorted(store2.read_table("view")["image_id"].to_pylist()) == [
-        "a", "c"]
-    assert not os.path.exists(final + ".old.0123")
+        "b", "c", "d"]

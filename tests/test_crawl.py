@@ -18,8 +18,7 @@ from logcrawler_ray.pipelines.reference_crawler import SerialCrawler
 
 
 CFG = dict(seed=42, n_hosts=6, pages_per_host=40, n_shards=4, wave_size=64,
-           max_depth=6, max_waves=8, fetch_concurrency=2, decode_concurrency=2,
-           batch_size=32)
+           max_depth=6, max_waves=8, fetch_concurrency=2, batch_size=32)
 
 
 @pytest.fixture(scope="module")
@@ -346,9 +345,9 @@ def test_route_links_fast_path():
 
 
 def test_crawl_on_object_store(ray_session, serial_run, tmp_path):
-    """CrawlEngine against the rename-free ObjectStore backend (local://
-    routes open_store through fsspec LocalFileSystem — a filesystem every
-    Ray worker shares, like the real S3 deployment): wave tasks PUT
+    """CrawlEngine on a local:// store URL (fsspec LocalFileSystem — a
+    filesystem every Ray worker shares, like the real S3 deployment), the
+    same store a plain path opens: wave tasks PUT
     fragments straight into the staging prefix, commit is the manifest
     write, and ordering + store contents must still match the serial
     reference exactly."""
@@ -367,7 +366,7 @@ def test_crawl_on_object_store(ray_session, serial_run, tmp_path):
 
 
 def test_kill_and_resume_on_object_store(ray_session, serial_run, tmp_path):
-    """Kill+resume with the store on the object-store backend: the
+    """Kill+resume with the store on a local:// URL: the
     rename-free manifest-last commits (fetch log, wave partitions) and
     local checkpoints must reproduce the serial run exactly after a
     restart — the multi-node crash story end-to-end."""

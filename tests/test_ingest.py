@@ -9,7 +9,7 @@ from logcrawler_ray.functions.image_stats import blurredness_batch, brightness_b
 from logcrawler_ray.functions.phash import grayscale, phash_batch
 from logcrawler_ray.pipelines.ingest import ingest, decode_pipeline
 from logcrawler_ray.sources import corpus
-from logcrawler_ray.sources.store import ImageStore
+from logcrawler_ray.sources.objstore import open_store
 
 N = 96
 
@@ -69,7 +69,7 @@ def test_decode_error_channel(ray_session):
 
 
 def test_ingest_dedup_and_store(ray_session, source_ds, corpus_tab, tmp_path):
-    store = ImageStore(str(tmp_path / "store"))
+    store = open_store(str(tmp_path / "store"))
     result = ingest(source_ds, store, pid="t0", concurrency=2, batch_size=32)
     got = result.to_pandas()
     uniq = len(set(corpus_tab["phash"].to_pylist()))
@@ -90,7 +90,7 @@ def test_ingest_dedup_and_store(ray_session, source_ds, corpus_tab, tmp_path):
 
 
 def test_ingest_resume_skips_done(ray_session, source_ds, tmp_path):
-    store = ImageStore(str(tmp_path / "store"))
+    store = open_store(str(tmp_path / "store"))
     ingest(source_ds, store, pid="t0", concurrency=2, batch_size=32)
     n1 = store.rows("t0")
     # second run: same pid -> manifest hit, no recompute, same rows
@@ -211,8 +211,8 @@ def test_ingest_sharded_file_routed_losers(ray_session, corpus_tab, tmp_path):
         pq.write_table(corpus_tab.slice(i * 24, 24), p)
         files.append(p)
 
-    sa = ImageStore(str(tmp_path / "store-a"))
-    sb = ImageStore(str(tmp_path / "store-b"))
+    sa = open_store(str(tmp_path / "store-a"))
+    sb = open_store(str(tmp_path / "store-b"))
     pa_ = ingest_sharded(files, sa, pid="sh", files_per_shard=2, concurrency=None)
     pb = ingest_sharded(files, sb, pid="sh", files_per_shard=2, concurrency=None,
                         losers_max_broadcast=0)
@@ -224,7 +224,8 @@ def test_ingest_sharded_file_routed_losers(ray_session, corpus_tab, tmp_path):
     # no loser scratch dirs left behind
     import os
 
-    assert not [d for d in os.listdir(sb.root) if d.startswith("losers-")]
+    scratch = os.path.join(sb.root, "_scratch")
+    assert not os.path.exists(scratch) or not os.listdir(scratch)
 
 
 def test_ingest_sharded_survives_fileless_shard(ray_session, corpus_tab,
@@ -248,7 +249,7 @@ def test_ingest_sharded_survives_fileless_shard(ray_session, corpus_tab,
         pq.write_table(tab, p)
         files.append(p)
 
-    st = ImageStore(str(tmp_path / "store"))
+    st = open_store(str(tmp_path / "store"))
     pid = ingest_sharded(files, st, pid="sh", files_per_shard=1,
                          concurrency=None)
     out = read_sharded(st, pid).to_pandas()
@@ -256,7 +257,7 @@ def test_ingest_sharded_survives_fileless_shard(ray_session, corpus_tab,
     assert len(out) == uniq  # only the good shard's unique rows survive
 
     # degenerate: EVERY shard fileless — still completes with 0 rows
-    st2 = ImageStore(str(tmp_path / "store2"))
+    st2 = open_store(str(tmp_path / "store2"))
     pid2 = ingest_sharded([files[1]], st2, pid="sh", files_per_shard=1,
                           concurrency=None)
     assert st2.manifest(pid2)["meta"]["rows_total"] == 0
@@ -270,7 +271,7 @@ def test_ingest_sharded_resume(ray_session, corpus_tab, tmp_path):
     import pyarrow.parquet as pq
 
     from logcrawler_ray.pipelines.ingest import ingest_sharded, read_sharded
-    from logcrawler_ray.sources.store import ImageStore
+    from logcrawler_ray.sources.objstore import open_store
 
     # write the corpus as 4 input files
     files = []
@@ -279,7 +280,7 @@ def test_ingest_sharded_resume(ray_session, corpus_tab, tmp_path):
         pq.write_table(corpus_tab.slice(i * 24, 24), p)
         files.append(p)
 
-    store = ImageStore(str(tmp_path / "store"))
+    store = open_store(str(tmp_path / "store"))
     pid = ingest_sharded(files, store, pid="sh", files_per_shard=2, concurrency=None,
                          batch_size=32)
     out = read_sharded(store, pid).to_pandas()
@@ -295,11 +296,11 @@ def test_ingest_sharded_resume(ray_session, corpus_tab, tmp_path):
 
     # shard manifests exist; rerun = all skipped, identical result
     assert store.is_done("sh-shard-00000") and store.is_done("sh-shard-00001")
-    mtimes = {p: os.path.getmtime(store._manifest_path(p)) for p in store.partitions()}
+    mtimes = {p: os.path.getmtime(store._manifest_key(p)) for p in store.partitions()}
     pid2 = ingest_sharded(files, store, pid="sh", files_per_shard=2, concurrency=None)
     assert pid2 == pid
     for p, t in mtimes.items():
-        assert os.path.getmtime(store._manifest_path(p)) == t  # untouched
+        assert os.path.getmtime(store._manifest_key(p)) == t  # untouched
 
 
 def test_dup_winners_matches_pandas(ray_session):
@@ -382,9 +383,9 @@ def test_read_sharded_backcompat_rows_listing(tmp_path):
     import pyarrow as pa
 
     from logcrawler_ray.pipelines.ingest import read_sharded
-    from logcrawler_ray.sources.store import ImageStore
+    from logcrawler_ray.sources.objstore import open_store
 
-    store = ImageStore(str(tmp_path / "s"))
+    store = open_store(str(tmp_path / "s"))
     store.append_table("sh-shard-00000",
                        pa.table({"image_id": ["a", "b"], "phash": [1, 2]}))
     store.commit_delete_view("sh-view-00000", "sh-shard-00000", ["b"],

@@ -1,11 +1,10 @@
-"""ObjectStore (sources/objstore.py): the manifest-last object-store
+"""ObjectStore (sources/objstore.py): the one table store's manifest-last
 commit protocol — rename-free by construction, crash-invisible staging,
-metadata-only upserts — plus drop-in parity with ImageStore under the
-real ingest pipeline.
+metadata-only upserts.
 
-memory:// exercises the pure protocol single-process; the Ray end-to-end
-runs on file:// (fsspec LocalFileSystem) because memory:// state is
-per-process and Ray tasks write from workers.
+memory:// exercises the pure protocol single-process; plain paths (and
+file:// / local:// URLs) run on fsspec's LocalFileSystem, which Ray
+workers share, so every Ray end-to-end runs there.
 """
 
 import posixpath
@@ -16,11 +15,16 @@ import pytest
 from fsspec.implementations.memory import MemoryFileSystem
 
 from logcrawler_ray.sources.objstore import ObjectStore, open_store
-from logcrawler_ray.sources.store import ImageStore, write_fragment
+from logcrawler_ray.sources.store import write_fragment
 
 
 def _st(**kw) -> ObjectStore:
     return ObjectStore(f"memory://objstore-{uuid.uuid4().hex}", **kw)
+
+
+def _both(tmp_path) -> tuple[ObjectStore, ObjectStore]:
+    """The same protocol on memory:// and on a plain local path."""
+    return _st(), ObjectStore(str(tmp_path / f"loc-{uuid.uuid4().hex}"))
 
 
 def test_append_read_rows_partitions():
@@ -34,19 +38,19 @@ def test_append_read_rows_partitions():
     assert st.read_table("p1").sort_by("image_id").equals(t)
 
 
-def test_crash_before_manifest_is_invisible_and_gc_reclaims():
-    st = _st()
-    stage = st.external_tmp("p")
-    write_fragment(pa.table({"image_id": ["x"], "v": [9]}),
-                   posixpath.join(stage, "part-0.parquet"))
-    # crashed writer: data object exists, no manifest -> partition absent
-    assert not st.is_done("p")
-    assert st.partitions() == []
-    with pytest.raises(FileNotFoundError):  # same contract as ImageStore
-        st.read_table("p")
-    assert st.read_table().num_rows == 0  # whole-store read skips garbage
-    assert st.gc("p") == 1  # reclaimable garbage
-    assert st.gc("p") == 0
+def test_crash_before_manifest_is_invisible_and_gc_reclaims(tmp_path):
+    for st in _both(tmp_path):
+        stage = st.external_tmp("p")
+        write_fragment(pa.table({"image_id": ["x"], "v": [9]}),
+                       posixpath.join(stage, "part-0.parquet"))
+        # crashed writer: data object exists, no manifest -> partition absent
+        assert not st.is_done("p")
+        assert st.partitions() == []
+        with pytest.raises(FileNotFoundError):  # uncommitted = missing
+            st.read_table("p")
+        assert st.read_table().num_rows == 0  # whole-store read skips garbage
+        assert st.gc("p") == 1  # reclaimable garbage
+        assert st.gc("p") == 0
 
 
 def test_commit_external_footer_counts_and_gc_of_stale_stage():
@@ -170,8 +174,12 @@ def test_protocol_is_rename_free():
 
 def test_open_store_factory(tmp_path):
     assert isinstance(open_store("memory://x"), ObjectStore)
-    assert isinstance(open_store(str(tmp_path / "loc")), ImageStore)
-    assert isinstance(open_store(f"file://{tmp_path}/loc2"), ImageStore)
+    for root in (str(tmp_path / "loc"), f"file://{tmp_path}/loc2",
+                 f"local://{tmp_path}/loc3"):
+        st = open_store(root)
+        assert isinstance(st, ObjectStore) and st._local
+        assert not st.shared_fs  # local roots are node-private by default
+    assert open_store(str(tmp_path / "loc4"), shared_fs=True).shared_fs
 
 
 def test_write_fragment_url_and_plain(tmp_path):
@@ -184,37 +192,11 @@ def test_write_fragment_url_and_plain(tmp_path):
     assert pq.read_table(str(tmp_path / "x.parquet")).equals(t)
 
 
-def test_ingest_drop_in_parity_with_imagestore(ray_session, tmp_path):
-    """The REAL ingest pipeline (fused decode+sink+dedup delete-view) runs
-    unchanged against ObjectStore on file:// — tasks PUT fragments into
-    the staging prefix; commit is the manifest write. Survivor sets must
-    match the local backend bit-for-bit."""
-    from logcrawler_ray.pipelines.ingest import ingest
-    from logcrawler_ray.sources.corpus import corpus_dataset
-
-    ost = ObjectStore(f"file://{tmp_path}/obj")
-    ingest(corpus_dataset(96, seed=11, batch_size=32), store=ost,
-           concurrency=2, batch_size=32, pid="run")
-    lst = ImageStore(str(tmp_path / "img"))
-    ingest(corpus_dataset(96, seed=11, batch_size=32), store=lst,
-           concurrency=2, batch_size=32, pid="run")
-    a = sorted(ost.read_table("run")["image_id"].to_pylist())
-    b = sorted(lst.read_table("run")["image_id"].to_pylist())
-    assert a == b and len(a) > 0
-    assert ost.rows("run") == lst.rows("run")
-    # resume is a manifest stat: second run is a no-op
-    ingest(corpus_dataset(96, seed=11, batch_size=32), store=ost,
-           concurrency=2, batch_size=32, pid="run")
-    assert ost.rows("run") == len(a)
-    # distributed read path (ray.data over the store's filesystem)
-    ds = ost.read_dataset("run", columns=["image_id", "phash"])
-    assert ds.count() == len(a)
-
-
 def test_empty_stage_commits_zero_rows():
     """A staging prefix no task wrote to is a VALID zero-row partition on
-    a pure object store (no directory object exists to list), matching
-    ImageStore's empty-partition commit — not a FileNotFoundError crash."""
+    a pure object store (no directory object exists to list), like an
+    empty stage directory on a local root — not a FileNotFoundError
+    crash."""
     st = _st()
     stage = st.external_tmp("empty")
     assert st.commit_external("empty", stage) == 0
@@ -223,8 +205,7 @@ def test_empty_stage_commits_zero_rows():
 
 
 def test_drop_partition_both_backends(tmp_path):
-    for st in (_st(), ImageStore(str(tmp_path / "img")),
-               ObjectStore(f"file://{tmp_path}/obj")):
+    for st in _both(tmp_path):
         st.append_table("p", pa.table({"image_id": ["a"], "v": [1]}))
         assert st.is_done("p")
         st.drop_partition("p")
@@ -251,7 +232,7 @@ def test_local_manifest_commit_leaves_no_tmp(tmp_path):
 
 def test_merge_insert_fans_out_with_ray(ray_session, tmp_path):
     """>1 fragment on a non-memory backend: per-fragment merge runs as Ray
-    tasks (same fan-out as ImageStore), same result as the serial path."""
+    tasks, same result as the serial path."""
     st = ObjectStore(f"file://{tmp_path}/obj")
     stage = st.external_tmp("p")
     for i in range(4):
@@ -284,15 +265,14 @@ def test_whole_store_snapshot_shadows_view_bases(ray_session, tmp_path):
     supersedes its base (previously the base was read twice and the
     deletes ignored), chained views shadow transitively, and unrelated
     partitions still contribute."""
-    for st in (_st(), ImageStore(str(tmp_path / "img")),
-               ObjectStore(f"file://{tmp_path}/obj")):
+    for st in _both(tmp_path):
         st.append_table("base", pa.table({"image_id": ["a", "b", "c"],
                                           "v": [1, 2, 3]}))
         st.append_table("other", pa.table({"image_id": ["x"], "v": [9]}))
         st.commit_delete_view("dedup", "base", ["b"], key_col="image_id")
         assert sorted(st.read_table()["image_id"].to_pylist()) == ["a", "c", "x"]
         assert st.rows() == 3
-        if getattr(st, "_proto", "file") in ("file", "local"):
+        if st._local:
             # distributed read path needs a filesystem Ray WORKERS share
             # (memory:// is per-process)
             assert sorted(st.read_dataset().to_pandas()["image_id"]) == [
@@ -310,8 +290,7 @@ def test_snapshot_survives_view_materialization(tmp_path):
     the manifest's `supersedes` list must keep the old base SHADOWED, or
     whole-store reads would resurrect deleted rows and double-count
     (review repro: rows() jumped 2 -> 5)."""
-    for st in (_st(), ImageStore(str(tmp_path / "img")),
-               ObjectStore(f"file://{tmp_path}/obj")):
+    for st in _both(tmp_path):
         st.append_table("raw", pa.table({"image_id": ["a", "b", "c"],
                                          "v": [1, 2, 3]}))
         st.commit_delete_view("final", "raw", ["b"], key_col="image_id")
@@ -337,7 +316,7 @@ def test_whole_store_read_with_view_over_empty_base(ray_session, tmp_path):
     """A view over a fileless zero-row base (a wave that decoded nothing)
     must not poison whole-store column-pruned reads (was: KeyError from
     anti-join select on a zero-column table)."""
-    for st in (_st(), ImageStore(str(tmp_path / "img"), shared_fs=True)):
+    for st in _both(tmp_path):
         stage = st.external_tmp("raw")
         st.commit_external("raw", stage)  # fileless zero-row partition
         st.commit_delete_view("dedup", "raw", [], key_col="image_id")
@@ -345,7 +324,7 @@ def test_whole_store_read_with_view_over_empty_base(ray_session, tmp_path):
         t = st.read_table(columns=["phash"])
         assert t["phash"].to_pylist() == [7]
         assert st.rows() == 0 + 1
-        if getattr(st, "_proto", "file") in ("file", "local"):
+        if st._local:
             # per-pid Dataset read of the view over the fileless base
             assert st.read_dataset("dedup").count() == 0
             assert sorted(st.read_dataset().to_pandas()["image_id"]) == ["x"]
@@ -360,8 +339,7 @@ def test_rewrite_partition_materializes_views(tmp_path):
     def widen(t: pa.Table) -> pa.Table:
         return t.append_column("v2", pc.multiply(t["v"], 10))
 
-    for st in (_st(), ImageStore(str(tmp_path / "img")),
-               ObjectStore(f"file://{tmp_path}/obj")):
+    for st in _both(tmp_path):
         st.append_table("raw", pa.table({"image_id": ["a", "b", "c"],
                                          "v": [1, 2, 3]}))
         st.commit_delete_view("final", "raw", ["b"], key_col="image_id")
@@ -381,7 +359,7 @@ def test_live_view_base_is_guarded(tmp_path):
     """Mutating or dropping the BASE of a live delete-view refuses loudly
     (a frozen view over a changed base would desync rows() from reads);
     dropping the view first unblocks, dependents-first ordering works."""
-    for st in (_st(), ImageStore(str(tmp_path / "img"))):
+    for st in _both(tmp_path):
         st.append_table("base", pa.table({"image_id": ["a", "b"], "v": [1, 2]}))
         st.commit_delete_view("v", "base", ["a"], key_col="image_id")
         upd = pa.table({"image_id": ["c"], "v": [3]})
@@ -449,8 +427,8 @@ def test_transient_faults_are_retried():
 def test_compact_partition(tmp_path):
     """Fragment compaction: content-identical, fragment count collapses to
     ceil(rows/target), meta + supersedes + live views over the partition
-    all survive, and (objstore) old objects are gc'd."""
-    for st in (_st(), ImageStore(str(tmp_path / "img"), shared_fs=True)):
+    all survive, and old objects are gc'd."""
+    for st in _both(tmp_path):
         stage = st.external_tmp("p")
         for i in range(6):
             write_fragment(pa.table({"image_id": [f"k{i}a", f"k{i}b"],
@@ -468,12 +446,11 @@ def test_compact_partition(tmp_path):
         # the view over the compacted base still reads exactly
         assert st.rows("pv") == 11
         assert "k3a" not in st.read_table("pv")["image_id"].to_pylist()
-        if isinstance(st, ObjectStore):
-            live = set(after["files"]) | {
-                k for k in st.fs.find(st._key("data", "pv"))
-                if k.endswith(".parquet")}
-            assert {k for k in st.fs.find(st._key("data")) 
-                    if k.endswith(".parquet")} == live
+        live = set(after["files"]) | {
+            k for k in st.fs.find(st._key("data", "pv"))
+            if k.endswith(".parquet")}
+        assert {k for k in st.fs.find(st._key("data"))
+                if k.endswith(".parquet")} == live
         with pytest.raises(ValueError):
             st.compact_partition("pv")  # views have no fragments
 
@@ -548,3 +525,21 @@ def test_merge_insert_same_basename_fragments_keep_rows():
     assert got.column("image_id").to_pylist() == ["a", "b", "c", "d"]
     assert got.column("v").to_pylist() == [10, 2, 30, 4]
     assert st.rows("p") == 4
+
+
+def test_local_root_multi_node_sink_guard(tmp_path, monkeypatch):
+    """A local root is node-private unless declared shared: with two alive
+    Ray nodes, fused sinks must refuse (rows written by remote workers
+    would be silently lost) unless the caller passes shared_fs=True."""
+    import ray
+
+    monkeypatch.setattr(ray, "is_initialized", lambda: True)
+    monkeypatch.setattr(ray, "nodes",
+                        lambda: [{"Alive": True}, {"Alive": True},
+                                 {"Alive": False}])
+    with pytest.raises(RuntimeError, match="2 alive nodes"):
+        open_store(str(tmp_path / "private"))._assert_sink_visible()
+    open_store(str(tmp_path / "nfs"), shared_fs=True)._assert_sink_visible()
+    # a single alive node needs no declaration
+    monkeypatch.setattr(ray, "nodes", lambda: [{"Alive": True}])
+    open_store(str(tmp_path / "single"))._assert_sink_visible()

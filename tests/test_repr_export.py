@@ -38,7 +38,7 @@ def _make_log(path, names):
 
 
 def test_export_representation_sets(ray_session, tmp_path):
-    from logcrawler_ray.sources.store import ImageStore
+    from logcrawler_ray.sources.objstore import open_store
 
     a = tmp_path / "log_a"
     b = tmp_path / "log_b"
@@ -51,7 +51,7 @@ def test_export_representation_sets(ray_session, tmp_path):
     _make_log(b / "game.log", ["FrameInfo", "BallCandidates"])
     open(c / "combined.log", "wb").close()  # zero bytes -> not parsed
 
-    store = ImageStore(str(tmp_path / "store"))
+    store = open_store(str(tmp_path / "store"))
     got = export_representation_sets([str(a), str(b), str(c)], store=store)
 
     da = json.load(open(a / "representation.json"))

@@ -1,8 +1,9 @@
-"""Property test for the store snapshot lifecycle (SnapshotStoreMixin).
+"""Property test for the store snapshot lifecycle (ObjectStore's
+whole-store snapshot reads).
 
 Random sequences of partition ops — append / delete-view / merge_insert /
-rewrite / whole-partition overwrite / drop — replayed on BOTH backends
-(local ImageStore and memory:// ObjectStore) against an independent
+rewrite / whole-partition overwrite / drop — replayed on a plain local
+path and on memory:// against an independent
 dict-based model. After every op the whole-store snapshot
 (``read_table()`` content and ``rows()``) must match the model exactly.
 
@@ -24,7 +25,6 @@ import pyarrow.compute as pc
 from hypothesis import given, settings, strategies as st
 
 from logcrawler_ray.sources.objstore import ObjectStore
-from logcrawler_ray.sources.store import ImageStore
 
 PIDS = ["p0", "p1", "p2", "p3"]
 IDS = [f"k{i}" for i in range(6)]
@@ -150,7 +150,7 @@ _op = st.one_of(
 @given(ops=st.lists(_op, min_size=1, max_size=10))
 def test_snapshot_matches_model(tmp_path_factory, ops):
     root = tmp_path_factory.mktemp("snap")
-    for store in (ImageStore(str(root / f"img-{uuid.uuid4().hex}")),
+    for store in (ObjectStore(str(root / f"loc-{uuid.uuid4().hex}")),
                   ObjectStore(f"memory://snap-{uuid.uuid4().hex}")):
         model = Model()
         for op in ops:

@@ -6,12 +6,12 @@ import pytest
 
 from logcrawler_ray.pipelines.update import update_image_stats
 from logcrawler_ray.sources.corpus import corpus_table
-from logcrawler_ray.sources.store import ImageStore
+from logcrawler_ray.sources.objstore import open_store
 
 
 @pytest.fixture()
 def raw_store(tmp_path):
-    store = ImageStore(str(tmp_path / "s"))
+    store = open_store(str(tmp_path / "s"))
     tab = corpus_table(30, seed=3)
     # partition WITHOUT stats columns (raw crawl output shape)
     store.append_table("p0", tab.select(
@@ -57,7 +57,7 @@ def multifrag_store(tmp_path):
     target shape)."""
     import ray.data as rd
 
-    store = ImageStore(str(tmp_path / "m"))
+    store = open_store(str(tmp_path / "m"))
     tab = corpus_table(30, seed=5).select(
         ["image_id", "bytes", "w", "h", "fmt", "caption", "phash"])
     chunks = [tab.slice(0, 10), tab.slice(10, 10), tab.slice(20, 10)]
@@ -66,8 +66,8 @@ def multifrag_store(tmp_path):
 
 
 def test_merge_insert_per_fragment(ray_session, multifrag_store):
-    """Only fragments containing updated keys are rewritten; the others are
-    hard-linked (same inode) into the new partition dir."""
+    """Only fragments containing updated keys are rewritten; the new
+    manifest re-references the others as-is (same file, same inode)."""
     import os
 
     store, tab = multifrag_store
@@ -86,7 +86,7 @@ def test_merge_insert_per_fragment(ray_session, multifrag_store):
     after = {os.path.basename(f): os.stat(f).st_ino for f in store.files("p0")}
     untouched = [n for n in before if n != victim_name]
     for n in untouched:
-        assert after[n] == before[n]  # hard-linked, not rewritten
+        assert after[n] == before[n]  # re-referenced, not rewritten
     assert store.rows("p0") == 30
     out = store.read_table("p0")
     got = dict(zip(out["image_id"].to_pylist(), out["caption"].to_pylist()))
