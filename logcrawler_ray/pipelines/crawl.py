@@ -95,6 +95,15 @@ def url_priority(url: str, seed: int, mode: str = "hash") -> int:
     return 9 - p if mode == "reverse" else p
 
 
+def _shard_group_count(n_shards: int) -> int:
+    """Shard actors to start: one per cluster CPU, at most one per shard.
+    Shards never coordinate, so this is placement only — any count gives
+    the same crawl."""
+    import ray
+
+    return max(1, min(n_shards, int(ray.cluster_resources().get("CPU", 1))))
+
+
 class CrawlState:
     """Control plane: one CrawlShard per host-hash shard + clock + log.
 
@@ -102,40 +111,56 @@ class CrawlState:
     for the equivalence argument):
     - ``use_actors=False``: plain CrawlShard objects, serial calls — the
       mode the reference executor shares;
-    - ``use_actors=True``: one Ray actor per shard; wave enqueue/drain fan
-      out across shards in parallel (the real control-plane shape —
-      driver-side enqueue is the Amdahl term otherwise).
+    - ``use_actors=True``: ``k = min(n_shards, cluster CPUs)`` ShardGroup
+      actors, shard ``i`` in group ``i % k``; wave enqueue/drain fan out
+      across groups in parallel. ``shards`` then holds the group handles.
     """
 
     def __init__(self, cfg: CrawlConfig, use_actors: bool = False):
         self.cfg = cfg
         self.use_actors = use_actors
         web = cfg.web()
+        n = cfg.n_shards
         if use_actors:
             from ..state.shard import make_shard_actor_cls
 
-            Actor = make_shard_actor_cls()
+            Group = make_shard_actor_cls()
+            k = _shard_group_count(n)
             self.shards = [
-                Actor.remote(i, cfg.n_shards, cfg.seen_capacity, cfg.seed, web.robots_txt)
-                for i in range(cfg.n_shards)
+                Group.remote(list(range(g, n, k)), n, cfg.seen_capacity,
+                             cfg.seed, web.robots_txt)
+                for g in range(k)
             ]
         else:
             from ..state.shard import CrawlShard
 
             self.shards = [
-                CrawlShard(i, cfg.n_shards, cfg.seen_capacity, cfg.seed, web.robots_txt)
-                for i in range(cfg.n_shards)
+                CrawlShard(i, n, cfg.seen_capacity, cfg.seed, web.robots_txt)
+                for i in range(n)
             ]
         self.now = 0
         self.wave = -1
 
     def _call(self, method: str, args_per_shard: list[tuple]) -> list:
-        if self.use_actors:
-            import ray
+        """``method`` on every shard with its own arguments; results in
+        shard order."""
+        if not self.use_actors:
+            return [getattr(s, method)(*a)
+                    for s, a in zip(self.shards, args_per_shard)]
+        import ray
 
-            return ray.get([getattr(s, method).remote(*a)
-                            for s, a in zip(self.shards, args_per_shard)])
-        return [getattr(s, method)(*a) for s, a in zip(self.shards, args_per_shard)]
+        k = len(self.shards)
+        refs = [None] * len(args_per_shard)
+        for i, g in enumerate(self.shards):
+            args = args_per_shard[i::k]
+            # one return object per shard (see ShardGroup.call)
+            r = g.call.options(num_returns=len(args)).remote(method, args)
+            refs[i::k] = r if len(args) > 1 else [r]
+        return ray.get(refs)
+
+    def _each(self, method: str, *args) -> list:
+        """``method(*args)`` on every shard; results in shard order."""
+        return self._call(method, [args] * self.cfg.n_shards)
 
     def shard_of(self, host: str) -> int:
         return host_hash(host) % self.cfg.n_shards
@@ -145,7 +170,7 @@ class CrawlState:
         """Canonicalize + route to shards (per-shard relative order
         preserved — that order is the engine contract), then the shards
         apply robots -> seen -> push, in parallel in actor mode."""
-        per_shard: list[list[tuple]] = [[] for _ in self.shards]
+        per_shard: list[list[tuple]] = [[] for _ in range(self.cfg.n_shards)]
         for url, depth in zip(raw_urls, depths):
             cu = canonicalize(url)
             host = host_of(cu)
@@ -156,19 +181,23 @@ class CrawlState:
         counts = self._call("enqueue_batch", [(b,) for b in per_shard])
         return sum(counts)
 
-    def enqueue_routed_blocks(self, blocks) -> int:
-        """Block-handle variant (the scale path): every shard receives the
-        SAME list of routed-link block refs/tables and extracts + orders
-        its own slice — the driver never materializes a wave's links."""
-        counts = self._call("enqueue_routed_blocks",
-                            [(blocks,)] * len(self.shards))
-        return sum(counts)
+    def enqueue_routed_blocks(self, block_refs: list) -> int:
+        """Block-handle variant (the scale path): every shard group receives
+        the SAME list of routed-link block refs, fetches them once and each
+        of its shards extracts + orders its own slice — the driver never
+        materializes a wave's links."""
+        import ray
+
+        if self.use_actors:
+            return sum(ray.get([g.enqueue_routed_blocks.remote(block_refs)
+                                for g in self.shards]))
+        tables = ray.get(block_refs)
+        return sum(s.enqueue_routed_blocks(tables) for s in self.shards)
 
     # -- drain ------------------------------------------------------------
     def drain_wave(self) -> list[dict]:
         per_shard = max(1, self.cfg.wave_size // self.cfg.n_shards)
-        results = self._call(
-            "drain", [(self.now, per_shard, self.cfg.horizon)] * len(self.shards))
+        results = self._each("drain", self.now, per_shard, self.cfg.horizon)
         emitted: list[dict] = []
         new_now = self.now
         for rows, t in results:
@@ -179,13 +208,13 @@ class CrawlState:
         return emitted
 
     def frontier_size(self) -> int:
-        return sum(self._call("size", [()] * len(self.shards)))
+        return sum(self._each("size"))
 
     def seen_size(self) -> int:
-        return sum(self._call("seen_size", [()] * len(self.shards)))
+        return sum(self._each("seen_size"))
 
     def seen_tables(self) -> list:
-        return self._call("cuckoo_table", [()] * len(self.shards))
+        return self._each("cuckoo_table")
 
     # -- snapshot ---------------------------------------------------------
     def state(self) -> dict:
@@ -197,7 +226,7 @@ class CrawlState:
         return {
             "now": self.now,
             "wave": self.wave,
-            "shards": self._call("state", [()] * len(self.shards)),
+            "shards": self._each("state"),
         }
 
     @classmethod
@@ -510,7 +539,8 @@ class CrawlEngine:
         # drive the fused stage; the routed link blocks STAY in the object
         # store — the driver only ever holds their refs
         mat = routed.materialize()
-        block_refs = list(mat.get_internal_block_refs())
+        block_refs = [ref for bundle in mat.iter_internal_ref_bundles()
+                      for ref in bundle.block_refs]
 
         # 3. COMMIT image rows (footer-counted) + the wave's fetch log —
         # both atomic, idempotent on wave re-run, bounded by wave_size
@@ -524,10 +554,10 @@ class CrawlEngine:
             "fetch_time": in_table["fetch_time"],
         }), meta={"wave": wave_no})
 
-        # 4. ENQUEUE discovered links in deterministic order — SHARD-SIDE
-        # (round-2 verdict #4): every shard gets the block refs, filters
-        # its own rows and sorts its (seq, idx) slice; the per-shard
-        # relative order is the contract. No O(wave) driver collect.
+        # 4. ENQUEUE discovered links in deterministic order — SHARD-SIDE:
+        # every shard group gets the block refs, each shard filters its own
+        # rows and sorts its (seq, idx) slice; the per-shard relative order
+        # is the contract. No O(wave) driver collect.
         new_urls = st.enqueue_routed_blocks(block_refs) if block_refs else 0
 
         # 5. CHECKPOINT
@@ -555,4 +585,8 @@ class CrawlEngine:
         totals["waves"] = waves
         totals["frontier_left"] = self.state.frontier_size()
         totals["seen"] = self.state.seen_size()
+        # processes hosting the shards (group actors, or the driver alone):
+        # placement, not state, so it stays out of the checkpoint
+        st = self.state
+        totals["shard_hosts"] = len(st.shards) if st.use_actors else 1
         return totals

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..sources.objstore import ObjectStore
 from ..sources.store import write_fragment
@@ -111,7 +112,9 @@ class IngestStage:
             # birthday collisions (~6e-4/run) would silently overwrite one
             # batch's fragment — undetected row loss under a footer-count
             # commit. 128 bits puts that at ~1e-21.
-            mid = min(ok["image_id"].to_pylist())
+            # Arrow's min compares UTF-8 bytes, which orders like code
+            # points, so string ids pick the same file name as Python's min
+            mid = pc.min(ok["image_id"]).as_py()
             tag = hashlib.blake2b(str(mid).encode(), digest_size=16).hexdigest()
             write_fragment(ok, os.path.join(self.tmp_dir, f"part-{tag}.parquet"),
                            compression=self.compression,
@@ -397,7 +400,6 @@ def neardup_pass(store: ObjectStore, base_pid: str, pid: str | None = None, *,
     """
     import os
     import pandas as pd
-    import pyarrow.compute as pc
     import ray
 
     from ..stages.cc import cc_labels_df, cluster_losers_ds

@@ -64,8 +64,8 @@ class CuckooFilter:
         in2 = (self.table[b2] == fp[:, None]).any(axis=1)
         return in1 | in2
 
-    def _insert_one(self, b1: int, fp: np.uint16) -> bool:
-        for b in (b1, int(self._alt_bucket(np.array([b1]), np.array([fp]))[0])):
+    def _insert_one(self, b1: int, fp: np.uint16, b2: int) -> bool:
+        for b in (b1, b2):
             row = self.table[b]
             empty = np.nonzero(row == _EMPTY)[0]
             if len(empty):
@@ -92,8 +92,9 @@ class CuckooFilter:
         keys = np.asarray(keys, dtype=np.uint64)
         fp = self._fingerprint(keys)
         b1 = self._bucket1(keys)
+        b2 = self._alt_bucket(b1, fp)
         for i in range(len(keys)):
-            self._insert_one(int(b1[i]), fp[i])
+            self._insert_one(int(b1[i]), fp[i], int(b2[i]))
 
     def add_if_new(self, keys: np.ndarray) -> np.ndarray:
         """Insert keys not present; returns bool mask of *newly added*.
@@ -110,7 +111,7 @@ class CuckooFilter:
             row1, row2 = self.table[b1[i]], self.table[b2[i]]
             if (row1 == fp[i]).any() or (row2 == fp[i]).any():
                 continue
-            self._insert_one(int(b1[i]), fp[i])
+            self._insert_one(int(b1[i]), fp[i], int(b2[i]))
             out[i] = True
         return out
 

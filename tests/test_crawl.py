@@ -152,6 +152,40 @@ def test_kill_and_resume_equivalence(ray_session, serial_run, tmp_path):
     assert got == {(r["image_id"], r["phash"]) for r in sc.rows}
 
 
+@pytest.mark.parametrize("k_start,k_resume", [(1, 1), (3, 3), (4, 1)])
+def test_shard_groups_equivalence(ray_session, serial_run, engine_run,
+                                  tmp_path, monkeypatch, k_start, k_resume):
+    """Shards grouped into fewer actors than shards (3 does not divide 4),
+    and a checkpoint written by 4 groups resumed by 1: fetch order and
+    seen tables equal the serial run's, and the checkpoint keeps one entry
+    per shard, byte-equal to the one-actor-per-shard engine's."""
+    import pickle
+
+    from logcrawler_ray.pipelines import crawl as crawl_mod
+
+    sc, seeds, _ = serial_run
+    ref, _ = engine_run
+    assert len(ref.state.shards) == CFG["n_shards"]
+    cfg = CrawlConfig(**CFG)
+    monkeypatch.setattr(crawl_mod, "_shard_group_count", lambda n: k_start)
+    eng1 = CrawlEngine(cfg, str(tmp_path / "store"), str(tmp_path / "ckpt"))
+    assert eng1.run(seeds=seeds, max_waves=2)["shard_hosts"] == k_start
+    assert len(eng1.state.shards) == k_start
+    del eng1
+
+    monkeypatch.setattr(crawl_mod, "_shard_group_count", lambda n: k_resume)
+    eng2 = CrawlEngine(cfg, str(tmp_path / "store"), str(tmp_path / "ckpt"))
+    assert eng2.run(seeds=None)["shard_hosts"] == k_resume
+    assert eng2.fetch_log() == sc.fetch_order()
+    got, want = eng2.state.seen_tables(), sc.seen_tables()
+    assert len(got) == len(want) == cfg.n_shards
+    for a, b in zip(want, got):
+        assert (a == b).all()
+    st = eng2.state.state()
+    assert len(st["shards"]) == cfg.n_shards
+    assert pickle.dumps(st) == pickle.dumps(ref.state.state())
+
+
 def test_resume_mid_wave_crash(ray_session, serial_run, tmp_path):
     """Crash AFTER a store commit but BEFORE its checkpoint: resume re-runs
     that wave idempotently and converges to the same final state."""

@@ -88,6 +88,24 @@ def test_ingest_dedup_and_store(ray_session, source_ds, corpus_tab, tmp_path):
                 assert other not in kept
     assert store.rows("t0") == uniq
 
+    # a batch's fragment is named by its min image_id in code-point order,
+    # non-ASCII ids included
+    import hashlib
+    import os
+
+    import pyarrow as pa
+
+    from logcrawler_ray.pipelines.ingest import IngestStage
+
+    ids = ["\U0001F600", "é", "b", "aé"]
+    batch = corpus_tab.slice(0, len(ids)).set_column(
+        corpus_tab.schema.get_field_index("image_id"), "image_id", pa.array(ids))
+    frag_dir = tmp_path / "frag"
+    frag_dir.mkdir()
+    IngestStage(str(frag_dir))(batch)
+    tag = hashlib.blake2b(min(ids).encode(), digest_size=16).hexdigest()
+    assert os.listdir(frag_dir) == [f"part-{tag}.parquet"]
+
 
 def test_ingest_resume_skips_done(ray_session, source_ds, tmp_path):
     store = open_store(str(tmp_path / "store"))

@@ -56,6 +56,26 @@ def test_cuckoo_add_if_new_dedups_within_batch():
     assert cf.size == 3
 
 
+def test_cuckoo_batch_insert_matches_one_key_at_a_time():
+    """Batched add/add_if_new leave the table exactly as one-key calls do,
+    eviction walks and in-batch duplicates included."""
+    keys = np.random.default_rng(5).integers(0, 2**63, 1500, dtype=np.uint64)
+    keys = np.concatenate([keys, keys[:200]])
+    a, b = CuckooFilter(1000, seed=3), CuckooFilter(1000, seed=3)
+    kick0 = a._kick_state
+    new = a.add_if_new(keys)
+    assert new.tolist() == [bool(b.add_if_new(keys[i:i + 1])[0])
+                            for i in range(len(keys))]
+    assert a._kick_state != kick0  # the load forced evictions
+    assert a._kick_state == b._kick_state and a.size == b.size
+    assert (a.table == b.table).all()
+    c, d = CuckooFilter(1000, seed=3), CuckooFilter(1000, seed=3)
+    c.add(keys[:1500])
+    for k in keys[:1500]:
+        d.add(np.array([k]))
+    assert (c.table == d.table).all() and c._kick_state == d._kick_state
+
+
 def test_cuckoo_fp_rate_small():
     cf = CuckooFilter(20_000)
     rng = np.random.default_rng(3)
