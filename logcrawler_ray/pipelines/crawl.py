@@ -69,9 +69,6 @@ class CrawlConfig:
     # synthetic backend) stateless tasks win ~5x; set True when fetch state
     # is expensive (real HTTP sessions, models) and size waves accordingly.
     use_actors: bool = False
-    # shard actors parallelize per-wave enqueue/drain across shards; the
-    # serial reference executor always runs shards in-process
-    use_shard_actors: bool = True
     wave_blocks: int = 64  # blocks per wave Dataset (intra-wave parallelism)
     priority_mode: str = "hash"  # hash | fifo | reverse (the --reverse analog)
     web_params: dict = field(default_factory=dict)
@@ -469,7 +466,7 @@ class CrawlEngine:
                     os.remove(os.path.join(self.ckpt.root, f))
                 except OSError:
                     pass
-        self.state = CrawlState(self.cfg, use_actors=self.cfg.use_shard_actors)
+        self.state = CrawlState(self.cfg, use_actors=True)
         self.state.enqueue([s["url"] for s in seeds], [s["depth"] for s in seeds])
         self.ckpt.save(0, {"cfg_seed": self.cfg.seed, "state": self.state.state()})
         self.state.wave = 0
@@ -480,7 +477,7 @@ class CrawlEngine:
             return False
         wave, payload = latest
         self.state = CrawlState.from_state(self.cfg, payload["state"],
-                                           use_actors=self.cfg.use_shard_actors)
+                                           use_actors=True)
         self.state.wave = wave
         return True
 
@@ -585,8 +582,7 @@ class CrawlEngine:
         totals["waves"] = waves
         totals["frontier_left"] = self.state.frontier_size()
         totals["seen"] = self.state.seen_size()
-        # processes hosting the shards (group actors, or the driver alone):
-        # placement, not state, so it stays out of the checkpoint
-        st = self.state
-        totals["shard_hosts"] = len(st.shards) if st.use_actors else 1
+        # processes hosting the shards (the group actors): placement, not
+        # state, so it stays out of the checkpoint
+        totals["shard_hosts"] = len(self.state.shards)
         return totals

@@ -24,10 +24,14 @@ import pyarrow.compute as pc
 
 from ..sources.objstore import ObjectStore
 from ..sources.store import write_fragment
+from ..stages import broadcast
 from ..stages.decode import DecodeStats
 from ..stages.dedup import dedup_exact
 
 DEFAULT_BUCKETS = 64
+# neardup_pass: pair counts up to this run connected components on the
+# driver; above it the loser pass is fully distributed (read at call time)
+NEARDUP_MAX_DRIVER_PAIRS = 500_000
 
 
 def add_bucket(ds, n_buckets: int = DEFAULT_BUCKETS, src: str = "host_hash",
@@ -41,7 +45,18 @@ def add_bucket(ds, n_buckets: int = DEFAULT_BUCKETS, src: str = "host_hash",
     return ds.map_batches(bucketize, batch_format="pyarrow")
 
 
-def decode_pipeline(ds, *, concurrency: int | tuple[int, int] | None = 4,
+def _map_stage(ds, cls, kwargs: dict, concurrency, batch_size: int):
+    """``cls(**kwargs)`` over ``ds`` as stateless tasks when ``concurrency``
+    is None, else as an actor pool of that size."""
+    if concurrency is None:
+        return ds.map_batches(cls(**kwargs), batch_format="pyarrow",
+                              batch_size=batch_size)
+    return ds.map_batches(cls, fn_constructor_kwargs=kwargs,
+                          batch_format="pyarrow", batch_size=batch_size,
+                          concurrency=concurrency)
+
+
+def decode_pipeline(ds, *, concurrency: int | tuple[int, int] | None = None,
                     batch_size: int = 64, keep_bytes: bool = True):
     """read -> DecodeStats -> decode_ok filter. Returns lazy Dataset.
 
@@ -52,19 +67,8 @@ def decode_pipeline(ds, *, concurrency: int | tuple[int, int] | None = 4,
     count starves the read/write stages and deadlocks the pipeline —
     always leave headroom (bench uses NUM_CPUS*3//4).
     """
-    if concurrency is None:
-        out = ds.map_batches(
-            DecodeStats(keep_bytes=keep_bytes), batch_format="pyarrow",
-            batch_size=batch_size,
-        )
-    else:
-        out = ds.map_batches(
-            DecodeStats,
-            fn_constructor_kwargs={"keep_bytes": keep_bytes},
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-        )
+    out = _map_stage(ds, DecodeStats, {"keep_bytes": keep_bytes}, concurrency,
+                     batch_size)
     return out.map_batches(
         lambda t: t.filter(t["decode_ok"]), batch_format="pyarrow"
     )
@@ -119,13 +123,6 @@ class IngestStage:
             write_fragment(ok, os.path.join(self.tmp_dir, f"part-{tag}.parquet"),
                            compression=self.compression,
                            storage_options=self.storage_options)
-        if not ok.num_rows:
-            if self.emit == "partials":
-                return pa.table({"phash": pa.array([], pa.int64()),
-                                 "__o": pa.array([], pa.string()),
-                                 "__n": pa.array([], pa.int64())})
-            return pa.table({"phash": pa.array([], pa.int64()),
-                             "image_id": pa.array([], pa.string())})
         if self.emit == "partials":
             from ..stages.dedup import loser_partials
 
@@ -137,8 +134,7 @@ class IngestStage:
 def ingest_sharded(source_files: list[str], store: ObjectStore, *,
                    pid: str = "ingest", files_per_shard: int = 8,
                    concurrency: int | tuple[int, int] | None = None,
-                   batch_size: int = 64, n_buckets: int = DEFAULT_BUCKETS,
-                   losers_max_broadcast: int | None = None) -> str:
+                   batch_size: int = 64, n_buckets: int = DEFAULT_BUCKETS) -> str:
     """Resumable-at-shard-granularity ingest over a list of input files.
 
     One store partition per group of ``files_per_shard`` input files; a
@@ -147,7 +143,9 @@ def ingest_sharded(source_files: list[str], store: ObjectStore, *,
     the brief's "one output directory per input shard" resumability, and
     the reference's per-log is_done loop (06_extract_images.py:17-105)
     generalized. Dedup runs once at the end over ALL shards' skinny
-    (phash, image_id) columns and commits a delete-vector view ``pid``.
+    (phash, image_id) columns and commits a delete-vector view ``pid``;
+    past ``broadcast.DEFAULT_MAX_BROADCAST_ROWS`` duplicated keys the
+    losers are routed to per-shard files instead of the driver.
 
     Returns the final (deduplicated view) partition id.
     """
@@ -170,25 +168,14 @@ def ingest_sharded(source_files: list[str], store: ObjectStore, *,
         kwargs = dict(tmp_dir=tmp_dir, n_buckets=n_buckets,
                       storage_options=store.storage_options,
                       compression=store.compression)
-        ds = rd.read_parquet(group)
-        if concurrency is None:
-            out = ds.map_batches(IngestStage(**kwargs), batch_format="pyarrow",
-                                 batch_size=batch_size)
-        else:
-            out = ds.map_batches(IngestStage, fn_constructor_kwargs=kwargs,
-                                 batch_format="pyarrow", batch_size=batch_size,
-                                 concurrency=concurrency)
-        out.materialize()  # drives the sinks
+        _map_stage(rd.read_parquet(group), IngestStage, kwargs, concurrency,
+                   batch_size).materialize()  # drives the sinks
         store.commit_external(spid, tmp_dir,
                               meta={"pipeline": "ingest", "files": group})
 
     if store.is_done(pid):
         return pid
-    from ..stages.dedup import (DEFAULT_MAX_BROADCAST, dup_winners,
-                                exact_losers_by, exact_losers_files)
-
-    if losers_max_broadcast is None:
-        losers_max_broadcast = DEFAULT_MAX_BROADCAST
+    from ..stages.dedup import dup_winners, exact_losers_by, exact_losers_files
 
     # skinny re-read carries the shard id, so the loser pass returns each
     # loser ALREADY ROUTED to its shard — the driver never reads a shard's
@@ -225,7 +212,7 @@ def ingest_sharded(source_files: list[str], store: ObjectStore, *,
     # sets take the broadcast route, huge ones the file-routed join path
     dups = dup_winners(skinny, "phash", "image_id")
     total = 0
-    if dups.count() <= losers_max_broadcast:
+    if dups.count() <= broadcast.DEFAULT_MAX_BROADCAST_ROWS:
         losers_by_shard = exact_losers_by(skinny, "phash", "image_id",
                                           "__shard", dups=dups)
         # one delete view per shard + a pid manifest listing them
@@ -306,8 +293,7 @@ def ingest(source_ds, store: ObjectStore | None = None, pid: str = "ingest", *,
             ds = dedup_exact(ds, key="phash", order_col="image_id")
         return ds
 
-    from ..stages.dedup import (DEFAULT_MAX_BROADCAST, exact_losers,
-                                merge_loser_partials)
+    from ..stages.dedup import exact_losers, merge_loser_partials
 
     raw_pid = f"{pid}-raw" if dedup else pid
     losers: frozenset | None = None
@@ -321,23 +307,14 @@ def ingest(source_ds, store: ObjectStore | None = None, pid: str = "ingest", *,
                       storage_options=store.storage_options,
                       n_buckets=n_buckets, compression=store.compression,
                       emit="partials" if dedup else "skinny")
-        if concurrency is None:
-            partials = source_ds.map_batches(IngestStage(**kwargs),
-                                             batch_format="pyarrow",
-                                             batch_size=batch_size)
-        else:
-            partials = source_ds.map_batches(IngestStage,
-                                             fn_constructor_kwargs=kwargs,
-                                             batch_format="pyarrow",
-                                             batch_size=batch_size,
-                                             concurrency=concurrency)
-        partials = partials.materialize()  # drives the sinks
+        partials = _map_stage(source_ds, IngestStage, kwargs, concurrency,
+                              batch_size).materialize()  # drives the sinks
         store.commit_external(raw_pid, tmp_dir,
                               meta={"pipeline": "ingest",
                                     "stage": "raw" if dedup else "final"})
         if not dedup:
             return store.read_dataset(pid)
-        if partials.count() <= DEFAULT_MAX_BROADCAST:
+        if partials.count() <= broadcast.DEFAULT_MAX_BROADCAST_ROWS:
             # one Arrow concat + ONE pandas conversion: to_pandas() on a
             # many-small-block materialized dataset pays a per-block
             # pandas build (~1.5 s at 157 blocks, measured)
@@ -365,7 +342,6 @@ def ingest(source_ds, store: ObjectStore | None = None, pid: str = "ingest", *,
 
 def neardup_pass(store: ObjectStore, base_pid: str, pid: str | None = None, *,
                  max_hamming: int = 2, max_bucket: int = 4096,
-                 max_driver_pairs: int = 500_000,
                  num_loser_files: int = 16) -> str:
     """NEAR-dup cluster dedup post-pass over a committed partition.
 
@@ -380,15 +356,16 @@ def neardup_pass(store: ObjectStore, base_pid: str, pid: str | None = None, *,
 
     TWO loser tiers off the one pair Dataset, picked by its measured size:
 
-    - ``<= max_driver_pairs``: driver-side vectorized CC
+    - ``<= NEARDUP_MAX_DRIVER_PAIRS``: driver-side vectorized CC
       (:func:`..stages.cc.cc_labels_df`) + one broadcast-probe scan to
       resolve the hashed ids back to strings — the common case, no extra
       Ray rounds.
     - above it: fully distributed — :func:`..stages.cc.cluster_losers_ds`
       (star-contraction CC + co-grouped id resolution), then losers route
       by id-hash into ``num_loser_files`` buckets and each bucket's task
-      writes its own sorted+unique loser file (the exact_losers_files
-      shape — round-3 verdict: no single-writer funnel); the driver never
+      writes its own sorted+unique loser file
+      (:func:`..stages.dedup.write_loser_files` — round-3 verdict: no
+      single-writer funnel); the driver never
       holds a pair, a label or a loser
       (:meth:`ObjectStore.commit_delete_view_files`).
 
@@ -398,7 +375,6 @@ def neardup_pass(store: ObjectStore, base_pid: str, pid: str | None = None, *,
     manifest meta. Resume: a committed ``pid`` short-circuits. Returns
     ``pid``.
     """
-    import os
     import pandas as pd
     import ray
 
@@ -433,7 +409,7 @@ def neardup_pass(store: ObjectStore, base_pid: str, pid: str | None = None, *,
                                  meta={**meta, "tier": "empty"})
         return pid
 
-    if n_pairs <= max_driver_pairs:
+    if n_pairs <= NEARDUP_MAX_DRIVER_PAIRS:
         pairs = pairs_ds.to_pandas()
         lab = cc_labels_df(pairs)
         ref = ray.put(pa.array(lab["node"].to_numpy()))
@@ -455,35 +431,21 @@ def neardup_pass(store: ObjectStore, base_pid: str, pid: str | None = None, *,
     # distributed tier: losers never transit the driver. Each id-hash
     # bucket writes its OWN file (ids co-locate by hash, so per-file
     # unique implies globally disjoint files) — no single-writer funnel.
-    from ..stages.dedup import _bucket_of
+    from ..stages.dedup import _bucket_of, write_loser_files
 
     losers_ds = cluster_losers_ds(pairs_ds,
                                   skinny.select_columns(["__id64", "image_id"]),
                                   id64_col="__id64", id_col="image_id")
     store._assert_sink_visible()  # worker writes into store scratch below
     loser_dir = store.scratch_dir("neardup-losers-")
-    sink_opts = store.storage_options
 
     def rebucket(t: pa.Table) -> pa.Table:
         return t.append_column("__g", _bucket_of(t["image_id"],
                                                  num_loser_files))
 
-    def write_file(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:  # empty sort-boundary block
-            return pa.table({"path": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64())})
-        gix = int(g["__g"][0].as_py())
-        arr = pc.unique(g["image_id"].combine_chunks())
-        arr = arr.take(pc.sort_indices(arr))
-        fpath = os.path.join(loser_dir, f"losers-{gix:05d}.parquet")
-        write_fragment(pa.table({"image_id": arr}), fpath,
-                       storage_options=sink_opts)
-        return pa.table({"path": pa.array([fpath], pa.string()),
-                         "n": pa.array([len(arr)], pa.int64())})
-
-    wrote = (losers_ds.map_batches(rebucket, batch_format="pyarrow")
-             .groupby("__g").map_groups(write_file, batch_format="pyarrow")
-             .take_all())
+    wrote = write_loser_files(
+        losers_ds.map_batches(rebucket, batch_format="pyarrow"), "__g",
+        "image_id", loser_dir, store.storage_options)
     try:
         store.commit_delete_view_files(
             pid, base_pid, [r["path"] for r in wrote], key_col="image_id",

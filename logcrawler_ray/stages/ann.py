@@ -83,25 +83,22 @@ def _merge_topk(cands: pd.DataFrame, k: int, id_col: str) -> pd.DataFrame:
     return top[["q_id", id_col, "rank"]].astype(np.int64).reset_index(drop=True)
 
 
-# test/telemetry hook: corpus-derived rows the driver collected in the last
-# cosine_neardup_pairs_ds call. Exact route: 0 (pairs stay in the object
-# store as ObjectRef[Table]); signcode route: the candidate-id count (the
-# broadcast verify tier, bounded by candidates — never O(corpus)).
-_last_driver_rows: int = 0
+# cosine_neardup_pairs_ds: corpora up to this many rows take the exact
+# block-pair route under route="auto" (read at call time)
+EXACT_MAX_ROWS = 200_000
 
 
 def cosine_neardup_pairs_ds(ds, threshold: float = 0.9,
                             id_col: str = "vec_id",
                             vec_col: str = "embedding",
                             block_rows: int = 8192, route: str = "auto",
-                            exact_max_rows: int = 200_000,
                             bands: int = 16, band_bits: int | None = None,
                             seed: int = 7):
     """Distinct (a < b, int64) pairs with cosine >= threshold, as a
     DATASET — pairs never transit the driver (round-3 verdict #4). Two
     routes, picked by corpus size under ``route="auto"``:
 
-    - **exact** (corpus <= ``exact_max_rows``): block-pair self-join. The
+    - **exact** (corpus <= ``EXACT_MAX_ROWS``): block-pair self-join. The
       corpus packs into ~N/block_rows normalized (ids, matrix) object-store
       blocks (the driver streams one batch at a time while packing); one
       Ray task per block pair (i <= j) does the matmul and RETURNS ITS
@@ -126,16 +123,17 @@ def cosine_neardup_pairs_ds(ds, threshold: float = 0.9,
       recall.
 
     Returns ``(pairs_ds, info)`` where info carries route/telemetry
-    (including ``dropped_buckets`` — callers must surface it).
+    (including ``dropped_buckets`` — callers must surface it). The exact
+    route collects no corpus-derived rows on the driver (pairs stay in the
+    object store as ObjectRef[Table]); the signcode route collects only
+    ``info["n_candidate_ids"]`` candidate ids — never O(corpus).
     """
     import ray
     import ray.data as rd
 
-    global _last_driver_rows
-    _last_driver_rows = 0
     n_total = ds.count()
     use_exact = route == "exact" or (route == "auto"
-                                     and n_total <= exact_max_rows)
+                                     and n_total <= EXACT_MAX_ROWS)
     empty = pa.table({"a": pa.array([], pa.int64()),
                       "b": pa.array([], pa.int64())})
 
@@ -198,7 +196,6 @@ def cosine_neardup_pairs_ds(ds, threshold: float = 0.9,
             batch_format="pyarrow"):
         need.update(t["a"].to_pylist())
         need.update(t["b"].to_pylist())
-    _last_driver_rows = len(need)
     if not need:
         return rd.from_arrow(empty), {
             "route": "signcode", "bands": bands, "band_bits": band_bits,

@@ -17,6 +17,11 @@ reference: 02_combine_logs.py:24-27) through a groupby:
 3. otherwise fall back to a full ``groupby(key).map_groups(first)`` (one
    honest all-to-all on the dedup key).
 
+Every tier is built from the same three pieces: one sort-and-group kernel
+(:func:`_runs`), one winner probe (:func:`_loser_mask`) and one loser-file
+writer (:func:`write_loser_files`). The broadcast bound is
+``broadcast.DEFAULT_MAX_BROADCAST_ROWS``, read at call time.
+
 The skinny pass shuffles two int64 columns instead of the payload — at
 10^9 rows that is ~16 GB across the cluster vs ~100 TB for the naive plan.
 """
@@ -28,11 +33,24 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-DEFAULT_MAX_BROADCAST = 5_000_000
+from . import broadcast
 
-# test/telemetry hook: number of aggregate rows the driver actually collected
-# in the last losers pass (must be O(duplicate keys), never O(distinct keys))
-_last_driver_rows: int = 0
+
+def _runs(k: np.ndarray, o: np.ndarray):
+    """The one sort-and-group kernel of every exact-dedup tier: lexsort by
+    key, then order. Returns ``(order, starts, counts)`` — the sorting
+    permutation, each key run's start in sorted order and its length; a
+    run's first row holds the key's minimum ``o``."""
+    n = len(k)
+    order = np.lexsort((o, k))
+    ks = k[order]
+    new = np.empty(n, dtype=bool)
+    if n:
+        new[0] = True
+        new[1:] = ks[1:] != ks[:-1]
+    starts = np.flatnonzero(new)
+    counts = np.diff(np.append(starts, n)).astype(np.int64)
+    return order, starts, counts
 
 
 def loser_partials(t: pa.Table, key: str, order_col: str) -> pa.Table:
@@ -44,9 +62,7 @@ def loser_partials(t: pa.Table, key: str, order_col: str) -> pa.Table:
     stages (IngestStage) so the loser pass costs no second execution.
 
     Null keys are NOT duplicates of anything — their rows are excluded
-    from the partials entirely, so they can never be marked losers. (The
-    earlier pandas implementation leaked every null-key row into the
-    local-loser channel via ``x != NaN``.)
+    from the partials entirely, so they can never be marked losers.
 
     Pure numpy sort-based grouping: the pandas version cost ~28 ms per
     128-row batch (five frame ops); this is ~50x cheaper per batch, which
@@ -62,29 +78,19 @@ def loser_partials(t: pa.Table, key: str, order_col: str) -> pa.Table:
         raise ValueError(
             f"loser_partials: {t[order_col].null_count} null {order_col!r} "
             "value(s) — first-wins dedup needs a non-null order key")
-    kt = t.schema.field(key).type
-    ot = t.schema.field(order_col).type
-    n = t.num_rows
-    if n == 0:
-        return pa.table({key: pa.array([], type=kt),
-                         "__o": pa.array([], type=ot),
-                         "__n": pa.array([], type=pa.int64())})
     k = t[key].to_numpy(zero_copy_only=False)
     o = t[order_col].to_numpy(zero_copy_only=False)
-    order = np.lexsort((o, k))  # by key, then order_col
+    order, starts, counts = _runs(k, o)
     ks, os_ = k[order], o[order]
-    new = np.empty(n, dtype=bool)
-    new[0] = True
-    new[1:] = ks[1:] != ks[:-1]
-    starts = np.flatnonzero(new)
-    counts = np.diff(np.append(starts, n)).astype(np.int64)
     gmin = os_[starts]
     # local losers: any row whose order differs from its group's min
     # (ties at the min all survive locally — merge resolves them globally)
     loser = os_ != np.repeat(gmin, counts)
     return pa.table({
-        key: pa.array(np.concatenate([ks[starts], ks[loser]]), type=kt),
-        "__o": pa.array(np.concatenate([gmin, os_[loser]]), type=ot),
+        key: pa.array(np.concatenate([ks[starts], ks[loser]]),
+                      type=t.schema.field(key).type),
+        "__o": pa.array(np.concatenate([gmin, os_[loser]]),
+                        type=t.schema.field(order_col).type),
         "__n": pa.array(np.concatenate(
             [counts, np.full(int(loser.sum()), -1, np.int64)])),
     })
@@ -93,36 +99,57 @@ def loser_partials(t: pa.Table, key: str, order_col: str) -> pa.Table:
 def merge_loser_partials(pdf: pd.DataFrame, key: str) -> frozenset:
     """Driver-side merge of loser partials: global losers = local losers +
     duplicated keys' min entries that aren't the global winner. Input is
-    bounded by the caller (DEFAULT_MAX_BROADCAST).
+    bounded by the caller (``broadcast.DEFAULT_MAX_BROADCAST_ROWS``).
 
-    numpy sort-based grouping: the previous pandas ``groupby.agg`` paid
-    ~650 ms at 20k partial rows (a Python ``min`` per group over object
-    strings) — a CONSTANT driver term that taxed the fast end of the
-    scaling pair; this is ~15 ms on the same input."""
+    numpy sort-based grouping: ~15 ms at 20k partial rows, where a pandas
+    ``groupby.agg`` (a Python ``min`` per group over object strings) paid
+    ~650 ms of constant driver time."""
     if pdf.empty:
         return frozenset()
     nvals = pdf["__n"].to_numpy()
     local_losers = pdf.loc[nvals < 0, "__o"]
     mask = nvals > 0
     k = pdf.loc[mask, key].to_numpy()
-    if len(k) == 0:
-        return frozenset(local_losers)
     o = pdf.loc[mask, "__o"].to_numpy()
-    c = nvals[mask]
-    order = np.lexsort((o, k))
-    ks, os_, cs = k[order], o[order], c[order]
-    new = np.empty(len(ks), dtype=bool)
-    new[0] = True
-    new[1:] = ks[1:] != ks[:-1]
-    starts = np.flatnonzero(new)
-    counts = np.diff(np.append(starts, len(ks)))
-    total = np.add.reduceat(cs, starts)  # global count per key
+    order, starts, counts = _runs(k, o)
+    os_ = o[order]
+    total = np.add.reduceat(nvals[mask][order], starts)  # global count per key
     # rows of duplicated keys whose __o is not the global winner (= the
     # lexicographic min across that key's per-batch min entries)
     dup_row = np.repeat(total > 1, counts)
     not_winner = os_ != np.repeat(os_[starts], counts)
     extra = os_[dup_row & not_winner]
     return frozenset(local_losers) | frozenset(extra)
+
+
+def _loser_mask(t: pa.Table, key: str, order_col: str,
+                dkeys: pa.Array, winners: pa.Array) -> pa.Array:
+    """The one winner probe: True where a row's key is duplicated
+    (present in ``dkeys``) and its ``order_col`` is not that key's
+    winner. Rows of unduplicated keys probe to null and are kept."""
+    winner = broadcast.probe_values(t[key], dkeys, winners)
+    return pc.fill_null(pc.not_equal(t[order_col], winner), False)
+
+
+def _collect_losers(skinny_ds, dups_ds, key: str, order_col: str,
+                    cols: list[str]) -> list[dict]:
+    """Broadcast the duplicated keys' winners once and scan ``skinny_ds``
+    with :func:`_loser_mask`; returns the losers' ``cols`` as rows. The
+    driver holds O(duplicate keys + losers), never O(distinct keys)."""
+    import ray
+
+    dups = dups_ds.to_pandas()
+    if dups.empty:
+        return []
+    ref = ray.put((pa.array(dups[key].to_numpy()),
+                   pa.array(dups["__min"].to_numpy())))
+
+    def find_losers(batch: pa.Table) -> pa.Table:
+        dkeys, winners = ray.get(ref)
+        return batch.filter(
+            _loser_mask(batch, key, order_col, dkeys, winners)).select(cols)
+
+    return skinny_ds.map_batches(find_losers, batch_format="pyarrow").take_all()
 
 
 def exact_losers(skinny_ds, key: str, order_col: str,
@@ -135,58 +162,39 @@ def exact_losers(skinny_ds, key: str, order_col: str,
 
     Driver memory is O(distinct keys per block summed + duplicates); the
     guard falls back to the distributed two-phase combine + a
-    broadcast-probe scan past DEFAULT_MAX_BROADCAST partial rows.
+    broadcast-probe scan past ``broadcast.DEFAULT_MAX_BROADCAST_ROWS``
+    partial rows, or past ``max_collect`` when the caller's bound is
+    lower — the partial-row collection itself never exceeds the smaller
+    bound by more than one row.
 
     ``max_collect`` bounds what the driver is allowed to hold: when the
     DISTRIBUTED loser count (``sum(__n) - count`` over the duplicates-only
     aggregate — two scalars, nothing collected) exceeds it, returns
-    ``None`` so the caller can take a shuffle path instead. Review r5:
-    dedup_exact used to check the bound only AFTER the full loser set had
-    already been take_all()'d onto the driver, where the guard could no
-    longer prevent anything.
+    ``None`` before any loser is collected, so the caller can take a
+    shuffle path instead.
     """
     import functools
 
-    import ray
-
-    global _last_driver_rows
+    cap = broadcast.DEFAULT_MAX_BROADCAST_ROWS
+    if max_collect is not None:
+        cap = min(cap, max_collect)
     partial = functools.partial(loser_partials, key=key, order_col=order_col)
     partial_df = (skinny_ds.map_batches(partial, batch_format="pyarrow")
-                  .limit(DEFAULT_MAX_BROADCAST + 1).to_pandas())
-    if len(partial_df) > DEFAULT_MAX_BROADCAST:
+                  .limit(cap + 1).to_pandas())
+    if len(partial_df) > cap:
         # scale path: distributed two-phase combine, DUPLICATES-ONLY
         # filtered distributed, then one broadcast-probe scan — the driver
         # collects O(duplicate keys), never the full distinct-key aggregate
         dups_ds = dup_winners(skinny_ds, key, order_col)
         if max_collect is not None:
+            # both the winner broadcast and the loser set must fit
             n_dup_keys = dups_ds.count()
-            if n_dup_keys > max_collect:
-                return None  # even the winner broadcast would exceed it
             n_losers = (dups_ds.sum("__n") or 0) - n_dup_keys
-            if n_losers > max_collect:
+            if max(n_dup_keys, n_losers) > max_collect:
                 return None
-        dups = dups_ds.to_pandas()
-        _last_driver_rows = len(dups)
-        if dups.empty:
-            return frozenset()
-        ref = ray.put((pa.array(dups[key].to_numpy()),
-                       pa.array(dups["__min"].to_numpy())))
-
-        def find_losers(batch: pa.Table) -> pa.Table:
-            dkeys, winners = ray.get(ref)
-            idx = pc.index_in(batch[key], value_set=dkeys)
-            winner = pc.take(winners, idx)  # null where the key has no dup
-            loser = pc.and_(pc.is_valid(winner),
-                            pc.not_equal(batch[order_col], winner))
-            return pa.table({order_col: batch[order_col].filter(
-                pc.fill_null(loser, False))})
-
-        rows = skinny_ds.map_batches(find_losers, batch_format="pyarrow").take_all()
+        rows = _collect_losers(skinny_ds, dups_ds, key, order_col, [order_col])
         return frozenset(r[order_col] for r in rows)
 
-    _last_driver_rows = len(partial_df)  # keep the telemetry hook fresh on
-    # the broadcast path too (review r5: a stale scale-path value here made
-    # driver-collection audits read the wrong pass)
     losers = merge_loser_partials(partial_df, key)
     if max_collect is not None and len(losers) > max_collect:
         return None
@@ -202,65 +210,27 @@ def dup_winners(skinny_ds, key: str, order_col: str, num_buckets: int = 64):
     Two-phase combine rather than a native ``groupby(key).aggregate``:
     Ray's aggregate pays per-GROUP cost, and here key cardinality is the
     corpus (measured ~17 us/distinct key on the q53 pair combine — 19 s
-    for 1M keys). Per-batch pandas partials -> ONE coarse-bucket shuffle
-    (so the exchange carries one row per distinct key per block) -> a
-    C-level merge per bucket with the duplicates-only filter fused in."""
+    for 1M keys). Per-batch partials (:func:`loser_partials`' per-key
+    (min, count) rows) -> ONE coarse-bucket shuffle (so the exchange
+    carries one row per distinct key per block) -> a C-level merge per
+    bucket with the duplicates-only filter fused in."""
 
     def batch_partials(t: pa.Table) -> pa.Table:
-        # numpy lexsort grouping (review r5 — this was the one remaining
-        # pandas groupby.agg(min)-per-group over object strings; see the
-        # CLAUDE.md perf lesson and loser_partials above for the measured
-        # ~50x). Null keys are dropped like loser_partials does: they can
-        # never match the downstream index_in probes, and keeping them as
-        # one pandas dropna=False group diverged from the broadcast path.
-        t = t.select([key, order_col])
-        kcol = t[key]
-        if kcol.null_count:
-            t = t.filter(pc.is_valid(kcol))
-        kt = t.schema.field(key).type
-        ot = t.schema.field(order_col).type
-        n = t.num_rows
-        if n == 0:
-            out = pa.table({key: pa.array([], type=kt),
-                            "__min": pa.array([], type=ot),
-                            "__n": pa.array([], type=pa.int64())})
-            return out.append_column("__b", _bucket_of(out[key], num_buckets))
-        k = t[key].to_numpy(zero_copy_only=False)
-        o = t[order_col].to_numpy(zero_copy_only=False)
-        order = np.lexsort((o, k))
-        ks, os_ = k[order], o[order]
-        new = np.empty(n, dtype=bool)
-        new[0] = True
-        new[1:] = ks[1:] != ks[:-1]
-        starts = np.flatnonzero(new)
-        counts = np.diff(np.append(starts, n)).astype(np.int64)
-        out = pa.table({key: pa.array(ks[starts], type=kt),
-                        "__min": pa.array(os_[starts], type=ot),
-                        "__n": pa.array(counts)})
-        return out.append_column("__b", _bucket_of(out[key], num_buckets))
+        p = loser_partials(t.select([key, order_col]), key, order_col)
+        p = p.filter(pc.greater(p["__n"], 0)).rename_columns(
+            [key, "__min", "__n"])
+        return p.append_column("__b", _bucket_of(p[key], num_buckets))
 
     def merge_bucket(df: pd.DataFrame) -> pa.Table:
-        # same numpy lexsort grouping as batch_partials (a bucket holds
-        # dup-keys/64 rows — at 1M dup keys the pandas agg here was the
-        # same per-group Python min)
-        if len(df) == 0:
-            return typed_from_pandas(df[[key, "__min", "__n"]])
         k = df[key].to_numpy()
         m = df["__min"].to_numpy()
-        c = df["__n"].to_numpy().astype(np.int64)
-        order = np.lexsort((m, k))
-        ks, ms, cs = k[order], m[order], c[order]
-        new = np.empty(len(ks), dtype=bool)
-        new[0] = True
-        new[1:] = ks[1:] != ks[:-1]
-        starts = np.flatnonzero(new)
-        total = np.add.reduceat(cs, starts)
+        order, starts, _ = _runs(k, m)
+        total = np.add.reduceat(
+            df["__n"].to_numpy().astype(np.int64)[order], starts)
         keep = total > 1  # duplicates only
-        out = pd.DataFrame({key: ks[starts][keep],
-                            "__min": ms[starts][keep],  # first of the
-                            # (__min, key)-lexsorted run IS the group min
-                            "__n": total[keep].astype(np.int64)})
-        return typed_from_pandas(out)
+        first = order[starts][keep]  # a run's first row IS the key's min
+        return typed_from_pandas(pd.DataFrame({
+            key: k[first], "__min": m[first], "__n": total[keep]}))
 
     return (skinny_ds.map_batches(batch_partials, batch_format="pyarrow")
             .groupby("__b")
@@ -276,30 +246,13 @@ def exact_losers_by(skinny_ds, key: str, order_col: str,
     ingest residual); only the duplicate rows come back, already routed.
 
     Driver memory is O(duplicate keys + losers); past
-    ``DEFAULT_MAX_BROADCAST`` duplicates use :func:`exact_losers_files`
-    (the fully-distributed 10^10 path) instead."""
-    import ray
-
+    ``broadcast.DEFAULT_MAX_BROADCAST_ROWS`` duplicates use
+    :func:`exact_losers_files` (the fully-distributed 10^10 path)
+    instead."""
     dups_ds = dup_winners(skinny_ds, key, order_col) if dups is None else dups
-    dups = dups_ds.to_pandas()
-    global _last_driver_rows
-    _last_driver_rows = len(dups)
-    if dups.empty:
-        return {}
-    ref = ray.put((pa.array(dups[key].to_numpy()),
-                   pa.array(dups["__min"].to_numpy())))
-
-    def find_losers(batch: pa.Table) -> pa.Table:
-        dkeys, winners = ray.get(ref)
-        idx = pc.index_in(batch[key], value_set=dkeys)
-        winner = pc.take(winners, idx)
-        loser = pc.fill_null(pc.and_(pc.is_valid(winner),
-                                     pc.not_equal(batch[order_col], winner)), False)
-        sel = batch.filter(loser)
-        return pa.table({order_col: sel[order_col], part_col: sel[part_col]})
-
     out: dict = {}
-    for r in skinny_ds.map_batches(find_losers, batch_format="pyarrow").take_all():
+    for r in _collect_losers(skinny_ds, dups_ds, key, order_col,
+                             [order_col, part_col]):
         out.setdefault(r[part_col], []).append(r[order_col])
     return {p: sorted(v) for p, v in out.items()}
 
@@ -365,9 +318,9 @@ def exact_losers_files(skinny_ds, key: str, order_col: str, part_col: str,
        (CLAUDE.md groupby lesson: 16-64 buckets, vectorized inside the
        group fn — NOT per-key groups, NOT ``Dataset.join`` whose empty
        hash partitions lose the schema) and co-grouped by bucket;
-    3. within a bucket, one vectorized ``index_in`` probe marks every
+    3. within a bucket, the winner probe (:func:`_loser_mask`) marks every
        skinny row whose ``order_col`` differs from its key's winner;
-    4. ``groupby(part_col).map_groups`` writes one sorted+unique
+    4. :func:`write_loser_files` writes one sorted+unique
        ``losers-<part>.parquet`` per partition into ``out_dir`` — ready for
        :meth:`ObjectStore.commit_delete_view_file`.
 
@@ -375,13 +328,7 @@ def exact_losers_files(skinny_ds, key: str, order_col: str, part_col: str,
     analog: the count-ledger anti-join (07_input_cognition_data_rust.py:
     64-83) likewise never materializes row sets on the coordinator.
     """
-    import os
-
-    from ..sources.store import write_fragment
-
     dups_ds = dup_winners(skinny_ds, key, order_col) if dups is None else dups
-    global _last_driver_rows
-    _last_driver_rows = 0
     if dups_ds.count() == 0:
         return {}
 
@@ -413,34 +360,46 @@ def exact_losers_files(skinny_ds, key: str, order_col: str, part_col: str,
         is_w = pc.is_valid(g["__min"])
         w = g.filter(is_w)
         s = g.filter(pc.invert(is_w))
-        idx = pc.index_in(s[key], value_set=w[key].combine_chunks())
-        winner = pc.take(w["__min"].combine_chunks(), idx)
-        lose = pc.fill_null(pc.and_(pc.is_valid(winner),
-                                    pc.not_equal(s[order_col], winner)), False)
-        sel = s.filter(lose)
-        return pa.table({order_col: sel[order_col], part_col: sel[part_col]})
+        lose = _loser_mask(s, key, order_col, w[key].combine_chunks(),
+                           w["__min"].combine_chunks())
+        return s.filter(lose).select([order_col, part_col])
 
     losers = both.groupby("__b").map_groups(bucket_losers,
                                             batch_format="pyarrow")
+    rows = write_loser_files(losers, part_col, order_col, out_dir,
+                             storage_options)
+    return {r[part_col]: (r["path"], r["n"]) for r in rows}
 
-    def write_part(g: pa.Table) -> pa.Table:
+
+def write_loser_files(losers_ds, group_col: str, id_col: str, out_dir: str,
+                      storage_options: dict | None = None) -> list[dict]:
+    """The one loser-file writer: ``groupby(group_col)`` and each group's
+    task writes its sorted, distinct ``id_col`` values to
+    ``out_dir/losers-<group>.parquet`` — no single-writer funnel, and the
+    driver sees only one ``(group_col, path, n)`` row per file."""
+    import os
+
+    from ..sources.store import write_fragment
+
+    def write(g: pa.Table) -> pa.Table:
+        gtype = g.schema.field(group_col).type
         if g.num_rows == 0:  # empty sort-boundary block (review r5 — the
             # same guard every other map_groups fn in this repo carries)
-            return pa.table({part_col: pa.array([], g.schema.field(part_col).type),
+            return pa.table({group_col: pa.array([], gtype),
                              "path": pa.array([], pa.string()),
                              "n": pa.array([], pa.int64())})
-        part = g[part_col][0].as_py()
-        arr = pc.unique(g[order_col].combine_chunks())
+        label = g[group_col][0].as_py()
+        arr = pc.unique(g[id_col].combine_chunks())
         arr = arr.take(pc.sort_indices(arr))
-        path = os.path.join(out_dir, f"losers-{part}.parquet")
-        write_fragment(pa.table({order_col: arr}), path,
+        path = os.path.join(out_dir, f"losers-{label}.parquet")
+        write_fragment(pa.table({id_col: arr}), path,
                        storage_options=storage_options)
-        return pa.table({part_col: [part], "path": [path],
+        return pa.table({group_col: pa.array([label], gtype),
+                         "path": pa.array([path], pa.string()),
                          "n": pa.array([len(arr)], pa.int64())})
 
-    rows = (losers.groupby(part_col)
-            .map_groups(write_part, batch_format="pyarrow").take_all())
-    return {r[part_col]: (r["path"], r["n"]) for r in rows}
+    return (losers_ds.groupby(group_col)
+            .map_groups(write, batch_format="pyarrow").take_all())
 
 
 def anti_filter_fn(loser_ref, order_col: str):
@@ -460,7 +419,7 @@ def anti_filter_fn(loser_ref, order_col: str):
 
 
 def dedup_exact(ds, key: str = "phash", order_col: str = "image_id",
-                max_broadcast: int = DEFAULT_MAX_BROADCAST, skinny_ds=None):
+                skinny_ds=None):
     """First-wins exact dedup on ``key``; returns the deduplicated Dataset.
 
     IMPORTANT execution shape: the losers pass CONSUMES a dataset. If
@@ -469,15 +428,19 @@ def dedup_exact(ds, key: str = "phash", order_col: str = "image_id",
     a column-pruned read of the just-written raw partition — or pass a
     materialized ``ds``; otherwise the whole upstream pipeline executes
     TWICE (once for losers, once for the filtered output).
+
+    Loser sets up to ``broadcast.DEFAULT_MAX_BROADCAST_ROWS`` are broadcast
+    into an anti-filter; larger ones take a coarse-bucket full-row shuffle.
     """
     import ray
 
-    # the loser pass itself enforces max_broadcast DISTRIBUTED (review r5):
-    # it returns None — without ever collecting the losers — when the set
-    # would exceed the bound, and the shuffle fallback below never needed
-    # the set in the first place
+    # the loser pass itself enforces the bound DISTRIBUTED (review r5): it
+    # returns None — without ever collecting the losers — when the set
+    # would exceed it, and the shuffle fallback below never needed the set
+    # in the first place
     losers = exact_losers(skinny_ds if skinny_ds is not None else ds, key,
-                          order_col, max_collect=max_broadcast)
+                          order_col,
+                          max_collect=broadcast.DEFAULT_MAX_BROADCAST_ROWS)
     if losers is not None:
         ref = ray.put(pa.array(sorted(losers)) if losers else frozenset())
         return ds.map_batches(anti_filter_fn(ref, order_col), batch_format="pyarrow")

@@ -29,6 +29,13 @@ from ..functions.text import shingle_hashes, words
 
 _MERSENNE = np.uint64((1 << 61) - 1)
 
+# Size tiers, read at call time. verify_jaccard_pairs broadcasts the
+# shingle sets of up to VERIFY_MAX_BROADCAST_DOCS involved docs (else it
+# co-groups them); fused_sketch_neardup pairs corpora of up to
+# LOCAL_DOCS_MAX docs in-process (else it keeps the distributed shuffles).
+VERIFY_MAX_BROADCAST_DOCS = 200_000
+LOCAL_DOCS_MAX = 200_000
+
 
 def _perm_params(k: int, seed: int = 1234) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
@@ -217,14 +224,13 @@ def minhash_lsh_candidates(ds, text_col: str = "text", id_col: str = "doc_id",
 def verify_jaccard_pairs(ds, pairs_ds, text_col: str = "text",
                          id_col: str = "doc_id", ngram: int = 3,
                          threshold: float = 0.8,
-                         max_broadcast_docs: int = 200_000,
                          hasher: str = "blake2b", shingle_ds=None):
     """Re-check candidate pairs with exact shingle Jaccard — DISTRIBUTED.
 
     Only the candidate (a, b) id pairs ever sit on the driver (already
     bounded by the LSH bucket caps). The shingle sets stay in the cluster:
 
-    - <= ``max_broadcast_docs`` involved docs: shingle sets are computed
+    - <= ``VERIFY_MAX_BROADCAST_DOCS`` involved docs: shingle sets are computed
       distributed, collected ONCE as Arrow rows, re-broadcast via ray.put,
       and the pair checks run vectorized-ish in map_batches over the pairs.
     - beyond that: a co-group path — pairs explode to (doc, pair, slot)
@@ -281,7 +287,7 @@ def verify_jaccard_pairs(ds, pairs_ds, text_col: str = "text",
 
         shingle_ds = shingle_ds.map_batches(pick, batch_format="pyarrow")
 
-    if len(needed) <= max_broadcast_docs:
+    if len(needed) <= VERIFY_MAX_BROADCAST_DOCS:
         # Arrow-native broadcast (round-2 advice): the shingle sets ship as
         # ONE (ids, list<uint64>) Arrow pair — compact buffers, no driver
         # dict-of-Python-sets; per-pair set ops touch only each batch's rows
@@ -380,8 +386,7 @@ def fused_sketch_neardup(ds, *, text_col: str = "text", id_col: str = "doc_id",
                          jaccard_threshold: float = 0.2, max_hamming: int = 3,
                          sim_seed: int = 99,
                          max_bucket: int = DEFAULT_MAX_BUCKET,
-                         hasher: str = "blake2b",
-                         local_docs_max: int = 200_000):
+                         hasher: str = "blake2b"):
     """BOTH sketch near-dup paths from ONE corpus pass (round-4 verdict #8).
 
     The unfused q21 chain ran ~6 Ray executions, each re-reading and
@@ -394,7 +399,7 @@ def fused_sketch_neardup(ds, *, text_col: str = "text", id_col: str = "doc_id",
     verify_jaccard_pairs and simhash_near_dup_pairs (equality-tested).
 
     Two tiers for the pair plumbing (same pattern as verify's broadcast
-    gate): corpora up to ``local_docs_max`` docs collect the skinny
+    gate): corpora up to ``LOCAL_DOCS_MAX`` docs collect the skinny
     band/code rows ONCE and run the bucket/pigeonhole logic in-process
     (hamming_pairs_local — the shuffles cost more fixed time than the
     whole computation at this size); larger corpora keep the distributed
@@ -461,13 +466,13 @@ def fused_sketch_neardup(ds, *, text_col: str = "text", id_col: str = "doc_id",
     # Tier gate on the EXACT doc count — every doc contributes exactly one
     # kind=2 row. Gating on the total exploded row count (metadata, free)
     # only bounds docs from BELOW: a corpus of short/empty docs emits ~1
-    # row per doc, so 3M such docs would slip under local_docs_max*(bands
+    # row per doc, so 3M such docs would slip under LOCAL_DOCS_MAX*(bands
     # + 2) and the "bounded" tier would collect them all on the driver
     # (review r5). The kind-filtered count is one cheap parallel scan over
     # the already-materialized blocks.
     n_docs = rows.map_batches(only(2, ["doc_id"]),
                               batch_format="pyarrow").count()
-    if n_docs <= local_docs_max:
+    if n_docs <= LOCAL_DOCS_MAX:
         # bounded tier: ONE collection of the skinny band+code rows; the
         # per-band bucket pairing and the pigeonhole run in-process
         import pyarrow.compute as pc

@@ -184,10 +184,11 @@ def test_neardup_pass_commits_cluster_losers(ray_session, tmp_path):
     assert store.rows(pid) == 2
 
 
-def test_neardup_pass_tiers_agree(ray_session, tmp_path):
-    """The distributed loser tier (forced via max_driver_pairs=0) must drop
-    exactly the set the driver tier drops — tier choice is a size decision,
-    never a semantics decision."""
+def test_neardup_pass_tiers_agree(ray_session, tmp_path, monkeypatch):
+    """The distributed loser tier (forced via NEARDUP_MAX_DRIVER_PAIRS=0)
+    must drop exactly the set the driver tier drops — tier choice is a size
+    decision, never a semantics decision."""
+    from logcrawler_ray.pipelines import ingest as ingest_mod
     from logcrawler_ray.pipelines.ingest import neardup_pass
     from logcrawler_ray.sources.objstore import open_store
 
@@ -205,8 +206,8 @@ def test_neardup_pass_tiers_agree(ray_session, tmp_path):
     for tier, cap in [("driver", 500_000), ("distributed", 0)]:
         store = open_store(str(tmp_path / tier))
         store.append_table("base", tab)
-        pid = neardup_pass(store, "base", max_hamming=2,
-                           max_driver_pairs=cap)
+        monkeypatch.setattr(ingest_mod, "NEARDUP_MAX_DRIVER_PAIRS", cap)
+        pid = neardup_pass(store, "base", max_hamming=2)
         kept[tier] = sorted(store.read_table(pid, columns=["image_id"])
                             ["image_id"].to_pylist())
         assert store.manifest(pid)["meta"]["tier"] == tier

@@ -179,7 +179,42 @@ def test_loser_pass_driver_collects_only_duplicates(ray_session):
     routed = dedup.exact_losers_by(skinny, "phash", "image_id", "__shard")
     losers = sorted(x for v in routed.values() for x in v)
     assert losers == [f"zz-{i:05d}" for i in range(n_dup)]
-    assert dedup._last_driver_rows == n_dup  # NOT 5000
+    # the broadcast side the driver collects is the duplicates-only
+    # aggregate: one row per duplicated key
+    assert dedup.dup_winners(skinny, "phash", "image_id").count() == n_dup  # NOT 5000
+
+
+def test_exact_losers_max_collect_bounds_partial_collection(ray_session,
+                                                            monkeypatch):
+    """A caller's ``max_collect`` below the broadcast bound also caps the
+    loser-partial rows collected for the driver merge: on 1,000 unique
+    keys with max_collect=3 the merge never receives more than 4 rows (the
+    bound + 1 sentinel), and the loser set is still empty."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from logcrawler_ray.stages import dedup
+
+    merged = []
+    merge = dedup.merge_loser_partials
+
+    def counting_merge(pdf, key):
+        merged.append(len(pdf))
+        return merge(pdf, key)
+
+    monkeypatch.setattr(dedup, "merge_loser_partials", counting_merge)
+    n = 1000
+    skinny = rd.from_arrow(pa.table(
+        {"phash": list(range(n)), "image_id": [f"id-{i:04d}" for i in range(n)]}))
+    assert dedup.exact_losers(skinny, "phash", "image_id",
+                              max_collect=3) == frozenset()
+    assert all(m <= 4 for m in merged), merged
+    # under the bound the driver merge still runs and finds the loser
+    small = rd.from_arrow(pa.table({"phash": [1, 1, 2],
+                                    "image_id": ["b", "a", "c"]}))
+    assert dedup.exact_losers(small, "phash", "image_id",
+                              max_collect=3) == frozenset({"b"})
+    assert merged and all(m <= 4 for m in merged), merged
 
 
 def test_exact_losers_files_matches_broadcast(ray_session, tmp_path):
@@ -207,7 +242,6 @@ def test_exact_losers_files_matches_broadcast(ray_session, tmp_path):
     os.makedirs(out_dir)
     routed = dedup.exact_losers_files(skinny, "phash", "image_id", "__shard",
                                       out_dir, num_buckets=4)
-    assert dedup._last_driver_rows == 0  # nothing collected on the driver
     got = {}
     for part, (path, n) in routed.items():
         vals = pq.read_table(path)["image_id"].to_pylist()
@@ -216,12 +250,14 @@ def test_exact_losers_files_matches_broadcast(ray_session, tmp_path):
     assert got == {p: v for p, v in want.items() if v}
 
 
-def test_ingest_sharded_file_routed_losers(ray_session, corpus_tab, tmp_path):
-    """ingest_sharded with losers_max_broadcast=0 forces the bucketed
+def test_ingest_sharded_file_routed_losers(ray_session, corpus_tab, tmp_path,
+                                           monkeypatch):
+    """ingest_sharded with a zero broadcast bound forces the bucketed
     delete-view-file path; result must equal the broadcast path's."""
     import pyarrow.parquet as pq
 
     from logcrawler_ray.pipelines.ingest import ingest_sharded, read_sharded
+    from logcrawler_ray.stages import broadcast
 
     files = []
     for i in range(4):
@@ -232,8 +268,8 @@ def test_ingest_sharded_file_routed_losers(ray_session, corpus_tab, tmp_path):
     sa = open_store(str(tmp_path / "store-a"))
     sb = open_store(str(tmp_path / "store-b"))
     pa_ = ingest_sharded(files, sa, pid="sh", files_per_shard=2, concurrency=None)
-    pb = ingest_sharded(files, sb, pid="sh", files_per_shard=2, concurrency=None,
-                        losers_max_broadcast=0)
+    monkeypatch.setattr(broadcast, "DEFAULT_MAX_BROADCAST_ROWS", 0)
+    pb = ingest_sharded(files, sb, pid="sh", files_per_shard=2, concurrency=None)
     a = read_sharded(sa, pa_).to_pandas().sort_values("image_id")
     b = read_sharded(sb, pb).to_pandas().sort_values("image_id")
     assert list(a["image_id"]) == list(b["image_id"])
@@ -349,12 +385,14 @@ def test_dup_winners_matches_pandas(ray_session):
             got[["phash", "__min", "__n"]], want[["phash", "__min", "__n"]])
 
 
-def test_dedup_exact_fallback_matches_broadcast_path(ray_session):
-    """Forcing max_broadcast=0 exercises the coarse-bucket full-shuffle
-    fallback; its kept rows must equal the broadcast anti-filter path's."""
+def test_dedup_exact_fallback_matches_broadcast_path(ray_session, monkeypatch):
+    """Forcing a zero broadcast bound exercises the coarse-bucket
+    full-shuffle fallback; its kept rows must equal the broadcast
+    anti-filter path's."""
     import pandas as pd
     import ray.data as rd
 
+    from logcrawler_ray.stages import broadcast
     from logcrawler_ray.stages.dedup import dedup_exact
 
     rng = np.random.default_rng(7)
@@ -365,7 +403,8 @@ def test_dedup_exact_fallback_matches_broadcast_path(ray_session):
     ds = rd.from_pandas(df).repartition(8).materialize()
     want = (dedup_exact(ds, "phash", "image_id").to_pandas()
             .sort_values("image_id").reset_index(drop=True))
-    got = (dedup_exact(ds, "phash", "image_id", max_broadcast=0).to_pandas()
+    monkeypatch.setattr(broadcast, "DEFAULT_MAX_BROADCAST_ROWS", 0)
+    got = (dedup_exact(ds, "phash", "image_id").to_pandas()
            .sort_values("image_id").reset_index(drop=True))
     pd.testing.assert_frame_equal(got[["phash", "image_id", "payload"]],
                                   want[["phash", "image_id", "payload"]])

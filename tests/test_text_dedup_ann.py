@@ -5,7 +5,7 @@ import pandas as pd
 import pytest
 
 from logcrawler_ray.functions import text as T
-from logcrawler_ray.stages import ann
+from logcrawler_ray.stages import ann, dedup_text
 from logcrawler_ray.stages.dedup_text import (
     minhash_batch,
     minhash_lsh_candidates,
@@ -269,17 +269,17 @@ def test_cosine_neardup_blocked_matches_driver_bruteforce(ray_session, emb_df):
 def test_cosine_neardup_exact_route_driver_holds_no_pairs(ray_session, emb_df):
     """Round-3 verdict #4: the exact route returns pairs as a Dataset built
     from the compare tasks' ObjectRefs — the telemetry hook must report the
-    driver collected ZERO corpus-derived rows."""
+    driver collected ZERO corpus-derived rows: its info record carries no
+    candidate-id count."""
     import ray.data as rd
 
     pairs_ds, info = ann.cosine_neardup_pairs_ds(
         rd.from_pandas(emb_df), threshold=0.3, block_rows=16, route="exact")
-    assert info["route"] == "exact" and info["n_blocks"] == 5
-    assert ann._last_driver_rows == 0
+    assert info == {"route": "exact", "n_blocks": 5}
     assert pairs_ds.count() > 10  # consuming the Dataset still works
 
 
-def test_cosine_neardup_signcode_route_matches_exact(ray_session):
+def test_cosine_neardup_signcode_route_matches_exact(ray_session, monkeypatch):
     """The size-gated signcode route (banded-LSH candidates + exact cosine
     verify) must equal the exact route on planted high-cosine near-dups:
     at cosine ~0.999 a plane flips w.p. ~0.006, so a band of 8 matches
@@ -304,7 +304,7 @@ def test_cosine_neardup_signcode_route_matches_exact(ray_session):
     assert info["dropped_buckets"] == 0
     assert 0.0 < info["est_recall_at_threshold"] <= 1.0
     # driver held only candidate ids, bounded by the candidate count
-    assert 0 < ann._last_driver_rows <= len(df)
+    assert 0 < info["n_candidate_ids"] <= len(df)
     got = (got_ds.to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
            .astype({"a": np.int64, "b": np.int64}))
     pd.testing.assert_frame_equal(got, exact)
@@ -313,8 +313,8 @@ def test_cosine_neardup_signcode_route_matches_exact(ray_session):
     # the auto band_bits keeps buckets selective enough to find the dups
     _, info_auto = ann.cosine_neardup_pairs_ds(ds, threshold=0.95)
     assert info_auto["route"] == "exact"
-    big_ds, info_big = ann.cosine_neardup_pairs_ds(ds, threshold=0.95,
-                                                   exact_max_rows=10)
+    monkeypatch.setattr(ann, "EXACT_MAX_ROWS", 10)
+    big_ds, info_big = ann.cosine_neardup_pairs_ds(ds, threshold=0.95)
     assert info_big["route"] == "signcode"
     big = (big_ds.to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
            .astype({"a": np.int64, "b": np.int64}))
@@ -325,7 +325,7 @@ def test_cosine_neardup_signcode_rejects_negative_ids(ray_session):
     """Negative ids collide with the marker channel; the banded generator
     must raise instead of silently filtering those pairs (review
     finding — the exact route accepts them, so the auto flip at
-    exact_max_rows must not silently change results)."""
+    EXACT_MAX_ROWS must not silently change results)."""
     import pytest
     import ray.data as rd
 
@@ -366,7 +366,7 @@ def test_lsh_hot_bucket_capped(ray_session):
     assert took < 60
 
 
-def test_verify_jaccard_cogroup_matches_broadcast(ray_session):
+def test_verify_jaccard_cogroup_matches_broadcast(ray_session, monkeypatch):
     """The over-cap co-group verification path (shingles never on the
     driver) must produce exactly the broadcast path's result."""
     import ray.data as rd
@@ -381,8 +381,8 @@ def test_verify_jaccard_cogroup_matches_broadcast(ray_session):
     cands = minhash_lsh_candidates(ds)
     broadcast = verify_jaccard_pairs(ds, cands, threshold=0.2)
     cands2 = minhash_lsh_candidates(ds)
-    cogroup = verify_jaccard_pairs(ds, cands2, threshold=0.2,
-                                   max_broadcast_docs=0)
+    monkeypatch.setattr(dedup_text, "VERIFY_MAX_BROADCAST_DOCS", 0)
+    cogroup = verify_jaccard_pairs(ds, cands2, threshold=0.2)
     pd.testing.assert_frame_equal(
         broadcast.reset_index(drop=True), cogroup.reset_index(drop=True))
     assert len(broadcast) >= 3  # the planted dup families verify
@@ -440,7 +440,7 @@ def test_kmeans_deterministic():
     assert (c1 == c2).all()
 
 
-def test_verify_jaccard_missing_doc_paths_agree(ray_session):
+def test_verify_jaccard_missing_doc_paths_agree(ray_session, monkeypatch):
     """Candidate pairs referencing ids ABSENT from the corpus: both paths
     must agree (both-missing -> jaccard 1.0 kept; one-missing -> 0.0
     dropped) — review finding: the co-group path silently dropped them."""
@@ -451,8 +451,8 @@ def test_verify_jaccard_missing_doc_paths_agree(ray_session):
     ds = rd.from_pandas(docs)
     stale = pd.DataFrame({"a": [100, 0], "b": [101, 102]})  # none/one present
     broadcast = verify_jaccard_pairs(ds, rd.from_pandas(stale), threshold=0.5)
-    cogroup = verify_jaccard_pairs(ds, rd.from_pandas(stale), threshold=0.5,
-                                   max_broadcast_docs=0)
+    monkeypatch.setattr(dedup_text, "VERIFY_MAX_BROADCAST_DOCS", 0)
+    cogroup = verify_jaccard_pairs(ds, rd.from_pandas(stale), threshold=0.5)
     pd.testing.assert_frame_equal(broadcast.reset_index(drop=True),
                                   cogroup.reset_index(drop=True))
     assert list(zip(broadcast["a"], broadcast["b"])) == [(100, 101)]
@@ -551,7 +551,7 @@ def test_ngram_jaccard_df_cap_raises_or_reports(ray_session):
     assert len(got) < len(full)
 
 
-def test_fused_sketch_neardup_matches_unfused(ray_session):
+def test_fused_sketch_neardup_matches_unfused(ray_session, monkeypatch):
     """The fused one-pass q21 path (round-5) must be bit-identical to the
     unfused minhash_lsh_candidates -> verify_jaccard_pairs and
     simhash_near_dup_pairs chains, in BOTH tiers (in-process pair plumbing
@@ -583,9 +583,9 @@ def test_fused_sketch_neardup_matches_unfused(ray_session):
     sh_ref = simhash_near_dup_pairs(ds, max_hamming=3)
 
     for local_max in (200_000, 0):  # in-process tier / distributed tier
+        monkeypatch.setattr(dedup_text, "LOCAL_DOCS_MAX", local_max)
         mh, sh = fused_sketch_neardup(ds, k=64, bands=16,
-                                      jaccard_threshold=0.2, max_hamming=3,
-                                      local_docs_max=local_max)
+                                      jaccard_threshold=0.2, max_hamming=3)
         pd.testing.assert_frame_equal(
             mh.reset_index(drop=True), mh_ref.reset_index(drop=True))
         pd.testing.assert_frame_equal(
