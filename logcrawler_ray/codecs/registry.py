@@ -52,11 +52,18 @@ LOSSLESS = {"png", "yuv422"}  # yuv422 is lossless *as stored bytes -> pixels*
 
 def register(fmt: str, encode: Callable, decode: Callable, lossless: bool = False,
              decode_gray_fn: Callable | None = None) -> None:
+    """Add ``fmt``, or replace it whole: a re-registered format keeps none
+    of the old codec's lossless flag or luma fast path (e.g. a real JPEG
+    library registered under "jpeg" must not be read by qjpeg's luma)."""
     _CODECS[fmt] = (encode, decode)
     if lossless:
         LOSSLESS.add(fmt)
+    else:
+        LOSSLESS.discard(fmt)
     if decode_gray_fn is not None:
         _GRAY_FAST[fmt] = decode_gray_fn
+    else:
+        _GRAY_FAST.pop(fmt, None)
 
 
 def decode_gray(fmt: str, data: bytes, w: int, h: int) -> np.ndarray:

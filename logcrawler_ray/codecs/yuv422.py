@@ -112,15 +112,36 @@ def ycbcr_to_rgb(ycbcr: np.ndarray) -> np.ndarray:
     return out
 
 
+# (offset, (r, g, b) coefficients) per output channel, summed left to right
+_TO_YCBCR = ((0.0, (0.299, 0.587, 0.114)),
+             (128.0, (-0.168736, -0.331264, 0.5)),
+             (128.0, (0.5, -0.418688, -0.081312)))
+
+
 def rgb_to_ycbcr(rgb: np.ndarray) -> np.ndarray:
-    """(h, w, 3) uint8 RGB -> (h, w, 3) uint8 YCbCr (full-range JPEG)."""
-    arr = rgb.astype(np.float32)
-    r, g, b = arr[..., 0], arr[..., 1], arr[..., 2]
-    out = np.empty_like(arr)
-    out[..., 0] = 0.299 * r + 0.587 * g + 0.114 * b
-    out[..., 1] = 128.0 - 0.168736 * r - 0.331264 * g + 0.5 * b
-    out[..., 2] = 128.0 + 0.5 * r - 0.418688 * g - 0.081312 * b
-    return np.clip(np.round(out), 0, 255).astype(np.uint8)
+    """(h, w, 3) uint8 RGB -> (h, w, 3) uint8 YCbCr (full-range JPEG).
+
+    Planar float32, in place: each output channel accumulates in one plane
+    buffer in the op order of ``128 - 0.168736*r - 0.331264*g + 0.5*b``
+    (subtracting ``|c|*x`` equals adding ``c*x`` bit for bit), then rounds
+    half-to-even and clips. Pinned bit-identical to that float expression
+    over all 2**24 RGB triples by tests/test_codecs.py."""
+    planes = [rgb[..., i].astype(np.float32) for i in range(3)]
+    acc = np.empty_like(planes[0])
+    term = np.empty_like(acc)
+    out = np.empty(rgb.shape, dtype=np.uint8)
+    for c, (offset, coefs) in enumerate(_TO_YCBCR):
+        np.multiply(planes[0], np.float32(coefs[0]), out=acc)
+        if offset:
+            acc += np.float32(offset)
+        for x, coef in zip(planes[1:], coefs[1:]):
+            np.multiply(x, np.float32(coef), out=term)
+            acc += term
+        np.round(acc, out=acc)
+        np.maximum(acc, 0, out=acc)
+        np.minimum(acc, 255, out=acc)
+        out[..., c] = acc
+    return out
 
 
 def ycbcr_to_yuv422(ycbcr: np.ndarray) -> bytes:

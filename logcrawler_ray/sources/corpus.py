@@ -63,23 +63,48 @@ def caption_for(image_id: str) -> str:
     return f"a synthetic photo of {tokens} in the test corpus"
 
 
-def _pixels(content_key: int, w: int, h: int) -> np.ndarray:
-    """Deterministic gradient + luma-noise RGB image for one content key.
+def _pixel_stack(content_keys, w: int, h: int) -> np.ndarray:
+    """Deterministic gradient + luma-noise RGB images, one per content key:
+    ``(n, h, w, 3)`` uint8.
 
     Noise is applied to luma only (same delta on all three channels) so the
     image survives 4:2:2 chroma subsampling at high fidelity — pixel chroma
     stays smooth, like real photos, keeping the jpeg/yuv422 round trip
     above the PSNR >= 40 dB fixture bar.
+
+    Each key keeps its own ``default_rng`` stream (6 gradient params, then
+    h*w noise draws); the float32 math then runs once over the whole stack,
+    planar, in the per-image op order ``((p_c*y + p_3+c*x) * 0.7 + noise)``
+    -> clip -> truncate. The params are cast to float32 before the
+    multiply: NumPy 1.26 evaluates ``int64 scalar * float32 array`` in
+    float32, and every param (< 256) is exact there.
     """
-    rng = np.random.default_rng(content_key)
-    params = rng.integers(0, 256, size=6)
+    keys = [int(k) for k in content_keys]
+    n = len(keys)
+    params = np.empty((n, 6), dtype=np.float32)
+    noise = np.empty((n, h, w), dtype=np.float32)
+    for i, key in enumerate(keys):
+        rng = np.random.default_rng(key)
+        params[i] = rng.integers(0, 256, size=6)
+        noise[i] = rng.integers(0, 24, size=(h, w))
     yy = np.linspace(0.0, 1.0, h, dtype=np.float32)[:, None]
     xx = np.linspace(0.0, 1.0, w, dtype=np.float32)[None, :]
-    img = np.empty((h, w, 3), dtype=np.float32)
+    out = np.empty((n, h, w, 3), dtype=np.uint8)
+    plane = np.empty((n, h, w), dtype=np.float32)
     for c in range(3):
-        img[..., c] = params[c] * yy + params[3 + c] * xx
-    noise = rng.integers(0, 24, size=(h, w)).astype(np.float32)
-    return np.clip(img * 0.7 + noise[..., None], 0, 255).astype(np.uint8)
+        np.add(params[:, c, None, None] * yy, params[:, 3 + c, None, None] * xx,
+               out=plane)
+        plane *= np.float32(0.7)
+        plane += noise
+        # every term is >= 0, so only the upper clip bound can bite
+        np.minimum(plane, 255, out=plane)
+        out[..., c] = plane
+    return out
+
+
+def _pixels(content_key: int, w: int, h: int) -> np.ndarray:
+    """One key's ``(h, w, 3)`` image: the one-key case of :func:`_pixel_stack`."""
+    return _pixel_stack([content_key], w, h)[0]
 
 
 def _content_keys(idx: np.ndarray, seed: int, n_rows_hint: int) -> np.ndarray:

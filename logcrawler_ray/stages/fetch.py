@@ -1,41 +1,34 @@
-"""Fetch stage: the stateful actor-pool that turns frontier rows into raw
-image rows + discovered links.
+"""Fetch stage: turns frontier rows into raw image rows + discovered links.
 
 Maps the reference's HTTP-fetch-with-failover stage (reference:
 13_calculate_image_stats.py:11-29 choose-alive-server-once + :78-84
 fetch+decode) onto ``map_batches(FetchWorker, concurrency=N)``: the backend
 handle (here the deterministic SyntheticWeb; in production an HTTP session
-pool with mirror failover) is built ONCE per actor in ``__init__``.
+pool with mirror failover) is built ONCE per worker in ``__init__``, and
+each batch is ONE ``fetch_batch`` call over its URL column.
 
 Output schema per input row:
   url, host, seq, fetch_time, depth, image_id, bytes, w, h, fmt, caption,
   links (list<string>), fetch_ok
 
-Fetch failures are an error channel (fetch_ok=False), not a crash — the
+Fetch failures are a per-row error channel (fetch_ok=False with empty page
+columns; the other rows of the batch are unaffected), not a crash — the
 reference ``quit()``s instead (13:107)."""
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 
-from ..sources.hosts import SyntheticWeb
+from ..sources.hosts import PAGE_SCHEMA, SyntheticWeb
 
-FETCH_SCHEMA = pa.schema([
+_FRONTIER_FIELDS = [
     ("url", pa.string()),
     ("host", pa.string()),
     ("seq", pa.int64()),
     ("fetch_time", pa.int64()),
     ("depth", pa.int32()),
-    ("image_id", pa.string()),
-    ("bytes", pa.binary()),
-    ("w", pa.int32()),
-    ("h", pa.int32()),
-    ("fmt", pa.string()),
-    ("caption", pa.string()),
-    ("links", pa.list_(pa.string())),
-    ("fetch_ok", pa.bool_()),
-])
+]
+FETCH_SCHEMA = pa.schema(_FRONTIER_FIELDS + list(PAGE_SCHEMA))
 
 
 class FetchWorker:
@@ -46,34 +39,6 @@ class FetchWorker:
         self.web = SyntheticWeb(**(web_params or {}))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch["url"].to_pylist()
-        hosts = batch["host"].to_pylist()
-        seqs = batch["seq"].to_pylist()
-        fts = batch["fetch_time"].to_pylist()
-        depths = batch["depth"].to_pylist()
-        cols = {k: [] for k in ("image_id", "bytes", "w", "h", "fmt", "caption", "links")}
-        ok = np.ones(len(urls), dtype=bool)
-        for i, u in enumerate(urls):
-            try:
-                page = self.web.fetch(u)
-            except Exception:
-                ok[i] = False
-                page = {"image_id": "", "bytes": b"", "w": 0, "h": 0, "fmt": "",
-                        "caption": "", "links": []}
-            for key in cols:
-                cols[key].append(page[key])
-        return pa.table({
-            "url": pa.array(urls, pa.string()),
-            "host": pa.array(hosts, pa.string()),
-            "seq": pa.array(seqs, pa.int64()),
-            "fetch_time": pa.array(fts, pa.int64()),
-            "depth": pa.array(depths, pa.int32()),
-            "image_id": pa.array(cols["image_id"], pa.string()),
-            "bytes": pa.array(cols["bytes"], pa.binary()),
-            "w": pa.array(cols["w"], pa.int32()),
-            "h": pa.array(cols["h"], pa.int32()),
-            "fmt": pa.array(cols["fmt"], pa.string()),
-            "caption": pa.array(cols["caption"], pa.string()),
-            "links": pa.array(cols["links"], pa.list_(pa.string())),
-            "fetch_ok": pa.array(ok),
-        }, schema=FETCH_SCHEMA)
+        pages = self.web.fetch_batch(batch["url"])
+        cols = [batch[name].cast(typ) for name, typ in _FRONTIER_FIELDS]
+        return pa.Table.from_arrays(cols + pages.columns, schema=FETCH_SCHEMA)

@@ -195,3 +195,27 @@ def test_ycbcr_lut_decode_matches_float_reference_exhaustively():
                                 np.arange(256), indexing="ij"),
                     axis=-1).astype(np.uint8).reshape(4096, 4096, 3)
     assert np.array_equal(ycbcr_to_rgb(allc), _ycbcr_to_rgb_float(allc))
+
+
+def _rgb_to_ycbcr_float(rgb):
+    """The original interleaved float32 expression of the RGB -> YCbCr
+    encode step (oracle for the planar in-place kernel)."""
+    arr = rgb.astype(np.float32)
+    r, g, b = arr[..., 0], arr[..., 1], arr[..., 2]
+    out = np.empty_like(arr)
+    out[..., 0] = 0.299 * r + 0.587 * g + 0.114 * b
+    out[..., 1] = 128.0 - 0.168736 * r - 0.331264 * g + 0.5 * b
+    out[..., 2] = 128.0 + 0.5 * r - 0.418688 * g - 0.081312 * b
+    return np.clip(np.round(out), 0, 255).astype(np.uint8)
+
+
+def test_rgb_to_ycbcr_matches_float_reference_exhaustively():
+    """The planar in-place encode conversion must be bit-identical to the
+    float expression over EVERY (r, g, b) triple (in 8 slabs of 2**21 to
+    bound memory)."""
+    allc = np.stack(np.meshgrid(np.arange(256), np.arange(256),
+                                np.arange(256), indexing="ij"),
+                    axis=-1).astype(np.uint8).reshape(4096, 4096, 3)
+    for lo in range(0, 4096, 512):
+        slab = allc[lo:lo + 512]
+        assert np.array_equal(yuv422.rgb_to_ycbcr(slab), _rgb_to_ycbcr_float(slab))

@@ -10,12 +10,15 @@ name). Usage:
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
 import duckdb
 import numpy as np
 import pandas as pd
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
           "lineitem", "events", "documents", "embeddings"]
@@ -109,7 +112,7 @@ def main() -> int:
 
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, ROOT)
     import __ray_entry__ as entrymod
 
     qs, oracles = entrymod.queries(), entrymod.oracle_sql()
