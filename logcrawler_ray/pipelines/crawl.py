@@ -93,48 +93,45 @@ def url_priority(url: str, seed: int, mode: str = "hash") -> int:
 
 
 def _shard_group_count(n_shards: int) -> int:
-    """Shard actors to start: one per cluster CPU, at most one per shard.
+    """Shard groups to run: one per cluster CPU, at most one per shard.
     Shards never coordinate, so this is placement only — any count gives
-    the same crawl."""
+    the same crawl. At 1 the group is hosted in the driver (CrawlState)."""
     import ray
 
     return max(1, min(n_shards, int(ray.cluster_resources().get("CPU", 1))))
 
 
 class CrawlState:
-    """Control plane: one CrawlShard per host-hash shard + clock + log.
+    """Control plane: the CrawlShards (one per host-hash shard) + clock.
 
-    Two execution modes with IDENTICAL state evolution (see state/shard.py
-    for the equivalence argument):
-    - ``use_actors=False``: plain CrawlShard objects, serial calls — the
-      mode the reference executor shares;
-    - ``use_actors=True``: ``k = min(n_shards, cluster CPUs)`` ShardGroup
-      actors, shard ``i`` in group ``i % k``; wave enqueue/drain fan out
-      across groups in parallel. ``shards`` then holds the group handles.
+    Shards live in ``k`` ShardGroups, shard ``i`` in group ``i % k``;
+    ``shards`` holds the groups. Placement never changes the state
+    evolution (see state/shard.py for the equivalence argument):
+    - ``use_actors=False`` (the reference executor): ``k = 1``, one plain
+      group in this process, serial calls;
+    - ``use_actors=True`` (the engine): ``k = min(n_shards, cluster CPUs)``
+      (``_shard_group_count``). At ``k > 1`` the groups are actors and a
+      wave's enqueue/drain fan out across them in parallel. At ``k == 1``
+      there is nothing to run beside the driver, which blocks on every
+      shard call, so the one group stays in the driver as a plain object:
+      no actor spawn on start or resume, no copy of the shard state per
+      call. ``use_actors`` then reads False.
     """
 
     def __init__(self, cfg: CrawlConfig, use_actors: bool = False):
+        from ..state.shard import ShardGroup, make_shard_actor_cls
+
         self.cfg = cfg
-        self.use_actors = use_actors
         web = cfg.web()
         n = cfg.n_shards
-        if use_actors:
-            from ..state.shard import make_shard_actor_cls
-
-            Group = make_shard_actor_cls()
-            k = _shard_group_count(n)
-            self.shards = [
-                Group.remote(list(range(g, n, k)), n, cfg.seen_capacity,
-                             cfg.seed, web.robots_txt)
-                for g in range(k)
-            ]
-        else:
-            from ..state.shard import CrawlShard
-
-            self.shards = [
-                CrawlShard(i, n, cfg.seen_capacity, cfg.seed, web.robots_txt)
-                for i in range(n)
-            ]
+        k = _shard_group_count(n) if use_actors else 1
+        self.use_actors = k > 1
+        # the engine's in-driver group: see state()
+        self._actor_form = use_actors and not self.use_actors
+        new_group = make_shard_actor_cls().remote if self.use_actors else ShardGroup
+        self.shards = [new_group(list(range(g, n, k)), n, cfg.seen_capacity,
+                                 cfg.seed, web.robots_txt)
+                       for g in range(k)]
         self.now = 0
         self.wave = -1
 
@@ -142,8 +139,7 @@ class CrawlState:
         """``method`` on every shard with its own arguments; results in
         shard order."""
         if not self.use_actors:
-            return [getattr(s, method)(*a)
-                    for s, a in zip(self.shards, args_per_shard)]
+            return self.shards[0].each(method, args_per_shard)
         import ray
 
         k = len(self.shards)
@@ -181,15 +177,15 @@ class CrawlState:
     def enqueue_routed_blocks(self, block_refs: list) -> int:
         """Block-handle variant (the scale path): every shard group receives
         the SAME list of routed-link block refs, fetches them once and each
-        of its shards extracts + orders its own slice — the driver never
-        materializes a wave's links."""
+        of its shards extracts + orders its own slice. With actor groups
+        the driver never materializes a wave's links; an in-driver group
+        fetches them into the driver (bounded by ``wave_size``)."""
+        if not self.use_actors:
+            return self.shards[0].enqueue_routed_blocks(block_refs)
         import ray
 
-        if self.use_actors:
-            return sum(ray.get([g.enqueue_routed_blocks.remote(block_refs)
-                                for g in self.shards]))
-        tables = ray.get(block_refs)
-        return sum(s.enqueue_routed_blocks(tables) for s in self.shards)
+        return sum(ray.get([g.enqueue_routed_blocks.remote(block_refs)
+                            for g in self.shards]))
 
     # -- drain ------------------------------------------------------------
     def drain_wave(self) -> list[dict]:
@@ -220,11 +216,17 @@ class CrawlState:
         checkpoint bytes O(waves^2); the log now streams to a store
         partition per wave (CrawlEngine.run_wave step 3b), and the
         checkpoint carries only the wave watermark + shard states."""
-        return {
-            "now": self.now,
-            "wave": self.wave,
-            "shards": self._each("state"),
-        }
+        shards = self._each("state")
+        if self._actor_form:
+            # An actor group's states reach the driver through Ray's
+            # serializer: arrays come back read-only and strings unshared
+            # across shards, which changes their pickle bytes. Passing the
+            # in-driver states through the same serializer keeps the
+            # checkpoint byte-equal at any group count.
+            import ray
+
+            shards = ray.get([ray.put(s) for s in shards])
+        return {"now": self.now, "wave": self.wave, "shards": shards}
 
     @classmethod
     def from_state(cls, cfg: CrawlConfig, st: dict,
@@ -582,7 +584,7 @@ class CrawlEngine:
         totals["waves"] = waves
         totals["frontier_left"] = self.state.frontier_size()
         totals["seen"] = self.state.seen_size()
-        # processes hosting the shards (the group actors): placement, not
-        # state, so it stays out of the checkpoint
+        # shard groups (actors, or the one in-driver group): placement,
+        # not state, so it stays out of the checkpoint
         totals["shard_hosts"] = len(self.state.shards)
         return totals

@@ -4,12 +4,14 @@ that hash to it.
 
 This is the unit the north rule shards by host_hash: a host's URLs always
 meet the same shard, so shards never coordinate. The SAME class runs
+inside ``ShardGroup``s, which hold several shards in one process:
 
-- serially on the driver inside the reference executor (plain calls), and
-- inside ``ShardGroup`` actors in the engine (``make_shard_actor_cls``):
-  one actor hosts several shards in one process, so the actor count
-  follows the cluster's CPUs, not the shard count, and enqueue/drain of a
-  wave parallelizes across groups.
+- the reference executor holds all shards in one group on the driver;
+- the engine runs ``min(n_shards, cluster CPUs)`` groups. Several groups
+  are actors (``make_shard_actor_cls``), so the process count follows the
+  cluster's CPUs, not the shard count, and enqueue/drain of a wave
+  parallelize across groups. One group (a one-CPU cluster) stays in the
+  driver as a plain object (see ``CrawlState``).
 
 Equivalence argument (tested): the engine routes each wave's links to
 shards preserving per-shard relative order; seq spaces are interleaved per
@@ -121,11 +123,12 @@ class CrawlShard:
 
 
 class ShardGroup:
-    """Several CrawlShards in one process — the engine's shard actor.
+    """Several CrawlShards in one process: the engine's shard host, an
+    actor or (with one group) a plain object in the driver.
 
     Host-hash partitioning means shards never coordinate, so how shards
-    map to processes is a placement choice: the engine starts one group
-    per CPU (at most one per shard) instead of paying a process spawn per
+    map to processes is a placement choice: the engine runs one group per
+    CPU (at most one per shard) instead of paying a process spawn per
     shard on every start and resume."""
 
     def __init__(self, shard_ids: list[int], n_shards: int,
@@ -133,8 +136,13 @@ class ShardGroup:
         self.shards = [CrawlShard(i, n_shards, seen_capacity, seed,
                                   robots_fetcher) for i in shard_ids]
 
+    def each(self, method: str, args_per_shard: list[tuple]) -> list:
+        """``method`` on each of this group's shards, in group order."""
+        return [getattr(s, method)(*a)
+                for s, a in zip(self.shards, args_per_shard)]
+
     def call(self, method: str, args_per_shard: list[tuple]):
-        """``method`` on each of this group's shards, in group order.
+        """:meth:`each` as an actor method.
 
         The caller asks for one return object per shard, so each shard's
         result is serialized on its own, exactly as with one actor per
@@ -142,8 +150,7 @@ class ShardGroup:
         as one object they would stay shared on the driver, and the
         checkpoint's pickle memo — so its bytes — would depend on the
         grouping."""
-        out = [getattr(s, method)(*a)
-               for s, a in zip(self.shards, args_per_shard)]
+        out = self.each(method, args_per_shard)
         return out if len(out) > 1 else out[0]
 
     def enqueue_routed_blocks(self, block_refs: list) -> int:

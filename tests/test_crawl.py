@@ -152,13 +152,14 @@ def test_kill_and_resume_equivalence(ray_session, serial_run, tmp_path):
     assert got == {(r["image_id"], r["phash"]) for r in sc.rows}
 
 
-@pytest.mark.parametrize("k_start,k_resume", [(1, 1), (3, 3), (4, 1)])
+@pytest.mark.parametrize("k_start,k_resume", [(1, 1), (3, 3), (4, 1), (1, 4)])
 def test_shard_groups_equivalence(ray_session, serial_run, engine_run,
                                   tmp_path, monkeypatch, k_start, k_resume):
     """Shards grouped into fewer actors than shards (3 does not divide 4),
-    and a checkpoint written by 4 groups resumed by 1: fetch order and
-    seen tables equal the serial run's, and the checkpoint keeps one entry
-    per shard, byte-equal to the one-actor-per-shard engine's."""
+    a checkpoint written by 4 groups resumed by the one in-driver group,
+    and the reverse: fetch order and seen tables equal the serial run's,
+    and the checkpoint keeps one entry per shard, byte-equal to the
+    one-actor-per-shard engine's. One group starts no actor."""
     import pickle
 
     from logcrawler_ray.pipelines import crawl as crawl_mod
@@ -171,11 +172,13 @@ def test_shard_groups_equivalence(ray_session, serial_run, engine_run,
     eng1 = CrawlEngine(cfg, str(tmp_path / "store"), str(tmp_path / "ckpt"))
     assert eng1.run(seeds=seeds, max_waves=2)["shard_hosts"] == k_start
     assert len(eng1.state.shards) == k_start
+    assert eng1.state.use_actors == (k_start > 1)
     del eng1
 
     monkeypatch.setattr(crawl_mod, "_shard_group_count", lambda n: k_resume)
     eng2 = CrawlEngine(cfg, str(tmp_path / "store"), str(tmp_path / "ckpt"))
     assert eng2.run(seeds=None)["shard_hosts"] == k_resume
+    assert eng2.state.use_actors == (k_resume > 1)
     assert eng2.fetch_log() == sc.fetch_order()
     got, want = eng2.state.seen_tables(), sc.seen_tables()
     assert len(got) == len(want) == cfg.n_shards
@@ -184,17 +187,31 @@ def test_shard_groups_equivalence(ray_session, serial_run, engine_run,
     st = eng2.state.state()
     assert len(st["shards"]) == cfg.n_shards
     assert pickle.dumps(st) == pickle.dumps(ref.state.state())
+    # the checkpoint's protocol: only protocol 5 pickles a writable and a
+    # read-only array differently
+    assert (pickle.dumps(st, protocol=pickle.HIGHEST_PROTOCOL)
+            == pickle.dumps(ref.state.state(), protocol=pickle.HIGHEST_PROTOCOL))
 
 
-def test_resume_mid_wave_crash(ray_session, serial_run, tmp_path):
+@pytest.mark.parametrize("one_group", [False, True],
+                         ids=["cpu_groups", "in_driver"])
+def test_resume_mid_wave_crash(ray_session, serial_run, tmp_path, monkeypatch,
+                               one_group):
     """Crash AFTER a store commit but BEFORE its checkpoint: resume re-runs
-    that wave idempotently and converges to the same final state."""
+    that wave idempotently and converges to the same final state — with
+    actor shard groups and with the one in-driver group a 1-CPU cluster
+    gets."""
+    from logcrawler_ray.pipelines import crawl as crawl_mod
+
+    if one_group:
+        monkeypatch.setattr(crawl_mod, "_shard_group_count", lambda n: 1)
     sc, seeds, _ = serial_run
     cfg = CrawlConfig(**CFG)
     root = tmp_path
 
     eng1 = CrawlEngine(cfg, str(root / "store"), str(root / "ckpt"))
     eng1.start(seeds)
+    assert eng1.state.use_actors is not one_group
     eng1.run_wave()
     eng1.run_wave()
     # simulate crash between store commit and checkpoint: delete the latest
