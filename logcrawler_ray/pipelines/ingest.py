@@ -14,6 +14,12 @@ pipeline:
 
 No stage materializes the full dataset; the only all-to-all is the skinny
 (phash, image_id) dedup pass (see stages/dedup.py).
+
+With a store (:func:`ingest`, :func:`ingest_sharded`) the read, decode,
+bucket, sink and loser partials run as ONE fused Ray Data operator
+(:func:`_fused_sink`). ``batch_size`` is then the rows per decode call and
+per fragment, sliced from source blocks inside the stage; Ray no longer
+coalesces small source blocks, so a smaller block is a batch of its own.
 """
 
 from __future__ import annotations
@@ -79,9 +85,13 @@ class IngestStage:
     pattern for ingest): each task writes its committed rows straight into
     the raw partition's pre-created tmp dir and returns ONLY skinny dedup
     input — so one execution yields both the stored payloads and the loser
-    pass, with no separate write operator and no skinny re-read. Output
+    pass, with no separate write operator and no skinny re-read.
+
+    The stage takes whole source blocks and slices each into batches of at
+    most ``batch_size`` rows (``None``: the block is one batch). Each batch
+    is one decode call, one fragment file and one dedup table; fragment
     files are named by the batch's min image_id, so a retried task
-    overwrites its own file.
+    overwrites its own files.
 
     ``emit="partials"`` (the default consumer shape): the return stream is
     the batch's LOSER PARTIALS (stages/dedup.py::loser_partials) — per-key
@@ -91,15 +101,24 @@ class IngestStage:
 
     def __init__(self, tmp_dir: str, keep_bytes: bool = True,
                  n_buckets: int = DEFAULT_BUCKETS, compression: str = "none",
-                 emit: str = "skinny", storage_options: dict | None = None):
+                 emit: str = "skinny", storage_options: dict | None = None,
+                 batch_size: int | None = None):
         self.decode = DecodeStats(keep_bytes=keep_bytes)
         self.tmp_dir = tmp_dir
         self.n_buckets = n_buckets
         self.compression = compression
         self.emit = emit
         self.storage_options = storage_options
+        self.batch_size = batch_size
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, block: pa.Table) -> pa.Table:
+        step = self.batch_size or max(block.num_rows, 1)
+        # an empty block still runs once, so it returns the typed empty output
+        outs = [self._batch(block.slice(s, step))
+                for s in range(0, max(block.num_rows, 1), step)]
+        return outs[0] if len(outs) == 1 else pa.concat_tables(outs)
+
+    def _batch(self, batch: pa.Table) -> pa.Table:
         import hashlib
         import os
 
@@ -131,6 +150,41 @@ class IngestStage:
         return ok.select(["phash", "image_id"])
 
 
+def _fused_sink(source_ds, store: ObjectStore, pid: str, concurrency,
+                meta: dict, **stage_kw):
+    """Run the source read and :class:`IngestStage` as ONE fused Ray Data
+    operator that sinks into partition ``pid``, commit it, and return the
+    materialized stage output.
+
+    Ray 2.49 fuses a read with the next map only if (a) the map sets no
+    ``batch_size`` (a read may change row counts, and a map that asks for
+    a minimum rows per input is then kept apart) and (b) the read splits
+    no block (``SplitBlocks(k)``). So the stage slices blocks itself, and
+    the read is planned with ``DataContext.read_op_min_num_blocks`` at 1
+    for this one execution: Ray's floor of 2x cluster CPUs and its
+    max-block-size bound then size the read, with no split as long as the
+    source has that many files (with fewer, Ray still splits blocks and
+    the read and the stage run as two operators). Unfused, every source
+    block, payloads included, crossed the object store between a read
+    task and a map task."""
+    from ray.data import DataContext
+
+    store._assert_sink_visible()  # fused-sink tasks write from workers
+    tmp_dir = store.external_tmp(pid)
+    kwargs = dict(tmp_dir=tmp_dir, storage_options=store.storage_options,
+                  compression=store.compression, **stage_kw)
+    ctx = DataContext.get_current()
+    floor = ctx.read_op_min_num_blocks
+    ctx.read_op_min_num_blocks = 1
+    try:
+        out = _map_stage(source_ds, IngestStage, kwargs, concurrency,
+                         None).materialize()  # drives the sinks
+    finally:
+        ctx.read_op_min_num_blocks = floor
+    store.commit_external(pid, tmp_dir, meta=meta)
+    return out
+
+
 def ingest_sharded(source_files: list[str], store: ObjectStore, *,
                    pid: str = "ingest", files_per_shard: int = 8,
                    concurrency: int | tuple[int, int] | None = None,
@@ -149,7 +203,6 @@ def ingest_sharded(source_files: list[str], store: ObjectStore, *,
 
     Returns the final (deduplicated view) partition id.
     """
-    import ray
     import ray.data as rd
 
     shard_ids = []
@@ -160,18 +213,12 @@ def ingest_sharded(source_files: list[str], store: ObjectStore, *,
         shard_ids.append(spid)
         if store.is_done(spid):
             continue
-        # fused decode+sink per shard (IngestStage); the returned skinny
-        # stream is discarded here — the cross-shard dedup pass below
-        # re-reads it column-pruned so resume never re-decodes
-        store._assert_sink_visible()  # fused-sink tasks write from workers
-        tmp_dir = store.external_tmp(spid)
-        kwargs = dict(tmp_dir=tmp_dir, n_buckets=n_buckets,
-                      storage_options=store.storage_options,
-                      compression=store.compression)
-        _map_stage(rd.read_parquet(group), IngestStage, kwargs, concurrency,
-                   batch_size).materialize()  # drives the sinks
-        store.commit_external(spid, tmp_dir,
-                              meta={"pipeline": "ingest", "files": group})
+        # fused read+decode+sink per shard; the returned skinny stream is
+        # discarded here — the cross-shard dedup pass below re-reads it
+        # column-pruned so resume never re-decodes
+        _fused_sink(rd.read_parquet(group), store, spid, concurrency,
+                    {"pipeline": "ingest", "files": group},
+                    n_buckets=n_buckets, batch_size=batch_size)
 
     if store.is_done(pid):
         return pid
@@ -266,13 +313,18 @@ def ingest(source_ds, store: ObjectStore | None = None, pid: str = "ingest", *,
            keep_bytes: bool = True):
     """Run the flagship pipeline; returns the final Dataset.
 
-    With a store, the pipeline is TWO streaming passes, neither of which
-    re-decodes or materializes the corpus:
+    With a store, the pipeline is ONE fused execution plus a metadata
+    commit; nothing re-decodes or materializes the corpus:
 
-      1. decode -> append raw partition ``{pid}-raw`` (atomic);
-      2. losers from a column-pruned (phash, image_id) re-read of that raw
-         partition (16 bytes/row leaves storage, not the payloads) ->
-         broadcast anti-filter -> final partition ``pid``.
+      1. source read + :class:`IngestStage` as one Ray Data operator
+         (:func:`_fused_sink`): decode, sink to raw partition
+         ``{pid}-raw`` (atomic) and per-batch loser partials, each batch
+         at most ``batch_size`` rows sliced from a source block;
+      2. the driver merges the partials into the loser set (past
+         ``broadcast.DEFAULT_MAX_BROADCAST_ROWS`` partials: losers from a
+         column-pruned (phash, image_id) re-read of the raw partition,
+         16 bytes/row leaves storage, not the payloads) and commits the
+         delete-vector view ``pid``.
 
     Both partitions are is_done-guarded, so a rerun (or a crash between the
     passes) resumes exactly — the reference's count-ledger idempotency
@@ -298,20 +350,14 @@ def ingest(source_ds, store: ObjectStore | None = None, pid: str = "ingest", *,
     raw_pid = f"{pid}-raw" if dedup else pid
     losers: frozenset | None = None
     if not store.is_done(raw_pid):
-        # ONE fused execution: decode+stats+bucket+sink per task, the LOSER
-        # PARTIALS as the return stream — no separate write operator, no
-        # skinny re-read, and no second execution for the loser pass
-        store._assert_sink_visible()  # fused-sink tasks write from workers
-        tmp_dir = store.external_tmp(raw_pid)
-        kwargs = dict(tmp_dir=tmp_dir, keep_bytes=keep_bytes,
-                      storage_options=store.storage_options,
-                      n_buckets=n_buckets, compression=store.compression,
-                      emit="partials" if dedup else "skinny")
-        partials = _map_stage(source_ds, IngestStage, kwargs, concurrency,
-                              batch_size).materialize()  # drives the sinks
-        store.commit_external(raw_pid, tmp_dir,
-                              meta={"pipeline": "ingest",
-                                    "stage": "raw" if dedup else "final"})
+        # ONE fused execution: read+decode+stats+bucket+sink per task, the
+        # LOSER PARTIALS as the return stream — no separate write operator,
+        # no skinny re-read, and no second execution for the loser pass
+        partials = _fused_sink(
+            source_ds, store, raw_pid, concurrency,
+            {"pipeline": "ingest", "stage": "raw" if dedup else "final"},
+            keep_bytes=keep_bytes, n_buckets=n_buckets, batch_size=batch_size,
+            emit="partials" if dedup else "skinny")
         if not dedup:
             return store.read_dataset(pid)
         if partials.count() <= broadcast.DEFAULT_MAX_BROADCAST_ROWS:

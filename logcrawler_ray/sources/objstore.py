@@ -92,6 +92,48 @@ def _merge_one_fragment(fs_or_url, frag_key: str, dst_key: str, key: str,
     return dst_key, kept.num_rows
 
 
+def _read_keys(pafs, keys: list[str], columns: list[str] | None):
+    """One Arrow table per data file, read straight from its key."""
+    for k in keys:
+        with pafs.open_input_file(k) as f:
+            yield pq.read_table(f, columns=columns)
+
+
+def _manifest_dataset(keys: list[str], columns: list[str] | None, pafs):
+    """Dataset over exactly ``keys`` (a partition's manifest file list).
+
+    One read task per contiguous file group, each running
+    :func:`_read_keys` with ``columns`` pushed down. Unlike
+    ``rd.read_parquet`` it resolves no paths, prefetches no footers and
+    runs no sampling tasks when the Dataset is built — the manifest
+    already names every file. The task count is Ray's own read floor, two
+    per cluster CPU, capped at one per file; it is passed as the read's
+    block count, so Ray never splits the read's blocks (a split would also
+    keep the read from fusing with the next map)."""
+    import ray
+    import ray.data as rd
+    from ray.data.block import BlockMetadata
+    from ray.data.datasource import Datasource, ReadTask
+
+    class ManifestDatasource(Datasource):  # runs as "ReadManifest"
+        def estimate_inmemory_data_size(self) -> None:
+            return None
+
+        def get_read_tasks(self, parallelism: int) -> list:
+            n = max(1, min(parallelism, len(keys)))
+            cuts = [len(keys) * i // n for i in range(n + 1)]
+            return [ReadTask(lambda g=keys[a:b]: _read_keys(pafs, g, columns),
+                             BlockMetadata(num_rows=None, size_bytes=None,
+                                           input_files=keys[a:b],
+                                           exec_stats=None))
+                    for a, b in zip(cuts, cuts[1:])]
+
+    # no Ray session yet: Ray Data starts a local one on the first read
+    cpus = ray.cluster_resources().get("CPU", 1) if ray.is_initialized() else 1
+    n_tasks = min(len(keys), 2 * max(1, int(cpus)))
+    return rd.read_datasource(ManifestDatasource(), override_num_blocks=n_tasks)
+
+
 def open_store(root: str, compression: str = "none", **kw) -> ObjectStore:
     """The one store constructor used by the pipelines, the CLI and the
     benchmarks: any plain path or fsspec URL -> :class:`ObjectStore`."""
@@ -726,12 +768,7 @@ class ObjectStore:
         import pyarrow.compute as pc
 
         v = self._view_of(pid)
-        pafs = self._pafs()
-        tabs = []
-        for k in v["delete_files"]:
-            with pafs.open_input_file(k) as f:
-                tabs.append(pq.read_table(f))
-        tab = pa.concat_tables(tabs)
+        tab = pa.concat_tables(_read_keys(self._pafs(), v["delete_files"], None))
         return v["key_col"], pc.unique(tab[v["key_col"]].combine_chunks())
 
     @staticmethod
@@ -800,7 +837,7 @@ class ObjectStore:
         files = self.files(pid)
         if not files:
             return rd.from_arrow(pa.table({}))
-        return rd.read_parquet(files, columns=columns, filesystem=self._pafs())
+        return _manifest_dataset(files, columns, self._pafs())
 
     def read_table(self, pid: str | None = None, columns: list[str] | None = None) -> pa.Table:
         if pid is None:
@@ -823,12 +860,7 @@ class ObjectStore:
         files = self.files(pid)
         if not files:
             return pa.table({})
-        pafs = self._pafs()
-        tabs = []
-        for k in files:
-            with pafs.open_input_file(k) as f:
-                tabs.append(pq.read_table(f, columns=columns))
-        return pa.concat_tables(tabs)
+        return pa.concat_tables(_read_keys(self._pafs(), files, columns))
 
     # -- upsert (the reference's bulk_update, S10) ------------------------------
     def merge_insert(self, pid: str, updates: pa.Table, key: str, *,

@@ -94,17 +94,96 @@ def test_ingest_dedup_and_store(ray_session, source_ds, corpus_tab, tmp_path):
     import os
 
     import pyarrow as pa
+    import pyarrow.parquet as pq
 
     from logcrawler_ray.pipelines.ingest import IngestStage
 
+    def with_ids(tab, ids):
+        return tab.set_column(tab.schema.get_field_index("image_id"),
+                              "image_id", pa.array(ids))
+
+    def frag_name(ids):
+        tag = hashlib.blake2b(min(ids).encode(), digest_size=16).hexdigest()
+        return f"part-{tag}.parquet"
+
     ids = ["\U0001F600", "é", "b", "aé"]
-    batch = corpus_tab.slice(0, len(ids)).set_column(
-        corpus_tab.schema.get_field_index("image_id"), "image_id", pa.array(ids))
-    frag_dir = tmp_path / "frag"
-    frag_dir.mkdir()
-    IngestStage(str(frag_dir))(batch)
-    tag = hashlib.blake2b(min(ids).encode(), digest_size=16).hexdigest()
-    assert os.listdir(frag_dir) == [f"part-{tag}.parquet"]
+    # a whole 300-row block at batch_size=128 is sliced into 3 batches,
+    # each its own fragment named by that batch's min id
+    big_ids = [f"r{i:03d}" for i in range(300)]
+    big = with_ids(pa.concat_tables([corpus_tab] * 4).slice(0, 300), big_ids)
+    cases = [(with_ids(corpus_tab.slice(0, len(ids)), ids), None,
+              {frag_name(ids): 4}),
+             (big, 128, {frag_name(big_ids[s:s + 128]): min(128, 300 - s)
+                         for s in range(0, 300, 128)})]
+    for i, (batch, batch_size, want) in enumerate(cases):
+        frag_dir = tmp_path / f"frag-{i}"
+        frag_dir.mkdir()
+        out = IngestStage(str(frag_dir), batch_size=batch_size)(batch)
+        assert out.num_rows == batch.num_rows
+        assert {f: pq.read_metadata(frag_dir / f).num_rows
+                for f in os.listdir(frag_dir)} == want
+
+
+@pytest.fixture(scope="module")
+def corpus_files(ray_session, tmp_path_factory):
+    """A 300-row corpus in 10 parquet files of 30 rows: at least two files
+    per CPU of the 4-CPU test session, so Ray reads it without splitting
+    blocks, and row groups that align with neither batch size below."""
+    import glob
+
+    d = tmp_path_factory.mktemp("fused-src")
+    corpus.write_corpus_parquet(str(d), 300, seed=5, num_files=10)
+    return sorted(glob.glob(str(d / "*.parquet")))
+
+
+def test_ingest_fused_read_is_batch_size_invariant(corpus_files, tmp_path,
+                                                   monkeypatch):
+    """ingest() runs the source read and IngestStage as ONE fused operator;
+    batch_size only bounds each decode call and fragment, so the committed
+    rows, phash set and loser set do not depend on it."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+    from ray.data import DataContext
+
+    executed = []
+    materialize = rd.Dataset.materialize
+
+    def recording(self):
+        out = materialize(self)
+        executed.append(out)
+        return out
+
+    monkeypatch.setattr(rd.Dataset, "materialize", recording)
+    ctx = DataContext.get_current()
+    monkeypatch.setattr(ctx, "read_op_min_num_blocks", 37)
+    got = {}
+    for bs in (7, 128):
+        store = open_store(str(tmp_path / f"store-{bs}"))
+        ingest(rd.read_parquet(corpus_files), store, pid="f", batch_size=bs)
+        assert ctx.read_op_min_num_blocks == 37  # the caller's value is back
+        stats = [d.stats() for d in executed]
+        executed.clear()
+        fused = [line for st in stats for line in st.splitlines()
+                 if "MapBatches(IngestStage)" in line]
+        assert len(fused) == 1 and fused[0].startswith(
+            "Operator 1 ReadParquet->MapBatches(IngestStage):"), stats
+        for f in store.files("f-raw"):
+            assert pq.read_metadata(f).num_rows <= bs
+        final = store.read_table("f").sort_by("image_id")
+        raw_ids = set(store.read_table("f-raw", columns=["image_id"])
+                      ["image_id"].to_pylist())
+        got[bs] = (final, set(final["phash"].to_pylist()),
+                   raw_ids - set(final["image_id"].to_pylist()))
+    assert got[7][0].equals(got[128][0])
+    assert got[7][1] == got[128][1]
+    assert got[7][2] == got[128][2] and got[7][2]  # the corpus has dups
+    assert got[128][0].num_rows == len(got[128][1])
+
+    # a failing pass restores the caller's read floor too
+    bad = rd.read_parquet(corpus_files, columns=["image_id", "w", "h", "fmt"])
+    with pytest.raises(Exception):
+        ingest(bad, open_store(str(tmp_path / "store-bad")), pid="f")
+    assert ctx.read_op_min_num_blocks == 37
 
 
 def test_ingest_resume_skips_done(ray_session, source_ds, tmp_path):

@@ -285,6 +285,37 @@ def test_whole_store_snapshot_shadows_view_bases(ray_session, tmp_path):
         assert st.rows("base") == 3 and st.rows("dedup") == 2
 
 
+def test_read_dataset_reads_exactly_the_manifest_files(ray_session, tmp_path):
+    """Partition reads resolve files through the manifest only: an orphan
+    .parquet in a committed partition's data directory is never returned,
+    and read_dataset agrees with read_table on plain partitions, views and
+    pruned columns, and its count with rows()."""
+    for st in _both(tmp_path):
+        stage = st.external_tmp("base")
+        for i in range(5):  # several files, so the read has file groups
+            write_fragment(pa.table({"image_id": [f"{i}-{j}" for j in range(3)],
+                                     "v": [i] * 3}),
+                           posixpath.join(stage, f"part-{i}.parquet"))
+        st.commit_external("base", stage)
+        st.commit_delete_view("dedup", "base", ["0-1", "3-2"], key_col="image_id")
+        data_dir = posixpath.dirname(st.manifest("base")["files"][0])
+        write_fragment(pa.table({"image_id": ["orphan"], "v": [99]}),
+                       st._url(posixpath.join(data_dir, "orphan.parquet")))
+        assert "orphan" not in st.read_table()["image_id"].to_pylist()
+        if not st._local:  # Ray workers do not see a memory:// store
+            continue
+        assert "orphan" not in st.read_dataset().to_pandas()["image_id"].tolist()
+        for pid in ("base", "dedup"):
+            assert st.read_dataset(pid).count() == st.rows(pid)
+            for cols in (None, ["image_id"], ["v"]):
+                want = st.read_table(pid, columns=cols).to_pandas()
+                got = st.read_dataset(pid, columns=cols).to_pandas()
+                assert list(got.columns) == list(want.columns)
+                by = list(want.columns)
+                assert got.sort_values(by).reset_index(drop=True).equals(
+                    want.sort_values(by).reset_index(drop=True)), (pid, cols)
+
+
 def test_snapshot_survives_view_materialization(tmp_path):
     """merge_insert on a view pid materializes it into a plain partition;
     the manifest's `supersedes` list must keep the old base SHADOWED, or
