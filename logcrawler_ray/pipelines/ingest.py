@@ -477,7 +477,8 @@ def neardup_pass(store: ObjectStore, base_pid: str, pid: str | None = None, *,
     # distributed tier: losers never transit the driver. Each id-hash
     # bucket writes its OWN file (ids co-locate by hash, so per-file
     # unique implies globally disjoint files) — no single-writer funnel.
-    from ..stages.dedup import _bucket_of, write_loser_files
+    from ..functions.cogroup import _bucket_of
+    from ..stages.dedup import write_loser_files
 
     losers_ds = cluster_losers_ds(pairs_ds,
                                   skinny.select_columns(["__id64", "image_id"]),
@@ -490,8 +491,9 @@ def neardup_pass(store: ObjectStore, base_pid: str, pid: str | None = None, *,
                                                  num_loser_files))
 
     wrote = write_loser_files(
-        losers_ds.map_batches(rebucket, batch_format="pyarrow"), "__g",
-        "image_id", loser_dir, store.storage_options)
+        (losers_ds.map_batches(rebucket, batch_format="pyarrow"),
+         pa.schema([("image_id", pa.string()), ("__g", pa.int32())])),
+        "__g", "image_id", loser_dir, store.storage_options)
     try:
         store.commit_delete_view_files(
             pid, base_pid, [r["path"] for r in wrote], key_col="image_id",

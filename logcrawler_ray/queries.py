@@ -21,6 +21,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .functions.cogroup import _runs, arrow_schema, cogroup, per_key
+
 QUERIES: dict = {}
 ORACLE_SQL: dict = {}
 
@@ -208,12 +210,12 @@ def q05_nation_region(sf_dir: str):
 )
 def q06_revenue_by_nation(sf_dir: str):
     """Star join, scale-correct shape: BOTH fact-sized joins run as
-    hash-partitioned ``Dataset.join``s — lineitem⋈orders, then a per-batch
-    custkey combiner (one row per distinct custkey per block) joined
-    distributed against customer (round-3 What's-wrong #4: customer is
-    fact-sized at TPC-H scale, it must never become a driver dict). The
-    ONLY table that leaves the cluster is nation — 25 rows — shipped via
-    ray.put and probed vectorized."""
+    co-group hash joins (functions/cogroup.py) — lineitem⋈orders with the
+    custkey combine fused into each bucket (one row per distinct custkey
+    per bucket), then ⋈customer distributed (round-3 What's-wrong #4:
+    customer is fact-sized at TPC-H scale, it must never become a driver
+    dict). The ONLY table that leaves the cluster is nation — 25 rows —
+    shipped via ray.put and probed vectorized inside the second join."""
     import ray
     from ray.data.aggregate import Sum
 
@@ -228,36 +230,40 @@ def q06_revenue_by_nation(sf_dir: str):
         return pa.table({"l_orderkey": t["l_orderkey"],
                          "rev_e4": price_e2 * (100 - disc_e2)})
 
+    def by_cust(li: pa.Table, orders: pa.Table) -> pa.Table:
+        return (li.join(orders, "l_orderkey", use_threads=False)
+                .group_by("o_custkey", use_threads=False)
+                .aggregate([("rev_e4", "sum")])
+                .rename_columns(["o_custkey", "rev_e4"]))
+
+    def by_nation(rev: pa.Table, cust: pa.Table) -> pa.Table:
+        t = rev.join(cust, "o_custkey", use_threads=False)
+        keys, vals = ray.get(ref)
+        return (pa.table({"n_name": probe_values(t["c_nationkey"], keys, vals),
+                          "rev_e4": t["rev_e4"]})
+                .group_by("n_name", use_threads=False)
+                .aggregate([("rev_e4", "sum")])
+                .rename_columns(["n_name", "rev_e4"]))
+
+    i64 = pa.int64()
     li = _read(sf_dir, "lineitem",
                columns=["l_orderkey", "l_extendedprice", "l_discount"]
                ).map_batches(cents, batch_format="pyarrow")
-    orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
-    joined = li.join(orders, join_type="inner", num_partitions=16,
-                     on=("l_orderkey",), right_on=("o_orderkey",))
-
-    def by_cust(t: pa.Table) -> pa.Table:
-        # combiner: the custkey join then moves one row per distinct
-        # custkey per block, not one per lineitem
-        df = pd.DataFrame({"o_custkey": t["o_custkey"].to_numpy(),
-                           "rev_e4": t["rev_e4"].to_numpy()})
-        g = df.groupby("o_custkey", as_index=False)["rev_e4"].sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
-    cust_rev = (joined.map_batches(by_cust, batch_format="pyarrow")
-                .join(cust, join_type="inner", num_partitions=16,
-                      on=("o_custkey",), right_on=("c_custkey",)))
-
-    def partial(t: pa.Table) -> pa.Table:
-        keys, vals = ray.get(ref)
-        df = pd.DataFrame(
-            {"n_name": probe_values(t["c_nationkey"], keys, vals).to_pandas(),
-             "rev_e4": t["rev_e4"].to_numpy()})
-        g = df.groupby("n_name", as_index=False)["rev_e4"].sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
+    orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"]
+                   ).rename_columns({"o_orderkey": "l_orderkey"})
+    rev = pa.schema([("o_custkey", i64), ("rev_e4", i64)])
+    cust_rev = cogroup(
+        [(li, pa.schema([("l_orderkey", i64), ("rev_e4", i64)])),
+         (orders, pa.schema([("l_orderkey", i64), ("o_custkey", i64)]))],
+        "l_orderkey", by_cust, schema=rev)
+    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"]
+                 ).rename_columns({"c_custkey": "o_custkey"})
     out = (
-        cust_rev.map_batches(partial, batch_format="pyarrow")
+        cogroup([(cust_rev, rev),
+                 (cust, pa.schema([("o_custkey", i64),
+                                   ("c_nationkey", pa.int32())]))],
+                "o_custkey", by_nation,
+                schema=pa.schema([("n_name", pa.string()), ("rev_e4", i64)]))
         .groupby("n_name")
         .aggregate(Sum("rev_e4", alias_name="rev_e4"))
         .to_pandas()
@@ -329,9 +335,9 @@ def q11_events_daily(sf_dir: str):
 )
 def q12_asof_click_purchase(sf_dir: str):
     """As-of join (J4): for each click, the latest purchase by the same user
-    at or before it. Ray side: tag+union+groupby(user)+sorted merge_asof
-    (stages/asof.py); oracle: DuckDB ASOF JOIN. Matched time is returned as
-    epoch microseconds so NULLs and types hash identically."""
+    at or before it. Ray side: one co-group on user + a vectorized sorted
+    sweep per bucket (stages/asof.py); oracle: DuckDB ASOF JOIN. Matched
+    time is returned as epoch microseconds so NULLs and types hash identically."""
     from .stages.asof import asof_join
 
     clicks = _read(sf_dir, "events", columns=["event_id", "user_id", "event_type", "ts"],
@@ -364,32 +370,34 @@ def q12_asof_click_purchase(sf_dir: str):
 )
 def q20_sessionize(sf_dir: str):
     """Session windowing (30-min gap) — the §2.8 ordered-stream pattern.
-    Coarse-bucket groupby (64 groups; per-USER map_groups is ~1-2 ms per
-    group) with the session starts computed vectorized inside; the oracle
-    is a SQL window."""
+    Coarse-bucket co-group on user (per-USER groups cost ~1-2 ms each)
+    with the session starts computed vectorized inside; the oracle is a
+    SQL window."""
 
-    def bucketize(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__g", pc.cast(pc.bit_wise_and(t["user_id"], 63), pa.int32()))
-
-    def per_bucket(df: pd.DataFrame) -> pa.Table:
-        df = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        us = df["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        uid = df["user_id"].to_numpy()
-        start = np.empty(len(df), dtype=bool)
-        start[0] = True
+    def per_bucket(t: pa.Table) -> pa.Table:
+        t = _user_sorted(t)
+        us = pc.cast(t["ts"], pa.int64()).to_numpy()
+        uid = t["user_id"].to_numpy()
+        _, starts, _ = _runs(uid)  # already sorted: runs are users
+        start = np.ones(len(uid), dtype=bool)
         start[1:] = (uid[1:] != uid[:-1]) | ((us[1:] - us[:-1]) > 30 * 60_000_000)
-        g = (pd.DataFrame({"user_id": uid, "s": start})
-             .groupby("user_id", as_index=False)["s"].sum())
-        return pa.table({"user_id": pa.array(g["user_id"].to_numpy(), pa.int64()),
-                         "n_sessions": pa.array(g["s"].to_numpy().astype(np.int64))})
+        return pa.table({"user_id": uid[starts],
+                         "n_sessions": np.add.reduceat(start.astype(np.int64), starts)})
 
-    return (
-        _read(sf_dir, "events", columns=["user_id", "ts", "event_id"])
-        .map_batches(bucketize, batch_format="pyarrow")
-        .groupby("__g")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return _by_user(sf_dir, ["user_id", "ts", "event_id"], per_bucket,
+                    pa.schema([("user_id", pa.int64()), ("n_sessions", pa.int64())]))
+
+
+def _user_sorted(t: pa.Table) -> pa.Table:
+    return t.sort_by([("user_id", "ascending"), ("ts", "ascending"),
+                      ("event_id", "ascending")])
+
+
+def _by_user(sf_dir: str, columns: list[str], fn, schema: pa.Schema):
+    """The events columns co-grouped on user_id in coarse buckets (the
+    per-user window queries: q20, q31, q61)."""
+    ev = _read(sf_dir, "events", columns=columns)
+    return cogroup([(ev, arrow_schema(ev))], "user_id", fn, schema=schema)
 
 
 # =====================================================================
@@ -1268,37 +1276,22 @@ def q29_behavior_stream(sf_dir: str):
 def q31_interarrival(sf_dir: str):
     """Inter-arrival histogram — the reference's frame-time-delta Counter
     per log (A6, tests/frame_time_diffrences.py:8-24): per-user sorted lag
-    diffs, bucketed to minutes, counted globally. Per-group diff inside an
-    ordered map_groups; partial counts merged by a tiny final groupby."""
-    from ray.data.aggregate import Sum
+    diffs, bucketed to minutes, counted globally. Per-user diffs inside
+    each co-group bucket; the partial counts (one row per distinct minute
+    delta per bucket) merge on the driver."""
 
-    def bucketize(t: pa.Table) -> pa.Table:
-        # coarse group key: per-USER map_groups costs ~1-2 ms per group;
-        # 64 buckets keep the shuffle and vectorize the per-user diffs
-        return t.append_column(
-            "__g", pc.cast(pc.bit_wise_and(t["user_id"], 63), pa.int32()))
-
-    def per_bucket(df: pd.DataFrame) -> pa.Table:
-        # NOTE output is an Arrow table: Ray's pandas block builder is
-        # ~20-40x slower for multi-row map_groups outputs (measured)
-        df = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        us = df["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        uid = df["user_id"].to_numpy()
-        deltas = np.diff(us)
+    def per_bucket(t: pa.Table) -> pa.Table:
+        t = _user_sorted(t)
+        us = pc.cast(t["ts"], pa.int64()).to_numpy()
+        uid = t["user_id"].to_numpy()
         same = uid[1:] == uid[:-1]
-        mins = np.floor(deltas[same] / 60_000_000.0).astype(np.int64)
+        mins = np.floor(np.diff(us)[same] / 60_000_000.0).astype(np.int64)
         uniq, counts = np.unique(mins, return_counts=True)
-        return pa.table({"delta_min": pa.array(uniq, pa.int64()),
-                         "n": pa.array(counts.astype(np.int64), pa.int64())})
+        return pa.table({"delta_min": uniq, "n": counts.astype(np.int64)})
 
-    return (
-        _read(sf_dir, "events", columns=["user_id", "ts", "event_id"])
-        .map_batches(bucketize, batch_format="pyarrow")
-        .groupby("__g")
-        .map_groups(per_bucket, batch_format="pandas")
-        .groupby("delta_min")
-        .aggregate(Sum("n", alias_name="n"))
-    )
+    parts = _by_user(sf_dir, ["user_id", "ts", "event_id"], per_bucket,
+                     pa.schema([("delta_min", pa.int64()), ("n", pa.int64())]))
+    return parts.to_pandas().groupby("delta_min", as_index=False)["n"].sum()
 
 
 @_q(
@@ -1356,8 +1349,9 @@ def q33_dim_profiles(sf_dir: str):
     """,
 )
 def q35_segment_revenue(sf_dir: str):
-    """Native hash-partitioned ``Dataset.join`` (both sides shuffled on the
-    key) — the large-side join path, vs the broadcast joins of q05-q07."""
+    """Shuffle hash join (both sides co-grouped on the key,
+    functions/cogroup.py) — the large-side join path, vs the broadcast
+    joins of q05-q07."""
     from ray.data.aggregate import Count, Sum
 
     def cents(t: pa.Table) -> pa.Table:
@@ -1368,9 +1362,14 @@ def q35_segment_revenue(sf_dir: str):
 
     orders = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"]).map_batches(
         cents, batch_format="pyarrow")
-    customer = _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
-    joined = orders.join(customer, join_type="inner", num_partitions=8,
-                         on=("o_custkey",), right_on=("c_custkey",))
+    customer = _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"]
+                     ).rename_columns({"c_custkey": "o_custkey"})
+    seg = pa.schema([("o_custkey", pa.int64()), ("c_mktsegment", pa.string())])
+    joined = cogroup(
+        [(orders, pa.schema([("o_custkey", pa.int64()), ("total_e2", pa.int64())])),
+         (customer, seg)], "o_custkey",
+        lambda o, c: o.join(c, "o_custkey", use_threads=False),
+        schema=seg.append(pa.field("total_e2", pa.int64())))
     out = (joined.groupby("c_mktsegment")
            .aggregate(Sum("total_e2", alias_name="total_e2"),
                       Count(alias_name="n_orders"))
@@ -1565,7 +1564,7 @@ def _bbox_sql() -> str:
 def q48_bbox_overlap(sf_dir: str):
     """J5 bbox overlap self-join (check_bbox_overlap_tasks.py:68-87):
     within-image cross-label pairs with intersection >= 100 px^2, run as
-    groupby(img).map_groups over the vectorized kernel. Oracle: SQL
+    a co-group on img over the vectorized kernel. Oracle: SQL
     self-join with the same geometry."""
     import ray.data as rd
 
@@ -1575,25 +1574,30 @@ def q48_bbox_overlap(sf_dir: str):
         {"img_id": i, "box_id": b, "x0": x0, "y0": y0, "x1": x1, "y1": y1,
          "label": lb} for i, b, x0, y0, x1, y1, lb in _BBOX_ROWS])
 
-    def per_img(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values("box_id")
-        boxes = df[["x0", "y0", "x1", "y1"]].to_numpy(dtype=np.float64)
-        pairs = overlap_pairs(boxes, df["label"].tolist())
-        ids = df["box_id"].to_numpy()
-        return pd.DataFrame({
-            "img_id": np.full(len(pairs), df["img_id"].iloc[0], dtype=np.int64),
-            "a_id": np.array([ids[i] for i, _, _ in pairs], dtype=np.int64),
-            "b_id": np.array([ids[j] for _, j, _ in pairs], dtype=np.int64),
-            "inter": np.array([int(v) for _, _, v in pairs], dtype=np.int64),
-        })
+    def per_img(g: pa.Table) -> pa.Table:  # one image, sorted by box_id
+        ids = g["box_id"].to_pylist()
+        pairs = overlap_pairs(_xyxy(g), g["label"].to_pylist())
+        return pa.table({"img_id": [g["img_id"][0].as_py()] * len(pairs),
+                         "a_id": [ids[i] for i, _, _ in pairs],
+                         "b_id": [ids[j] for _, j, _ in pairs],
+                         "inter": [int(v) for _, _, v in pairs]})
 
-    out = rows.groupby("img_id").map_groups(per_img, batch_format="pandas").to_pandas()
+    out = cogroup([(rows, arrow_schema(rows))], "img_id",
+                  per_key("img_id", per_img, order="box_id"),
+                  schema=pa.schema([(c, pa.int64()) for c in
+                                    ("img_id", "a_id", "b_id", "inter")])).to_pandas()
     return (out.astype(np.int64)
             .sort_values(["img_id", "a_id", "b_id"], kind="mergesort")
             .reset_index(drop=True))
 
 
 ORACLE_SQL["q48_bbox_overlap"] = _bbox_sql()
+
+
+def _xyxy(t: pa.Table) -> np.ndarray:
+    """(n, 4) float64 boxes from the x0/y0/x1/y1 columns."""
+    return np.stack([t[k].to_numpy() for k in ("x0", "y0", "x1", "y1")],
+                    axis=1).astype(np.float64).reshape(-1, 4)
 
 _BB_PATCHES = [(1, 0, 0, 0, 32, 32), (1, 1, 30, 30, 64, 64), (1, 2, 200, 200, 232, 232),
                (3, 0, 0, 0, 16, 16)]  # img 3 has no gts -> (-1, 0.0)
@@ -1638,24 +1642,24 @@ def q49_bbox_best_overlap(sf_dir: str):
     items += [{"img_id": a, "row_id": b, "x0": c, "y0": d, "x1": e, "y1": f,
                "kind": "gt"} for a, b, c, d, e, f in _BB_GTS]
 
-    def per_img(df: pd.DataFrame) -> pd.DataFrame:
-        p = df[df["kind"] == "patch"].sort_values("row_id")
-        g = df[df["kind"] == "gt"].sort_values("row_id")
-        best, ratio = best_overlap(
-            p[["x0", "y0", "x1", "y1"]].to_numpy(dtype=np.float64),
-            g[["x0", "y0", "x1", "y1"]].to_numpy(dtype=np.float64),
-            denominator="gt")
-        gt_ids = g["row_id"].to_numpy()
-        return pd.DataFrame({
-            "img_id": np.full(len(p), df["img_id"].iloc[0], dtype=np.int64),
-            "patch_id": p["row_id"].to_numpy(dtype=np.int64),
+    def per_img(g: pa.Table) -> pa.Table:  # one image, sorted by row_id
+        is_p = pc.equal(g["kind"], "patch")
+        p, gt = g.filter(is_p), g.filter(pc.invert(is_p))
+        best, ratio = best_overlap(_xyxy(p), _xyxy(gt), denominator="gt")
+        gt_ids = gt["row_id"].to_numpy()
+        return pa.table({
+            "img_id": np.full(p.num_rows, g["img_id"][0].as_py(), dtype=np.int64),
+            "patch_id": p["row_id"].to_numpy().astype(np.int64),
             "best_gt": np.where(best >= 0, gt_ids[best.clip(0)] if len(gt_ids)
                                 else -1, -1).astype(np.int64),
-            "ratio": np.round(ratio, 6),
-        })
+            "ratio": np.round(ratio, 6)})
 
-    out = (rd.from_items(items).groupby("img_id")
-           .map_groups(per_img, batch_format="pandas").to_pandas())
+    rows = rd.from_items(items)
+    out = cogroup([(rows, arrow_schema(rows))], "img_id",
+                  per_key("img_id", per_img, order="row_id"),
+                  schema=pa.schema([("img_id", pa.int64()), ("patch_id", pa.int64()),
+                                    ("best_gt", pa.int64()), ("ratio", pa.float64())])
+                  ).to_pandas()
     return (out.sort_values(["img_id", "patch_id"], kind="mergesort")
             .reset_index(drop=True))
 
@@ -1754,25 +1758,26 @@ def q40_union_counts(sf_dir: str):
     """,
 )
 def q41_median_order_value(sf_dir: str):
-    """Exact per-group median via ordered map_groups (groups fit a task;
+    """Exact per-group median via sorted key runs in a co-group (groups fit a task;
     a global median at 10^10 rows would use the sort+index-probe or a KLL
     sketch instead — documented trade). Output is 2x the median in integer
     cents — always an exact integer (sum of the two middle values), immune
     to interpolation-rounding differences between engines."""
 
-    def med(df: pd.DataFrame) -> pd.DataFrame:
-        cents = np.round(df["o_totalprice"].to_numpy() * 100).astype(np.int64)
-        m2 = int(round(2 * float(np.median(cents))))
-        return pd.DataFrame({
-            "o_orderpriority": [df["o_orderpriority"].iloc[0]],
-            "median2_e2": [np.int64(m2)],
-        })
+    def med(t: pa.Table) -> pa.Table:
+        pri = t["o_orderpriority"].to_numpy(zero_copy_only=False)
+        cents = np.round(t["o_totalprice"].to_numpy() * 100).astype(np.int64)
+        order, starts, counts = _runs(pri, cents)
+        cents = cents[order]
+        # 2x the median = the sum of the run's two middle values
+        lo = starts + (counts - 1) // 2
+        return pa.table({"o_orderpriority": pri[order[starts]],
+                         "median2_e2": cents[lo] + cents[starts + counts // 2]})
 
-    return (
-        _read(sf_dir, "orders", columns=["o_orderpriority", "o_totalprice"])
-        .groupby("o_orderpriority")
-        .map_groups(med, batch_format="pandas")
-    )
+    orders = _read(sf_dir, "orders", columns=["o_orderpriority", "o_totalprice"])
+    return cogroup([(orders, arrow_schema(orders))], "o_orderpriority", med,
+                   schema=pa.schema([("o_orderpriority", pa.string()),
+                                     ("median2_e2", pa.int64())]))
 
 
 @_q(
@@ -1922,43 +1927,25 @@ def q61_rolling_event_value(sf_dir: str):
     doubles are bit-identical (the q01 exact-cents rule applied to a
     window)."""
 
-    def bucketize(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__g", pc.cast(pc.bit_wise_and(t["user_id"], 63), pa.int32()))
-
-    empty = pa.table({"event_id": pa.array([], pa.int64()),
-                      "user_id": pa.array([], pa.int64()),
-                      "roll_avg": pa.array([], pa.float64())})
-
-    def per_bucket(df: pd.DataFrame) -> pa.Table:
-        if df.empty:
-            return empty
-        df = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        uid = df["user_id"].to_numpy()
-        cents = np.round(df["value"].to_numpy() * 100).astype(np.int64)
+    def per_bucket(t: pa.Table) -> pa.Table:
+        t = _user_sorted(t)
+        uid = t["user_id"].to_numpy()
+        cents = np.round(t["value"].to_numpy() * 100).astype(np.int64)
         cum = np.cumsum(cents)
-        n = len(df)
-        starts = np.flatnonzero(np.concatenate(([True], uid[1:] != uid[:-1])))
-        run_start = np.repeat(starts, np.diff(np.append(starts, n)))
-        pos = np.arange(n) - run_start
+        _, starts, counts = _runs(uid)  # already sorted: runs are users
+        pos = np.arange(len(uid)) - np.repeat(starts, counts)
         w = np.minimum(pos + 1, 3)
         # sum over the window = cum[i] - cum[i-w]; i-w == run_start-1 at a
         # run's head, which is exactly the cumsum boundary of the previous
         # user, so windows can never leak across users
-        lo = np.arange(n) - w
+        lo = np.arange(len(uid)) - w
         prev = np.where(lo >= 0, cum[np.maximum(lo, 0)], 0)
-        roll = (cum - prev) / (100.0 * w)
-        return pa.table({
-            "event_id": pa.array(df["event_id"].to_numpy(), pa.int64()),
-            "user_id": pa.array(uid, pa.int64()),
-            "roll_avg": pa.array(roll, pa.float64()),
-        })
+        return pa.table({"event_id": t["event_id"], "user_id": t["user_id"],
+                         "roll_avg": (cum - prev) / (100.0 * w)})
 
-    return (
-        _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
-        .map_batches(bucketize, batch_format="pyarrow")
-        .groupby("__g").map_groups(per_bucket, batch_format="pandas")
-    )
+    return _by_user(sf_dir, ["event_id", "user_id", "ts", "value"], per_bucket,
+                    pa.schema([("event_id", pa.int64()), ("user_id", pa.int64()),
+                               ("roll_avg", pa.float64())]))
 
 
 @_q(
@@ -2048,15 +2035,16 @@ def q38_ann_ivf_lsh(sf_dir: str):
     floor (recall@10 >= 0.6 for every method x query)."""
     from .stages.ann import ivf_topk_cosine, lsh_topk_cosine, topk_cosine
 
-    ds = _read(sf_dir, "embeddings",
-               columns=["vec_id", "embedding"]).materialize()
+    def emb():  # one column-pruned read per ANN consumer
+        return _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
+
     qrows = _read(sf_dir, "embeddings",
                   filter=pc.field("vec_id").isin(_ANN_QUERY_IDS)).take_all()
     qrows.sort(key=lambda r: r["vec_id"])
     qm = np.stack([np.asarray(r["embedding"], dtype=np.float64) for r in qrows])
     qids = np.array([r["vec_id"] for r in qrows], dtype=np.int64)
-    ivf = ivf_topk_cosine(ds, qm, qids, k=10, n_clusters=16, n_probe=8)
-    lsh = lsh_topk_cosine(ds, qm, qids, k=10, n_planes=12, probe_hamming=3,
+    ivf = ivf_topk_cosine(emb(), qm, qids, k=10, n_clusters=16, n_probe=8)
+    lsh = lsh_topk_cosine(emb(), qm, qids, k=10, n_planes=12, probe_hamming=3,
                           n_tables=6)
     ivf.insert(0, "method", "ivf")
     lsh.insert(0, "method", "lsh")
@@ -2064,7 +2052,7 @@ def q38_ann_ivf_lsh(sf_dir: str):
     _stage("q38_approx", pa.Table.from_pandas(
         approx[["method", "q_id", "vec_id"]], preserve_index=False))
 
-    exact = topk_cosine(ds, qm, qids, k=10)
+    exact = topk_cosine(emb(), qm, qids, k=10)
     ex: dict = {}
     for q, g in exact.groupby("q_id"):
         ex[int(q)] = set(g["vec_id"])

@@ -2,10 +2,9 @@
 
 Two operators:
 
-- ``asof_join``: generic backward/forward as-of join per key, the Ray-Data
-  co-group pattern — tag each side, union, ``groupby(key)``, and inside each
-  group run a sorted ``pd.merge_asof``. One shuffle on the key, ordered
-  merge within groups.
+- ``asof_join``: generic backward/forward as-of join per key: one
+  :func:`cogroup` on the key, and inside each bucket one vectorized sort
+  of both sides by (key, time) with a running max of right positions.
 
 - ``closest_rows``: the reference's bidirectional closest-frame alignment
   (reference: 14_calculate_closest_frames.py:38-83): for every left row
@@ -13,152 +12,89 @@ Two operators:
   neighbours ``pos-1``/``pos``, with ties broken to the row with the
   *smaller id* (14:70-72). Vectorized with ``np.searchsorted`` per group
   (the reference bisects row-at-a-time). Its brute-force O(n^2) oracle
-  (14:7-34) is reimplemented in tests/test_asof.py.
+  (14:7-34) is reimplemented in tests/test_asof.py. Key runs inside each
+  co-group bucket come from the shared run kernel.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+
+from ..functions.cogroup import _runs, arrow_schema, cogroup
+
+
+def _asof_index(lk: np.ndarray, lt: np.ndarray, rk: np.ndarray,
+                rt: np.ndarray, backward: bool) -> np.ndarray:
+    """Vectorized core of :func:`asof_join`: the matched right row per
+    left row (-1 for none) — the latest right row with the same key and
+    ``t_r <= t_l`` (backward), or the earliest with ``t_r >= t_l``
+    (forward). One sort of both sides by (key, time) — right rows before
+    left rows on equal times going backward, after them going forward,
+    and walked in reverse going forward — then a running max of right
+    positions within each key run finds the match."""
+    n_l = len(lt)
+    k = np.concatenate([lk, rk])
+    t = np.concatenate([lt, rt])
+    is_r = np.arange(len(k)) >= n_l
+    order = np.lexsort((~is_r if backward else is_r, t, k))[::1 if backward else -1]
+    pos = np.arange(len(k))
+    ks, rs = k[order], is_r[order]
+    new = np.ones(len(k), dtype=bool)
+    new[1:] = ks[1:] != ks[:-1]
+    run_start = np.maximum.accumulate(np.where(new, pos, 0))
+    last = np.maximum.accumulate(np.where(rs, pos, -1))
+    match = np.where(last >= run_start, order[np.maximum(last, 0)] - n_l, -1)
+    out = np.empty(n_l, dtype=np.int64)
+    out[order[~rs]] = match[~rs]
+    return out
 
 
 def asof_join(left_ds, right_ds, *, on: str, by: str, direction: str = "backward",
               right_cols: list[str] | None = None, suffix: str = "_right"):
     """Per-``by``-group as-of join of right onto left; returns a Dataset.
 
-    ``direction='backward'``: latest right row with t_r <= t_l (SQL ASOF).
-    Left rows keep their columns; matched right columns arrive suffixed
-    (the ``on`` column as ``{on}{suffix}``), NULL when no match.
+    ``direction='backward'``: latest right row with t_r <= t_l (SQL ASOF);
+    ``'forward'``: earliest right row with t_r >= t_l. Left rows keep
+    their columns and types; matched right columns arrive suffixed where
+    they collide with a left name (the ``on`` column always, as
+    ``{on}{suffix}``), NULL when no match. One :func:`cogroup` on ``by``.
     """
+    if direction not in ("backward", "forward"):
+        raise ValueError(direction)
     r_cols = right_cols or []
+    lsch, rsch = arrow_schema(left_ds), arrow_schema(right_ds)
+    rside = pa.schema([lsch.field(by), lsch.field(on)]
+                      + [rsch.field(c) for c in r_cols])
+    renamed = [c + suffix if c in lsch.names else c for c in r_cols]
+    out = pa.schema(list(lsch) + [rsch.field(c).with_name(n)
+                                  for c, n in zip(r_cols, renamed)]
+                    + [lsch.field(on).with_name(f"{on}{suffix}")])
 
-    # Capture each side's schema up front so per_group can slice explicit
-    # column lists (never dropna(axis=1), which nukes ALL columns on a
-    # one-sided-empty group) and restore left dtypes after the union
-    # null-fill upcasts them (int64 -> float64 drift otherwise).
-    def _pandas_dtypes(ds) -> tuple[list[str], dict]:
-        sch = ds.schema()
-        out: dict = {}
-        for n, t in zip(sch.names, sch.types):
-            if isinstance(t, pa.DataType):  # arrow-backed blocks
-                out[n] = pa.schema([(n, t)]).empty_table().to_pandas().dtypes[n]
-            else:  # pandas-backed blocks: numpy dtype already
-                out[n] = t
-        return list(sch.names), out
+    def per_bucket(left: pa.Table, right: pa.Table) -> pa.Table:
+        codes = pc.dictionary_encode(pa.concat_arrays(
+            [left[by].combine_chunks(), right[by].combine_chunks()]))
+        codes = codes.indices.to_numpy(zero_copy_only=False)
+        idx = _asof_index(codes[:left.num_rows], _i64(left[on]),
+                          codes[left.num_rows:], _i64(right[on]),
+                          direction == "backward")
+        take = pa.array(idx, mask=idx < 0)
+        for c, n in zip(r_cols + [on], renamed + [f"{on}{suffix}"]):
+            left = left.append_column(n, right[c].take(take))
+        return left
 
-    l_names, l_dtypes = _pandas_dtypes(left_ds)
-    _, r_dtypes = _pandas_dtypes(right_ds)
-    on_is_ts = pd.api.types.is_datetime64_any_dtype(l_dtypes[on])
+    return cogroup([(left_ds, lsch), (right_ds, rside)], by, per_bucket,
+                   schema=out)
 
-    def _null_right(dtype) -> tuple:
-        """(empty-series dtype, null fill value) for an unmatched right
-        column — typed from the RIGHT schema so one-sided groups emit the
-        same Arrow schema as matched groups (object/string columns would
-        otherwise hardcode to float64 NaN and fail block unification)."""
-        if pd.api.types.is_datetime64_any_dtype(dtype):
-            return "datetime64[us]", pd.NaT
-        if pd.api.types.is_float_dtype(dtype) or pd.api.types.is_integer_dtype(dtype):
-            return "float64", np.nan  # int null-fills as float, like merge_asof
-        return object, None
 
-    # integer `by` keys group by a 64-bucket COARSE key (per-key map_groups
-    # costs ~1-2 ms per group) and pandas merge_asof(by=...) handles the
-    # per-key semantics vectorized inside each bucket; other key types keep
-    # per-key grouping (same merge call — `by` is constant in the group)
-    by_is_int = pd.api.types.is_integer_dtype(l_dtypes[by])
-    group_key = "__g" if by_is_int else by
-
-    def _tag(side: int):
-        def fn(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            t = t.append_column(
-                "__side", pa.array(np.full(t.num_rows, side, dtype=np.int8)))
-            if by_is_int:
-                t = t.append_column("__g", pc.cast(
-                    pc.bit_wise_and(t[by], 63), pa.int32()))
-            return t
-
-        return fn
-
-    tag_l = left_ds.map_batches(_tag(0), batch_format="pyarrow")
-    tag_r = right_ds.map_batches(_tag(1), batch_format="pyarrow")
-    both = tag_l.union(tag_r)
-
-    # canonical output column order, identical across all branches (the
-    # Arrow output blocks must agree on schema)
-    out_cols = l_names + [c + suffix if c in l_names else c for c in r_cols] \
-        + [f"{on}{suffix}"]
-
-    def finish(out: pd.DataFrame) -> pa.Table:
-        # one canonical output dtype per right column across ALL groups
-        # (an all-matched group would otherwise emit int64 where a group
-        # with misses emits float64 — Arrow blocks must unify)
-        out = out[out_cols].copy()
-        for c in r_cols:
-            name = c + suffix if c in l_names else c
-            dt, _ = _null_right(r_dtypes[c])
-            if out[name].dtype != dt:
-                out[name] = out[name].astype(dt)
-        ts_name = f"{on}{suffix}"
-        ts_dt = "datetime64[us]" if on_is_ts else "float64"
-        if out[ts_name].dtype != ts_dt:
-            out[ts_name] = out[ts_name].astype(ts_dt)
-        # Arrow output: Ray's pandas block builder is ~20-40x slower for
-        # multi-row map_groups outputs (measured, see queries.py q31)
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    def empty_out() -> pa.Table:
-        out = pd.DataFrame({c: pd.Series([], dtype=l_dtypes[c]) for c in l_names})
-        out[f"{on}{suffix}"] = pd.Series(
-            [], dtype="datetime64[us]" if on_is_ts else "float64")
-        for c in r_cols:
-            dt, _ = _null_right(r_dtypes[c])
-            out[c + suffix if c in l_names else c] = pd.Series([], dtype=dt)
-        return finish(out)
-
-    def per_group(df: pd.DataFrame) -> pa.Table:
-        # a partition fed by blocks of only one side can arrive without the
-        # other side's columns (schemas are null-unified only when mixed):
-        # no left columns -> no left rows; missing right extras -> no right
-        # rows (the right-empty branch below null-fills them)
-        have = set(df.columns)
-        if not set(l_names) <= have:
-            return empty_out()
-        left = df.loc[df["__side"] == 0, l_names].sort_values(on, kind="mergesort")
-        if left.empty:
-            return empty_out()
-        for c, dt in l_dtypes.items():
-            if left[c].dtype != dt:
-                left[c] = left[c].astype(dt)
-        if not set([by, on] + r_cols) <= have:
-            right = pd.DataFrame(columns=[by, on] + r_cols)
-        else:
-            right = df.loc[df["__side"] == 1,
-                           [by, on] + r_cols].sort_values(on, kind="mergesort")
-        if right.empty:
-            out = left.copy()
-            out[f"{on}{suffix}"] = pd.Series(
-                [pd.NaT] * len(out), dtype="datetime64[us]", index=out.index) \
-                if on_is_ts else np.nan
-            for c in r_cols:
-                dt, fill = _null_right(r_dtypes[c])
-                out[c + suffix if c in l_names else c] = pd.Series(
-                    [fill] * len(out), dtype=dt, index=out.index)
-            return finish(out)
-        for c in [by, on] + r_cols:  # undo union null-fill upcasts on the right
-            if right[c].dtype != r_dtypes[c] and not right[c].isna().any():
-                right[c] = right[c].astype(r_dtypes[c])
-        rkeep = right.copy()
-        # keep the matched right time as its own column (merge_asof consumes
-        # the shared `on` key, so alias it before the merge)
-        rkeep[f"{on}{suffix}"] = rkeep[on]
-        return finish(pd.merge_asof(
-            left, rkeep, on=on, by=by, direction=direction,
-            suffixes=("", suffix)))
-
-    return both.groupby(group_key).map_groups(per_group, batch_format="pandas")
+def _i64(col) -> np.ndarray:
+    """Ordered int64 view of a time-like column: integers as they are,
+    timestamps as microseconds."""
+    col = col.combine_chunks()
+    if pa.types.is_timestamp(col.type):
+        col = col.cast(pa.timestamp("us")).cast(pa.int64())
+    return col.to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
 
 
 def closest_join_arrays(l_time: np.ndarray, l_id: np.ndarray,
@@ -192,23 +128,26 @@ def closest_rows(left_ds, right_ds, *, by: str = "log_id", time_col: str = "fram
     the reference's two update passes, 14:102-165). Returns left rows +
     ``out_col`` of the nearest right id (-1 when the right group is empty)."""
 
-    tag_l = left_ds.map_batches(
-        lambda t: t.append_column("__side", pa.array(np.zeros(t.num_rows, dtype=np.int8))),
-        batch_format="pyarrow",
-    )
-    tag_r = right_ds.map_batches(
-        lambda t: t.append_column("__side", pa.array(np.ones(t.num_rows, dtype=np.int8))),
-        batch_format="pyarrow",
-    )
+    lsch = arrow_schema(left_ds)
+    rside = pa.schema([lsch.field(c) for c in (by, time_col, id_col)])
 
-    def per_group(df: pd.DataFrame) -> pa.Table:
-        left = df[df["__side"] == 0].drop(columns="__side")
-        right = df[df["__side"] == 1].sort_values([time_col, id_col], kind="mergesort")
-        out = left.copy()
-        out[out_col] = closest_join_arrays(
-            left[time_col].to_numpy(), left[id_col].to_numpy(),
-            right[time_col].to_numpy(), right[id_col].to_numpy(),
-        )
-        return pa.Table.from_pandas(out, preserve_index=False)
+    def per_bucket(left: pa.Table, right: pa.Table) -> pa.Table:
+        order, lstarts, lcounts = _runs(left[by].to_numpy(zero_copy_only=False))
+        left = left.take(order)
+        # right sorted by (key, time, id): ids break time ties
+        right = right.sort_by([(by, "ascending"), (time_col, "ascending"),
+                               (id_col, "ascending")])
+        _, rstarts, rcounts = _runs(right[by].to_numpy(zero_copy_only=False))
+        rruns = dict(zip(right[by].take(rstarts).to_pylist(),
+                         zip(rstarts, rstarts + rcounts)))
+        lt, li = left[time_col].to_numpy(), left[id_col].to_numpy()
+        rt, ri = right[time_col].to_numpy(), right[id_col].to_numpy()
+        out = np.full(left.num_rows, -1, dtype=np.int64)
+        for key, s, c in zip(left[by].take(lstarts).to_pylist(), lstarts, lcounts):
+            lo, hi = rruns.get(key, (0, 0))
+            out[s:s + c] = closest_join_arrays(lt[s:s + c], li[s:s + c],
+                                               rt[lo:hi], ri[lo:hi])
+        return left.append_column(out_col, pa.array(out))
 
-    return tag_l.union(tag_r).groupby(by).map_groups(per_group, batch_format="pandas")
+    return cogroup([(left_ds, lsch), (right_ds, rside)], by, per_bucket,
+                   schema=lsch.append(pa.field(out_col, pa.int64())))

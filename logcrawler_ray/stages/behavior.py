@@ -6,11 +6,11 @@ Mirrors the reference's behavior-symbol decoding
 the id->name and id->value lookup tables; every following ``sparse`` row
 patches only the changed ids against the RUNNING state. Ordering within a
 log is load-bearing — the whole log is one ordered group, never split
-across unordered tasks (the engine runs one ``map_groups`` task per log,
+across unordered tasks (each log is one run of its co-group bucket,
 sorted by seq inside).
 
 Input rows:  (log_id:int64, seq:int64, kind:string in {complete,sparse},
-              ids:list<int32>, names:list<string> (complete only),
+              ids:list<int>, names:list<string> (complete only),
               values:list<double>)
 Output rows: (log_id, seq, symbol:string, value:double) — the fully
 materialized state after each row, exploded one row per symbol (the
@@ -23,36 +23,39 @@ KeyError; at scale poison rows must not kill the stream.
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
+import pyarrow as pa
+
+from ..functions.cogroup import cogroup, per_key
 
 
-def decode_behavior_group(df: pd.DataFrame):
-    """Vectorized per keyframe SEGMENT: sparse updates land in an
-    (n_rows x n_symbols) matrix that forward-fills down — the full-state
-    explosion (the expensive part: every row emits every symbol) is one
-    reshape instead of a per-row Python loop. Orphan sparse rows before
-    the first keyframe are skipped, unknown ids ignored, exactly like the
-    serial reference (11_input_behavior_symbols.py:261-295)."""
-    import numpy as np
-    import pyarrow as pa
+_ROWS = pa.schema([("log_id", pa.int64()), ("seq", pa.int64()),
+                   ("kind", pa.string()), ("ids", pa.list_(pa.int64())),
+                   ("names", pa.list_(pa.string())),
+                   ("values", pa.list_(pa.float64()))])
+_OUT = pa.schema([("log_id", pa.int64()), ("seq", pa.int64()),
+                  ("symbol", pa.string()), ("value", pa.float64())])
 
-    df = df.sort_values("seq", kind="mergesort")
-    log_id = int(df["log_id"].iloc[0])
-    kinds = df["kind"].tolist()
-    seqs = df["seq"].to_numpy()
+
+def decode_behavior_group(t: pa.Table) -> pa.Table:
+    """One log's rows, sorted by seq. Vectorized per keyframe SEGMENT:
+    sparse updates land in an (n_rows x n_symbols) matrix that
+    forward-fills down — the full-state explosion (the expensive part:
+    every row emits every symbol) is one reshape instead of a per-row
+    Python loop. Orphan sparse rows before the first keyframe are
+    skipped, unknown ids ignored, exactly like the serial reference
+    (11_input_behavior_symbols.py:261-295)."""
+    log_id = t["log_id"][0].as_py()
+    kinds = t["kind"].to_pylist()
+    seqs = t["seq"].to_numpy()
     key_rows = [i for i, k in enumerate(kinds) if k == "complete"]
-    empty = pa.table({"log_id": pa.array([], pa.int64()),
-                      "seq": pa.array([], pa.int64()),
-                      "symbol": pa.array([], pa.string()),
-                      "value": pa.array([], pa.float64())})
-    if not key_rows:
-        return empty
-    parts = []
-    ids_col = df["ids"].tolist()
-    vals_col = df["values"].tolist()
-    names_col = df["names"].tolist()
+    parts = [_OUT.empty_table()]
+    ids_col = t["ids"].to_pylist()
+    vals_col = t["values"].to_pylist()
+    names_col = t["names"].to_pylist()
     for si, start in enumerate(key_rows):
-        end = key_rows[si + 1] if si + 1 < len(key_rows) else len(df)
+        end = key_rows[si + 1] if si + 1 < len(key_rows) else t.num_rows
         # keyframe maps built with dict(zip(...)) like the serial reference
         # (11:209-252): mismatched list lengths truncate, duplicate ids
         # dedupe last-wins. The symbol universe is every NAMED id; a
@@ -87,13 +90,17 @@ def decode_behavior_group(df: pd.DataFrame):
             "symbol": pa.array(np.tile(names_sorted, n_rows)[mask], pa.string()),
             "value": pa.array(filled[mask], pa.float64()),
         }))
-    return pa.concat_tables(parts) if parts else empty
+    return pa.concat_tables(parts)
 
 
 def decode_behavior(ds):
     """Dataset of keyframe/sparse rows -> materialized (log, seq, symbol,
-    value) rows. One ordered task per log (ST4 mapping, SURVEY.md §2.3)."""
-    return ds.groupby("log_id").map_groups(decode_behavior_group, batch_format="pandas")
+    value) rows. A log is one ordered run inside its :func:`cogroup`
+    bucket (ST4 mapping, SURVEY.md §2.3)."""
+
+    return cogroup([(ds, _ROWS)], "log_id",
+                   per_key("log_id", decode_behavior_group, order="seq"),
+                   schema=_OUT)
 
 
 def reference_decode(rows: list[dict]) -> list[tuple]:

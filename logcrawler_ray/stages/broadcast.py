@@ -5,8 +5,8 @@ it vectorized inside ``map_batches`` — is only safe when the small side is
 actually small: a fact table shipped this way OOMs the driver at scale
 (round-1 verdict "What's wrong #2"). Every helper here enforces a row cap
 and raises :class:`BroadcastTooLarge` instead of silently degrading, so a
-query that outgrows the broadcast side fails loudly and must move to the
-hash-partitioned ``Dataset.join`` path (q35-style).
+query that outgrows the broadcast side fails loudly and must move to a
+:func:`..functions.cogroup.cogroup` shuffle join (q35-style).
 
 Probes are Arrow-vectorized (``pc.is_in`` / ``pc.index_in`` + ``take``),
 never per-row Python loops.
@@ -19,7 +19,7 @@ import pyarrow.compute as pc
 
 # A broadcast side is read by EVERY map task; 5M keys (~40-200 MB as Arrow)
 # is the upper bound where once-per-node object-store placement still beats
-# a shuffle join. Past this, use Dataset.join.
+# a shuffle join. Past this, use a cogroup join.
 DEFAULT_MAX_BROADCAST_ROWS = 5_000_000
 
 
@@ -31,30 +31,23 @@ def _guard(n: int, what: str, max_rows: int) -> None:
     if n > max_rows:
         raise BroadcastTooLarge(
             f"{what}: {n} rows > broadcast cap {max_rows}; "
-            "use Dataset.join (hash-partitioned) instead")
+            "use a cogroup shuffle join instead")
 
 
 def distinct_keys_ds(ds, col: str, num_buckets: int = 64):
     """Distributed distinct of one column: per-batch ``pc.unique``
-    partials -> ONE coarse-bucket shuffle -> a C-level drop_duplicates
-    per bucket. (A native ``groupby(col).count`` pays per-GROUP cost at
-    distinct-key cardinality — the r3 CLAUDE.md lesson.)"""
-    import pandas as pd
+    partials -> ONE :func:`cogroup` -> ``pc.unique`` again per bucket. (A
+    native ``groupby(col).count`` pays per-GROUP cost at distinct-key
+    cardinality — the r3 CLAUDE.md lesson.)"""
+    from ..functions.cogroup import arrow_schema, cogroup
 
-    from .dedup import _bucket_of
+    sch = pa.schema([arrow_schema(ds).field(col)])
 
-    def partial(t: pa.Table) -> pa.Table:
-        u = pc.unique(t[col].combine_chunks())
-        return pa.table({col: u, "__db": _bucket_of(u, num_buckets)})
+    def distinct(t: pa.Table) -> pa.Table:
+        return pa.table({col: pc.unique(t[col].combine_chunks())})
 
-    def merge(df: "pd.DataFrame") -> pa.Table:
-        from .dedup import typed_from_pandas
-
-        return typed_from_pandas(df[[col]].drop_duplicates())
-
-    return (ds.select_columns([col])
-            .map_batches(partial, batch_format="pyarrow")
-            .groupby("__db").map_groups(merge, batch_format="pandas"))
+    return cogroup([(ds.map_batches(distinct, batch_format="pyarrow"), sch)],
+                   col, distinct, schema=sch, n_buckets=num_buckets)
 
 
 def broadcast_key_set(ds, col: str, *, max_rows: int = DEFAULT_MAX_BROADCAST_ROWS):

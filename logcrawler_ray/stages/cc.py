@@ -24,10 +24,9 @@ stages/dedup.py). Two paths:
   loud error, never a wrong answer.
 
 No step materializes the node set on the driver in the dataset path:
-per-node minima are computed inside COARSE hash-bucket groups
-(hash(u) % n_buckets, vectorized pandas groupby within — the repo's
-standard many-small-keys shape, CLAUDE.md), not per-node map_groups
-and not a driver broadcast.
+per-node minima are computed inside coarse :func:`cogroup` buckets of u
+(vectorized run scans within — the repo's standard many-small-keys
+shape, CLAUDE.md), not per node and not a driver broadcast.
 """
 
 from __future__ import annotations
@@ -35,6 +34,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+
+from ..functions.cogroup import _runs, cogroup
+
+_EDGES = pa.schema([("u", pa.int64()), ("v", pa.int64())])
 
 
 class CCNotConverged(RuntimeError):
@@ -120,8 +123,8 @@ def cc_labels_dataset(edges_ds, a: str = "a", b: str = "b", *,
       edges), m(u) = min(N(u)); every smaller neighbor v != m(u)
       re-hangs as (v, m(u)), and u itself hangs as (u, m(u)).
 
-    Both steps bucket rows by hash(u) % n_buckets and compute the
-    per-node minima vectorized inside the coarse group. At the fixpoint
+    Both steps co-group rows on u in ``n_buckets`` coarse buckets and
+    compute the per-node minima vectorized inside each bucket. At the fixpoint
     the edge set IS the (node, component) star forest.
     """
     import ray.data as rd
@@ -138,48 +141,34 @@ def cc_labels_dataset(edges_ds, a: str = "a", b: str = "b", *,
         return rd.from_arrow(pa.table({"node": pa.array([], pa.int64()),
                                        "component": pa.array([], pa.int64())}))
 
-    def bucketed(t: pa.Table, sym: bool) -> pa.Table:
-        """Key rows for the coarse co-group; sym=True also emits the
-        reversed copy so large-star sees full neighborhoods."""
-        u = t["u"].to_numpy(zero_copy_only=False)
-        v = t["v"].to_numpy(zero_copy_only=False)
-        if sym:
-            u, v = np.concatenate([u, v]), np.concatenate([v, u])
-        bkt = (u.astype(np.uint64) % np.uint64(n_buckets)).astype(np.int32)
-        return pa.table({"__bkt": bkt, "u": u, "v": v})
+    def symmetric(t: pa.Table) -> pa.Table:
+        """Both directions of every edge, so large-star sees full
+        neighborhoods."""
+        return pa.concat_tables(
+            [t, t.select(["v", "u"]).rename_columns(["u", "v"])])
 
-    def large_star(df: pd.DataFrame):
-        m = df.groupby("u")["v"].min()
-        m = np.minimum(m, m.index)  # m(u) = min(u, N(u))
-        tgt = df["u"].map(m).to_numpy(np.int64)
-        u = df["u"].to_numpy(np.int64)
-        v = df["v"].to_numpy(np.int64)
-        keep = v > u  # larger neighbors re-hang on m(u)
-        out = pd.DataFrame({"u": v[keep], "v": tgt[keep]}).drop_duplicates()
-        out = out[out["u"] != out["v"]]
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    def small_star(df: pd.DataFrame):
-        m = df.groupby("u")["v"].min()  # all v < u, so min(N(u)) < u
-        tgt = df["u"].map(m).to_numpy(np.int64)
-        v = df["v"].to_numpy(np.int64)
-        keep = v != tgt  # smaller neighbors re-hang; min keeps its edge
-        out = pd.DataFrame({
-            "u": np.concatenate([v[keep], m.index.to_numpy(np.int64)]),
-            "v": np.concatenate([tgt[keep], m.to_numpy(np.int64)]),
-        }).drop_duplicates()
-        return pa.Table.from_pandas(out, preserve_index=False)
+    def star(t: pa.Table, large: bool) -> pa.Table:
+        u, v = t["u"].to_numpy(), t["v"].to_numpy()
+        order, starts, counts = _runs(u, v)
+        u, v = u[order], v[order]
+        m = np.repeat(v[starts], counts)  # min(N(u)) per row
+        if large:  # m(u) = min(u, N(u)); larger neighbors re-hang on it
+            keep = v > u
+            nu, nv = v[keep], np.minimum(m, u)[keep]
+        else:  # smaller neighbors re-hang; u itself hangs on m(u)
+            keep = v != m
+            nu = np.concatenate([v[keep], u[starts]])
+            nv = np.concatenate([m[keep], m[starts]])
+        order, starts, _ = _runs((nu, nv))  # distinct edges
+        return pa.table({"u": nu[order[starts]], "v": nv[order[starts]]})
 
     prev = (-1, 0)
     for _round in range(max_rounds):
-        ls = (edges.map_batches(lambda t: bucketed(t, sym=True),
-                                batch_format="pyarrow")
-              .groupby("__bkt").map_groups(large_star, batch_format="pandas"))
-        edges = (ls.map_batches(lambda t: bucketed(t, sym=False),
-                                batch_format="pyarrow")
-                 .groupby("__bkt").map_groups(small_star,
-                                              batch_format="pandas")
-                 .materialize())
+        ls = cogroup([(edges.map_batches(symmetric, batch_format="pyarrow"),
+                       _EDGES)], "u", lambda t: star(t, large=True),
+                     schema=_EDGES, n_buckets=n_buckets)
+        edges = cogroup([(ls, _EDGES)], "u", lambda t: star(t, large=False),
+                        schema=_EDGES, n_buckets=n_buckets).materialize()
         sig = _edge_checksum(edges)
         if sig == prev:
             # fixpoint: edges form the min-rooted star forest; emit the
@@ -214,13 +203,11 @@ def cluster_losers_ds(pairs_ds, idmap_ds, *, id64_col: str = "__id64",
     rule as :func:`neardup_losers_str`), fully distributed:
 
     1. :func:`cc_labels_dataset` labels every paired node;
-    2. string ids attach to labels via a coarse-bucket co-group on
-       hash(id64) — ONE skinny (int64, string) shuffle of the corpus map,
-       never a ``Dataset.join`` (empty-hash-partition crash, CLAUDE.md)
-       and never a driver broadcast;
-    3. per-component winners are picked inside coarse component-hash
-       buckets (sort by (component, id), first kept), vectorized pandas
-       within the group, Arrow table out.
+    2. string ids attach to labels via a :func:`cogroup` on the id64 —
+       ONE skinny (int64, string) shuffle of the corpus map, never a
+       driver broadcast;
+    3. per-component winners are picked inside coarse component buckets
+       (sort by (component, id), first kept), vectorized.
 
     The driver never holds a node, a label, or a loser. id64 collisions
     (~2^-63 for :func:`..hamming.str_id64`) could merge two clusters —
@@ -228,29 +215,11 @@ def cluster_losers_ds(pairs_ds, idmap_ds, *, id64_col: str = "__id64",
     """
     import pyarrow.compute as pc
 
-    from .dedup import _bucket_of
-
     labels = cc_labels_dataset(pairs_ds, max_rounds=max_rounds)
+    idmap = idmap_ds.rename_columns({id64_col: "node"})
+    comp = pa.schema([("component", pa.int64()), (id_col, pa.string())])
 
-    def tag_label(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "node": t["node"], "component": t["component"],
-            id_col: pa.nulls(t.num_rows, pa.string()),
-            "__b": _bucket_of(t["node"], n_buckets)})
-
-    def tag_map(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "node": t[id64_col],
-            "component": pa.nulls(t.num_rows, pa.int64()),
-            id_col: t[id_col],
-            "__b": _bucket_of(t[id64_col], n_buckets)})
-
-    both = (labels.map_batches(tag_label, batch_format="pyarrow")
-            .union(idmap_ds.map_batches(tag_map, batch_format="pyarrow")))
-
-    def attach(g: pa.Table) -> pa.Table:
-        is_map = pc.is_valid(g[id_col])
-        m, lab = g.filter(is_map), g.filter(pc.invert(is_map))
+    def attach(lab: pa.Table, m: pa.Table) -> pa.Table:
         idx = pc.index_in(lab["node"], value_set=m["node"].combine_chunks())
         ids = pc.take(m[id_col].combine_chunks(), idx)
         if ids.null_count:  # ADVICE r3: an idmap coverage gap (or id64
@@ -260,20 +229,19 @@ def cluster_losers_ds(pairs_ds, idmap_ds, *, id64_col: str = "__id64",
                 f"no id in idmap_ds — idmap must cover every paired id")
         return pa.table({"component": lab["component"], id_col: ids})
 
-    comp_ids = both.groupby("__b").map_groups(attach, batch_format="pyarrow")
+    def losers(t: pa.Table) -> pa.Table:
+        order, starts, _ = _runs(t["component"].to_numpy(),
+                                 t[id_col].to_numpy(zero_copy_only=False))
+        first = np.zeros(len(order), dtype=bool)
+        first[starts] = True  # each component's min id survives
+        return t.take(order[~first])
 
-    def rebucket(t: pa.Table) -> pa.Table:
-        return t.append_column("__b", _bucket_of(t["component"], n_buckets))
-
-    def losers(df: pd.DataFrame):
-        df = df.sort_values(["component", id_col], kind="mergesort")
-        out = df.loc[df["component"].duplicated(), id_col]
-        # pin the string dtype: an empty pandas object column would build
-        # a null-typed Arrow column and break the cross-group schema union
-        return pa.table({id_col: pa.array(out.tolist(), pa.string())})
-
-    return (comp_ids.map_batches(rebucket, batch_format="pyarrow")
-            .groupby("__b").map_groups(losers, batch_format="pandas"))
+    comp_ids = cogroup(
+        [(labels, pa.schema([("node", pa.int64()), ("component", pa.int64())])),
+         (idmap, pa.schema([("node", pa.int64()), (id_col, pa.string())]))],
+        "node", attach, schema=comp, n_buckets=n_buckets)
+    return cogroup([(comp_ids, comp)], "component", losers,
+                   schema=pa.schema([comp.field(id_col)]), n_buckets=n_buckets)
 
 
 def neardup_losers(pairs: pd.DataFrame, a: str = "a", b: str = "b") -> frozenset:

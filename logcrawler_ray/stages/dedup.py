@@ -14,12 +14,13 @@ reference: 02_combine_logs.py:24-27) through a groupby:
 2. if the loser set is small enough to broadcast (duplicate fraction x
    rows), ``ray.put`` it once and anti-filter full rows inside
    ``map_batches`` — the wide rows never move;
-3. otherwise fall back to a full ``groupby(key).map_groups(first)`` (one
-   honest all-to-all on the dedup key).
+3. otherwise fall back to a full-row :func:`cogroup` on the dedup key (one
+   honest all-to-all).
 
-Every tier is built from the same three pieces: one sort-and-group kernel
-(:func:`_runs`), one winner probe (:func:`_loser_mask`) and one loser-file
-writer (:func:`write_loser_files`). The broadcast bound is
+Every tier is built from the same three pieces: the library's one
+sort-and-group kernel (``functions/cogroup.py::_runs``), one winner probe
+(:func:`_loser_mask`) and one loser-file writer
+(:func:`write_loser_files`). The broadcast bound is
 ``broadcast.DEFAULT_MAX_BROADCAST_ROWS``, read at call time.
 
 The skinny pass shuffles two int64 columns instead of the payload — at
@@ -33,24 +34,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.cogroup import _runs, arrow_schema, cogroup, per_key
 from . import broadcast
-
-
-def _runs(k: np.ndarray, o: np.ndarray):
-    """The one sort-and-group kernel of every exact-dedup tier: lexsort by
-    key, then order. Returns ``(order, starts, counts)`` — the sorting
-    permutation, each key run's start in sorted order and its length; a
-    run's first row holds the key's minimum ``o``."""
-    n = len(k)
-    order = np.lexsort((o, k))
-    ks = k[order]
-    new = np.empty(n, dtype=bool)
-    if n:
-        new[0] = True
-        new[1:] = ks[1:] != ks[:-1]
-    starts = np.flatnonzero(new)
-    counts = np.diff(np.append(starts, n)).astype(np.int64)
-    return order, starts, counts
 
 
 def loser_partials(t: pa.Table, key: str, order_col: str) -> pa.Table:
@@ -201,6 +186,12 @@ def exact_losers(skinny_ds, key: str, order_col: str,
     return losers
 
 
+def _winners_schema(sch: pa.Schema, key: str, order_col: str) -> pa.Schema:
+    """:func:`dup_winners`' row schema for skinny rows of schema ``sch``."""
+    return pa.schema([sch.field(key), pa.field("__min", sch.field(order_col).type),
+                      pa.field("__n", pa.int64())])
+
+
 def dup_winners(skinny_ds, key: str, order_col: str, num_buckets: int = 64):
     """MATERIALIZED Dataset of ``(key, __min, __n)`` for duplicated keys
     only. The ``__n > 1`` filter runs distributed before anything reaches
@@ -215,27 +206,23 @@ def dup_winners(skinny_ds, key: str, order_col: str, num_buckets: int = 64):
     carries one row per distinct key per block) -> a C-level merge per
     bucket with the duplicates-only filter fused in."""
 
+    out = _winners_schema(arrow_schema(skinny_ds), key, order_col)
+
     def batch_partials(t: pa.Table) -> pa.Table:
         p = loser_partials(t.select([key, order_col]), key, order_col)
-        p = p.filter(pc.greater(p["__n"], 0)).rename_columns(
-            [key, "__min", "__n"])
-        return p.append_column("__b", _bucket_of(p[key], num_buckets))
+        return p.filter(pc.greater(p["__n"], 0)).rename_columns(out.names)
 
-    def merge_bucket(df: pd.DataFrame) -> pa.Table:
-        k = df[key].to_numpy()
-        m = df["__min"].to_numpy()
-        order, starts, _ = _runs(k, m)
-        total = np.add.reduceat(
-            df["__n"].to_numpy().astype(np.int64)[order], starts)
+    def merge_bucket(p: pa.Table) -> pa.Table:
+        k = p[key].to_numpy(zero_copy_only=False)
+        order, starts, _ = _runs(k, p["__min"].to_numpy(zero_copy_only=False))
+        total = np.add.reduceat(p["__n"].to_numpy()[order], starts)
         keep = total > 1  # duplicates only
         first = order[starts][keep]  # a run's first row IS the key's min
-        return typed_from_pandas(pd.DataFrame({
-            key: k[first], "__min": m[first], "__n": total[keep]}))
+        return p.take(first).set_column(2, "__n", pa.array(total[keep]))
 
-    return (skinny_ds.map_batches(batch_partials, batch_format="pyarrow")
-            .groupby("__b")
-            .map_groups(merge_bucket, batch_format="pandas")
-            .materialize())
+    partials = skinny_ds.map_batches(batch_partials, batch_format="pyarrow")
+    return cogroup([(partials, out)], key, merge_bucket, schema=out,
+                   n_buckets=num_buckets).materialize()
 
 
 def exact_losers_by(skinny_ds, key: str, order_col: str,
@@ -257,53 +244,6 @@ def exact_losers_by(skinny_ds, key: str, order_col: str,
     return {p: sorted(v) for p, v in out.items()}
 
 
-def _bucket_of(col, n: int) -> pa.Array:
-    """Stable coarse bucket id (int32) of a key column, any hashable type.
-    Null keys deterministically land in one bucket (hash of 0 / '')."""
-    from ..functions.hashing import hash64_str_array, splitmix64
-
-    col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    if pa.types.is_integer(col.type):
-        if col.null_count:
-            col = pc.fill_null(col, 0)
-        u = splitmix64(col.to_numpy(zero_copy_only=False).astype(np.uint64))
-    else:
-        # non-integer keys (str/float/timestamp/bytes/decimal): hash a
-        # canonical string form. repr() is deterministic per value; the
-        # two gotchas are -0.0 (== 0.0 as a group key, must co-bucket)
-        # and bytes (no .encode). NaNs all repr as 'nan' -> one bucket,
-        # matching pandas dropna=False's single-NaN-group semantics.
-        def _canon(v) -> str:
-            if v is None:
-                return ""
-            if isinstance(v, str):
-                return v
-            if isinstance(v, bytes):
-                return v.decode("latin-1")
-            if isinstance(v, float) and v == 0.0:
-                return "0.0"
-            return repr(v)
-
-        u = hash64_str_array([_canon(v) for v in col.to_pylist()])
-    return pa.array((u % np.uint64(n)).astype(np.int32))
-
-
-def typed_from_pandas(df: pd.DataFrame) -> pa.Table:
-    """``pa.Table.from_pandas`` with EMPTY object columns pinned to
-    ``pa.string()``. A filtered-to-empty pandas frame round-trips an
-    object column as a null-typed Arrow column, and null-typed blocks
-    break cross-block schema unification (the coarse-bucket combine fns
-    all emit empty tables for no-result buckets — same hazard cc.py
-    documents for its losers path). Non-string object keys are not used
-    as combine keys in this repo."""
-    tab = pa.Table.from_pandas(df, preserve_index=False)
-    for i, f in enumerate(tab.schema):
-        if pa.types.is_null(f.type):
-            tab = tab.set_column(i, pa.field(f.name, pa.string()),
-                                 pa.array([None] * tab.num_rows, pa.string()))
-    return tab
-
-
 def exact_losers_files(skinny_ds, key: str, order_col: str, part_col: str,
                        out_dir: str, dups=None,
                        num_buckets: int = 64,
@@ -314,10 +254,8 @@ def exact_losers_files(skinny_ds, key: str, order_col: str, part_col: str,
 
     1. ``dup_winners`` — distributed groupby, duplicates-only (O(dup keys)
        materialized in the object store);
-    2. skinny rows and winner rows are tagged with a COARSE key-hash bucket
-       (CLAUDE.md groupby lesson: 16-64 buckets, vectorized inside the
-       group fn — NOT per-key groups, NOT ``Dataset.join`` whose empty
-       hash partitions lose the schema) and co-grouped by bucket;
+    2. skinny rows and winner rows are co-grouped by coarse key bucket
+       (:func:`cogroup`);
     3. within a bucket, the winner probe (:func:`_loser_mask`) marks every
        skinny row whose ``order_col`` differs from its key's winner;
     4. :func:`write_loser_files` writes one sorted+unique
@@ -332,74 +270,47 @@ def exact_losers_files(skinny_ds, key: str, order_col: str, part_col: str,
     if dups_ds.count() == 0:
         return {}
 
-    # union-compatible tagging: skinny rows carry (key, order, part, null
-    # winner); winner rows carry (key, null order, null part, winner)
-    def tag_skinny(t: pa.Table) -> pa.Table:
-        return pa.table({
-            key: t[key], order_col: t[order_col], part_col: t[part_col],
-            "__min": pa.nulls(t.num_rows, t[order_col].type),
-            "__b": _bucket_of(t[key], num_buckets)})
+    sch = arrow_schema(skinny_ds)
+    skinny = pa.schema([sch.field(c) for c in (key, order_col, part_col)])
+    losers = pa.schema([sch.field(order_col), sch.field(part_col)])
 
-    # winner rows must type their null part_col like the skinny side's, or
-    # the union's schema unification fails for non-string partition columns
-    sch = skinny_ds.schema()  # ray.data.Schema: parallel names/types lists
-    part_type = dict(zip(sch.names, sch.types))[part_col]
+    def bucket_losers(s: pa.Table, w: pa.Table) -> pa.Table:
+        return s.filter(_loser_mask(s, key, order_col, w[key].combine_chunks(),
+                                    w["__min"].combine_chunks()))
 
-    def tag_winner(t: pa.Table) -> pa.Table:
-        return pa.table({
-            key: t[key],
-            order_col: pa.nulls(t.num_rows, t["__min"].type),
-            part_col: pa.nulls(t.num_rows, part_type),
-            "__min": t["__min"],
-            "__b": _bucket_of(t[key], num_buckets)})
-
-    both = (skinny_ds.map_batches(tag_skinny, batch_format="pyarrow")
-            .union(dups_ds.map_batches(tag_winner, batch_format="pyarrow")))
-
-    def bucket_losers(g: pa.Table) -> pa.Table:
-        is_w = pc.is_valid(g["__min"])
-        w = g.filter(is_w)
-        s = g.filter(pc.invert(is_w))
-        lose = _loser_mask(s, key, order_col, w[key].combine_chunks(),
-                           w["__min"].combine_chunks())
-        return s.filter(lose).select([order_col, part_col])
-
-    losers = both.groupby("__b").map_groups(bucket_losers,
-                                            batch_format="pyarrow")
-    rows = write_loser_files(losers, part_col, order_col, out_dir,
+    winners = _winners_schema(sch, key, order_col)
+    losers_ds = cogroup([(skinny_ds, skinny), (dups_ds, winners)], key,
+                        bucket_losers, schema=losers, n_buckets=num_buckets)
+    rows = write_loser_files((losers_ds, losers), part_col, order_col, out_dir,
                              storage_options)
     return {r[part_col]: (r["path"], r["n"]) for r in rows}
 
 
-def write_loser_files(losers_ds, group_col: str, id_col: str, out_dir: str,
+def write_loser_files(losers, group_col: str, id_col: str, out_dir: str,
                       storage_options: dict | None = None) -> list[dict]:
-    """The one loser-file writer: ``groupby(group_col)`` and each group's
-    task writes its sorted, distinct ``id_col`` values to
-    ``out_dir/losers-<group>.parquet`` — no single-writer funnel, and the
+    """The one loser-file writer: ``losers`` is a ``(Dataset, schema)``
+    :func:`cogroup` side; each ``group_col`` value's sorted, distinct
+    ``id_col`` values go to ``out_dir/losers-<group>.parquet``, written by
+    the task that holds the group — no single-writer funnel, and the
     driver sees only one ``(group_col, path, n)`` row per file."""
     import os
 
     from ..sources.store import write_fragment
 
-    def write(g: pa.Table) -> pa.Table:
-        gtype = g.schema.field(group_col).type
-        if g.num_rows == 0:  # empty sort-boundary block (review r5 — the
-            # same guard every other map_groups fn in this repo carries)
-            return pa.table({group_col: pa.array([], gtype),
-                             "path": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64())})
-        label = g[group_col][0].as_py()
+    out = pa.schema([losers[1].field(group_col), pa.field("path", pa.string()),
+                     pa.field("n", pa.int64())])
+
+    def write(g: pa.Table) -> pa.Table:  # one group's losers
         arr = pc.unique(g[id_col].combine_chunks())
         arr = arr.take(pc.sort_indices(arr))
-        path = os.path.join(out_dir, f"losers-{label}.parquet")
+        path = os.path.join(out_dir, f"losers-{g[group_col][0].as_py()}.parquet")
         write_fragment(pa.table({id_col: arr}), path,
                        storage_options=storage_options)
-        return pa.table({group_col: pa.array([label], gtype),
-                         "path": pa.array([path], pa.string()),
-                         "n": pa.array([len(arr)], pa.int64())})
+        return pa.table({group_col: g[group_col].slice(0, 1), "path": [path],
+                         "n": [len(arr)]})
 
-    return (losers_ds.groupby(group_col)
-            .map_groups(write, batch_format="pyarrow").take_all())
+    return cogroup([losers], group_col, per_key(group_col, write),
+                   schema=out).take_all()
 
 
 def anti_filter_fn(loser_ref, order_col: str):
@@ -445,20 +356,12 @@ def dedup_exact(ds, key: str = "phash", order_col: str = "image_id",
         ref = ray.put(pa.array(sorted(losers)) if losers else frozenset())
         return ds.map_batches(anti_filter_fn(ref, order_col), batch_format="pyarrow")
 
-    # fallback: full-row shuffle, but on a COARSE key bucket (per-key
-    # map_groups costs ~1-2 ms/group at corpus-key cardinality); inside a
-    # bucket every key's rows are co-located, so the block combiner's
-    # vectorized first-of-run scan IS the global first-wins
-    def tag(t: pa.Table) -> pa.Table:
-        return t.append_column("__b", _bucket_of(t[key], 64))
-
-    def first_in_bucket(df: pd.DataFrame) -> pa.Table:
-        t = typed_from_pandas(df.drop(columns="__b"))
-        return dedup_within_batch(t, key, order_col)
-
-    return (ds.map_batches(tag, batch_format="pyarrow")
-            .groupby("__b").map_groups(first_in_bucket,
-                                       batch_format="pandas"))
+    # fallback: full-row co-group on the key; inside a bucket every key's
+    # rows are co-located, so the block combiner's first-of-run scan IS
+    # the global first-wins
+    sch = arrow_schema(ds)
+    return cogroup([(ds, sch)], key,
+                   lambda t: dedup_within_batch(t, key, order_col), schema=sch)
 
 
 def dedup_within_batch(batch: pa.Table, key: str, order_col: str) -> pa.Table:

@@ -9,8 +9,8 @@ first:
   beyond the initial shingling.
 - **LSH**: minhash signature -> B bands of R rows; each band hashed to a
   bucket key; ``flat_map`` docs to (band, bucket, doc_id) rows and a single
-  ``groupby(band, bucket)`` yields candidate groups — the shuffle moves only
-  (int16, int64, int64) rows, never documents.
+  co-group on (band, bucket) yields candidate runs — the shuffle moves only
+  (int32, int64, int64) rows, never documents.
 - **Verification**: candidate pairs re-checked with exact shingle Jaccard
   (broadcast of just the candidate docs' shingle sets).
 - **SimHash**: 64-bit sign-aggregated token hashes; near-dup = Hamming <= k,
@@ -23,8 +23,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..functions.hashing import hash64_str_array, splitmix64, to_int64, to_uint64
+from ..functions.cogroup import _runs, cogroup
+from ..functions.hashing import hash64_str_array, splitmix64, to_int64
 from ..functions.text import shingle_hashes, words
 
 _MERSENNE = np.uint64((1 << 61) - 1)
@@ -145,44 +147,31 @@ def lsh_band_rows(doc_ids: np.ndarray, sigs: np.ndarray, bands: int = 16) -> pa.
 # the pair-dedup) instead of g^2/2 pairs; split via split_candidates.
 # (Both live in stages/hamming.py now — the cap/marker protocol is shared
 # with the generic code-based near-dup; re-exported here for callers.)
-from .hamming import DEFAULT_MAX_BUCKET, split_candidates  # noqa: E402,F401
+from .hamming import (DEFAULT_MAX_BUCKET, _PAIRS,  # noqa: E402,F401
+                      _run_pairs, distinct_pairs, split_candidates)
+
+_BAND_ROWS = pa.schema([("band", pa.int32()), ("bucket", pa.int64()),
+                        ("doc_id", pa.int64())])
 
 
-def band_candidate_pairs(df: pd.DataFrame,
-                         max_bucket: int = DEFAULT_MAX_BUCKET) -> pd.DataFrame:
-    """One BAND's rows -> candidate pairs across its buckets, vectorized.
+def band_candidate_pairs(t: pa.Table,
+                         max_bucket: int = DEFAULT_MAX_BUCKET) -> pa.Table:
+    """(band, bucket, doc_id) rows -> candidate pairs within each
+    equal-(band, bucket) run, vectorized per run (buckets are mostly
+    singletons, so only runs of >= 2 docs cost anything). Marker rows fold
+    the band into their key: identical-signature docs (e.g. empty texts)
+    produce the SAME bucket hash in every band, and size-collapsing
+    markers would undercount 16x."""
+    return _run_pairs(t.select(["band", "bucket", "doc_id"])
+                      .rename_columns(["chunk", "value", "__id"]), max_bucket)
 
-    A per-(band,bucket) map_groups costs ~1-2 ms per GROUP and buckets are
-    mostly singletons (the round-1 q21 wall-time was exactly this), so the
-    groupby key is the band (few groups) and buckets are handled with one
-    value_counts + a loop over only the >=2-member buckets."""
-    counts = df["bucket"].value_counts()
-    hot = counts[counts >= 2]
-    if hot.empty:
-        return pa.table({"a": pa.array([], pa.int64()),
-                         "b": pa.array([], pa.int64())})
-    sub = df[df["bucket"].isin(hot.index)]
-    out_a: list[np.ndarray] = []
-    out_b: list[np.ndarray] = []
-    for bucket, g in sub.groupby("bucket"):
-        n = len(g)
-        if n > max_bucket:  # dropped-bucket marker (error channel)
-            # fold the band into the marker key: identical-signature docs
-            # (e.g. empty texts) produce the SAME bucket hash in every
-            # band, and size-collapsing markers would undercount 16x
-            band = np.int64(g["band"].iloc[0])
-            out_a.append(np.array([-n], dtype=np.int64))
-            out_b.append(np.array([(band << 56) ^ (bucket & 0xFFFFFFFFFFFFFF)],
-                                  dtype=np.int64))
-            continue
-        ids = np.sort(g["doc_id"].to_numpy())
-        ai, bi = np.triu_indices(n, k=1)
-        out_a.append(ids[ai])
-        out_b.append(ids[bi])
-    # Arrow output: Ray's pandas block builder is ~20-40x slower for
-    # multi-row map_groups outputs (measured, see queries.py q31)
-    return pa.table({"a": pa.array(np.concatenate(out_a), pa.int64()),
-                     "b": pa.array(np.concatenate(out_b), pa.int64())})
+
+def _lsh_pairs(band_rows, max_bucket: int):
+    """Distinct candidate pairs (plus dropped-bucket markers) of a band-row
+    Dataset: one :func:`cogroup` on (band, bucket), then the pair combine."""
+    return distinct_pairs(cogroup(
+        [(band_rows, _BAND_ROWS)], ["band", "bucket"],
+        lambda t: band_candidate_pairs(t, max_bucket), schema=_PAIRS))
 
 
 def minhash_lsh_candidates(ds, text_col: str = "text", id_col: str = "doc_id",
@@ -195,10 +184,8 @@ def minhash_lsh_candidates(ds, text_col: str = "text", id_col: str = "doc_id",
     result through split_candidates before treating rows as pairs.
 
     Shuffle cost: only (band:int32, bucket:int64, doc_id:int64) rows move;
-    per-group work is per BAND (16 groups), vectorized inside.
+    per-bucket work is vectorized over (band, bucket) runs.
     """
-    import functools
-
     def explode(batch: pa.Table) -> pa.Table:
         sigs = minhash_batch(batch[text_col].to_pylist(), k=k, ngram=ngram,
                              hasher=hasher)
@@ -209,16 +196,8 @@ def minhash_lsh_candidates(ds, text_col: str = "text", id_col: str = "doc_id",
         keep = sigs[:, 0] != np.iinfo(np.uint64).max
         return lsh_band_rows(batch[id_col].to_numpy()[keep], sigs[keep], bands)
 
-    rows = ds.map_batches(explode, batch_format="pyarrow")
-    pairs = rows.groupby("band").map_groups(
-        functools.partial(band_candidate_pairs, max_bucket=max_bucket),
-        batch_format="pandas",
-    )
-    # distinct (a, b): coarse-bucket combine (a native aggregate pays
-    # per-GROUP cost at pair-count cardinality — see hamming.distinct_pairs)
-    from .hamming import distinct_pairs
-
-    return distinct_pairs(pairs)
+    return _lsh_pairs(ds.map_batches(explode, batch_format="pyarrow"),
+                      max_bucket)
 
 
 def verify_jaccard_pairs(ds, pairs_ds, text_col: str = "text",
@@ -234,8 +213,8 @@ def verify_jaccard_pairs(ds, pairs_ds, text_col: str = "text",
       distributed, collected ONCE as Arrow rows, re-broadcast via ray.put,
       and the pair checks run vectorized-ish in map_batches over the pairs.
     - beyond that: a co-group path — pairs explode to (doc, pair, slot)
-      rows, one groupby(doc) attaches each doc's shingles to its pair
-      rows, one groupby(pair) joins the two sides and computes Jaccard.
+      rows, one :func:`cogroup` on doc attaches each doc's shingles to its
+      pair rows, one on pair joins the two ends and computes Jaccard.
       Nothing doc-sized touches the driver.
     """
     import ray
@@ -259,8 +238,6 @@ def verify_jaccard_pairs(ds, pairs_ds, text_col: str = "text",
 
     if shingle_ds is None:
         def collect(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
             sel = batch.filter(
                 pc.is_in(batch[id_col], value_set=ray.get(needed_ref)))
             return pa.table(
@@ -279,8 +256,6 @@ def verify_jaccard_pairs(ds, pairs_ds, text_col: str = "text",
         # pre-sketched (id, shingles) rows from the fused pass — just the
         # skinny needed-doc filter, no corpus re-read / re-digest
         def pick(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
             sel = batch.filter(
                 pc.is_in(batch[id_col], value_set=ray.get(needed_ref)))
             return sel.select([id_col, "shingles"])
@@ -291,8 +266,6 @@ def verify_jaccard_pairs(ds, pairs_ds, text_col: str = "text",
         # Arrow-native broadcast (round-2 advice): the shingle sets ship as
         # ONE (ids, list<uint64>) Arrow pair — compact buffers, no driver
         # dict-of-Python-sets; per-pair set ops touch only each batch's rows
-        import pyarrow.compute as pc
-
         tbl = pa.concat_tables(ray.get(shingle_ds.to_arrow_refs()))
         sets_ref = ray.put((tbl[id_col].combine_chunks(),
                             tbl["shingles"].combine_chunks()))
@@ -324,56 +297,44 @@ def verify_jaccard_pairs(ds, pairs_ds, text_col: str = "text",
                .map_batches(check, batch_format="pyarrow").to_pandas())
         return out.sort_values(["a", "b"]).reset_index(drop=True)
 
-    # co-group scale path: shingles never leave the cluster.
-    # Candidate ids ABSENT from the corpus must behave like empty-set docs
-    # (the broadcast path's sets.get(id, set()) semantics — review finding:
-    # silently dropping their pairs diverged between the two paths), so
-    # inject an empty shingle row for each missing id; only the skinny id
-    # column is collected to find them.
-    shingle_ds = shingle_ds.materialize()  # bounded: candidate docs only
-    present = {r[id_col] for r in
-               shingle_ds.select_columns([id_col]).take_all()}
-    missing = [int(i) for i in needed if int(i) not in present]
-    if missing:
-        shingle_ds = shingle_ds.union(rd.from_arrow(pa.table({
-            id_col: pa.array(missing, pa.int64()),
-            "shingles": pa.array([[] for _ in missing], pa.list_(pa.uint64())),
-        })))
-    # arrow block (from_arrow), matching shingle_ds's block type — a
-    # pandas+arrow union breaks the groupby sort's block builder
-    sides = pa.table({
+    # co-group scale path: shingles never leave the cluster. Candidate ids
+    # ABSENT from the corpus attach no shingles and behave like empty-set
+    # docs (the broadcast path's sets.get(id, set()) semantics — review
+    # finding: silently dropping their pairs diverged between the paths).
+    ends = pa.table({
         id_col: np.concatenate([pairs["a"].to_numpy(), pairs["b"].to_numpy()]),
         "pair": np.tile(np.arange(len(pairs), dtype=np.int64), 2),
         "slot": np.repeat(np.array([0, 1], dtype=np.int64), len(pairs)),
     })
+    shl = pa.list_(pa.uint64())
+    ends_sch = pa.schema([(id_col, pa.int64()), ("pair", pa.int64()),
+                          ("slot", pa.int64())])
+    attached = ends_sch.remove(0).append(pa.field("shingles", shl))
 
-    def attach(df: pd.DataFrame) -> pd.DataFrame:
-        sh = df[df["pair"].isna()]
-        if sh.empty:
-            return pa.table({"pair": pa.array([], pa.int64()),
-                             "slot": pa.array([], pa.int64()),
-                             "shingles": pa.array([], pa.list_(pa.uint64()))})
-        shingles = sh["shingles"].iloc[0]
-        p = df[df["pair"].notna()]
-        return pa.Table.from_pandas(
-            pd.DataFrame({"pair": p["pair"].astype(np.int64),
-                          "slot": p["slot"].astype(np.int64),
-                          "shingles": [list(shingles)] * len(p)}),
-            preserve_index=False)
+    def attach(p: pa.Table, sh: pa.Table) -> pa.Table:
+        idx = pc.index_in(p[id_col], value_set=sh[id_col].combine_chunks())
+        return p.drop_columns([id_col]).append_column(
+            "shingles", sh["shingles"].take(idx))
 
-    tagged = rd.from_arrow(sides).union(shingle_ds)
-    per_pair = tagged.groupby(id_col).map_groups(attach, batch_format="pandas")
+    def jacc(t: pa.Table) -> pa.Table:
+        order, starts, counts = _runs(t["pair"].to_numpy(), t["slot"].to_numpy())
+        lists = t["shingles"].take(order).to_pylist()
+        pair = t["pair"].to_numpy()[order]
+        out_p, out_j = [], []
+        for s in starts[counts == 2]:
+            sa, sb = set(lists[s] or ()), set(lists[s + 1] or ())
+            union = len(sa | sb)
+            out_p.append(pair[s])
+            out_j.append((len(sa & sb) / union) if union else 1.0)
+        return pa.table({"pair": pa.array(out_p, pa.int64()),
+                         "jaccard": pa.array(out_j, pa.float64())})
 
-    def jacc(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) < 2:
-            return pd.DataFrame({"pair": [], "jaccard": []})
-        df = df.sort_values("slot")
-        sa, sb = set(df["shingles"].iloc[0]), set(df["shingles"].iloc[1])
-        union = len(sa | sb)
-        j = (len(sa & sb) / union) if union else 1.0
-        return pd.DataFrame({"pair": [df["pair"].iloc[0]], "jaccard": [j]})
-
-    jdf = per_pair.groupby("pair").map_groups(jacc, batch_format="pandas").to_pandas()
+    per_pair = cogroup(
+        [(rd.from_arrow(ends), ends_sch),
+         (shingle_ds, pa.schema([(id_col, pa.int64()), ("shingles", shl)]))],
+        id_col, attach, schema=attached)
+    jdf = cogroup([(per_pair, attached)], "pair", jacc, schema=pa.schema(
+        [("pair", pa.int64()), ("jaccard", pa.float64())])).to_pandas()
     jdf = jdf[jdf["jaccard"] >= threshold]
     out = pairs.reset_index(drop=True)
     out["__pair"] = np.arange(len(out), dtype=np.int64)
@@ -403,18 +364,15 @@ def fused_sketch_neardup(ds, *, text_col: str = "text", id_col: str = "doc_id",
     band/code rows ONCE and run the bucket/pigeonhole logic in-process
     (hamming_pairs_local — the shuffles cost more fixed time than the
     whole computation at this size); larger corpora keep the distributed
-    groupby + distinct_pairs + hamming_pairs_ds path unchanged.
+    co-group + distinct_pairs + hamming_pairs_ds path unchanged.
 
     Returns ``(minhash_df (a, b, jaccard), simhash_df (a, b, hamming))``.
     """
-    import functools
-
     import ray
 
     from ..functions.hashing import to_int64
     from ..functions.text import words
-    from .hamming import (distinct_pairs, hamming_near_dup_pairs,
-                          hamming_pairs_local)
+    from .hamming import hamming_near_dup_pairs, hamming_pairs_local
 
     _SHL = pa.list_(pa.uint64())
 
@@ -455,8 +413,6 @@ def fused_sketch_neardup(ds, *, text_col: str = "text", id_col: str = "doc_id",
 
     def only(kind: int, cols: list[str]):
         def f(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
             return t.filter(pc.equal(t["kind"], kind)).select(cols)
 
         return f
@@ -475,22 +431,15 @@ def fused_sketch_neardup(ds, *, text_col: str = "text", id_col: str = "doc_id",
     if n_docs <= LOCAL_DOCS_MAX:
         # bounded tier: ONE collection of the skinny band+code rows; the
         # per-band bucket pairing and the pigeonhole run in-process
-        import pyarrow.compute as pc
         import ray.data as rd
 
         skinny = pa.concat_tables(ray.get(rows.map_batches(
             lambda t: t.filter(pc.not_equal(t["kind"], 2))
                        .select(["kind", "band", "bucket", "doc_id"]),
             batch_format="pyarrow").to_arrow_refs()))
-        bdf = (skinny.filter(pc.equal(skinny["kind"], 0))
-               .select(["band", "bucket", "doc_id"]).to_pandas())
-        cand_parts = [band_candidate_pairs(g, max_bucket=max_bucket)
-                      .to_pandas()
-                      for _, g in bdf.groupby("band", sort=False)]
-        cands = (pd.concat(cand_parts, ignore_index=True)
-                 .drop_duplicates(["a", "b"]) if cand_parts
-                 else pd.DataFrame({"a": pd.Series(dtype=np.int64),
-                                    "b": pd.Series(dtype=np.int64)}))
+        cands = (band_candidate_pairs(skinny.filter(
+            pc.equal(skinny["kind"], 0)), max_bucket).to_pandas()
+            .drop_duplicates(["a", "b"]))
         mh = verify_jaccard_pairs(None, rd.from_pandas(
             cands.reset_index(drop=True)), id_col=id_col, ngram=ngram,
             threshold=jaccard_threshold, hasher=hasher,
@@ -505,10 +454,8 @@ def fused_sketch_neardup(ds, *, text_col: str = "text", id_col: str = "doc_id",
 
     band_rows = rows.map_batches(only(0, ["band", "bucket", "doc_id"]),
                                  batch_format="pyarrow")
-    cands = distinct_pairs(band_rows.groupby("band").map_groups(
-        functools.partial(band_candidate_pairs, max_bucket=max_bucket),
-        batch_format="pandas"))
-    mh = verify_jaccard_pairs(None, cands, id_col=id_col, ngram=ngram,
+    mh = verify_jaccard_pairs(None, _lsh_pairs(band_rows, max_bucket),
+                              id_col=id_col, ngram=ngram,
                               threshold=jaccard_threshold, hasher=hasher,
                               shingle_ds=shingle_rows)
 
@@ -606,8 +553,6 @@ def ngram_jaccard_pairs(ds, threshold: float = 0.2, ngram: int = 3,
     dropped-shingle count in ``.attrs['dropped_shingles']``.
     Returns (a, b, jaccard) sorted.
     """
-    import functools
-
     def explode(t: pa.Table) -> pa.Table:
         ids = t[id_col].to_numpy()
         out_i: list[np.ndarray] = []
@@ -631,120 +576,80 @@ def ngram_jaccard_pairs(ds, threshold: float = 0.2, ngram: int = 3,
 
     rows = ds.map_batches(explode, batch_format="pyarrow")
 
-    def coarse(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return t.append_column("__g", pc.cast(
-            pc.bit_wise_and(t["sh"], 63), pa.int32()))
-
-    def group_pairs(df: pd.DataFrame, cap: int) -> pa.Table:
+    def group_pairs(t: pa.Table) -> pa.Table:
         # run-boundary scan over (sh, doc_id)-sorted numpy arrays — no
         # pandas object per shingle (tens of thousands of tiny groups)
-        shv = df["sh"].to_numpy()
-        ids = df[id_col].to_numpy()
-        szs = df["sz"].to_numpy()
-        order = np.lexsort((ids, shv))
-        shv = shv[order]
-        ids = ids[order]
-        szs = szs[order]
-        bounds = np.nonzero(np.diff(shv))[0] + 1
-        starts = np.concatenate([[0], bounds])
-        ends = np.concatenate([bounds, [len(shv)]])
+        order, starts, counts = _runs(t["sh"].to_numpy(), t[id_col].to_numpy())
+        ids = t[id_col].to_numpy()[order]
+        szs = t["sz"].to_numpy()[order]
         triu_cache: dict[int, tuple] = {}
         dropped = 0
-        out_a: list[np.ndarray] = []
-        out_b: list[np.ndarray] = []
-        out_za: list[np.ndarray] = []
-        out_zb: list[np.ndarray] = []
-        for s, e in zip(starts, ends):
-            n = e - s
-            if n < 2:
-                continue
-            if n > cap:
+        out_a: list[np.ndarray] = [np.empty(0, np.int64)]
+        out_b: list[np.ndarray] = [np.empty(0, np.int64)]
+        out_za: list[np.ndarray] = [np.empty(0, np.int64)]
+        out_zb: list[np.ndarray] = [np.empty(0, np.int64)]
+        for s, n in zip(starts[counts >= 2], counts[counts >= 2]):
+            if n > max_shingle_df:
                 dropped += 1
                 continue
             tri = triu_cache.get(n)
             if tri is None:
                 tri = triu_cache[n] = np.triu_indices(n, k=1)
-            run = ids[s:e]
-            rz = szs[s:e]
+            run = ids[s:s + n]
+            rz = szs[s:s + n]
             out_a.append(run[tri[0]])
             out_b.append(run[tri[1]])
             out_za.append(rz[tri[0]])
             out_zb.append(rz[tri[1]])
-        cols: dict = {}
-        if out_a:
-            a = np.concatenate(out_a)
-            b = np.concatenate(out_b)
-            za = np.concatenate(out_za)
-            zb = np.concatenate(out_zb)
-            # size-ratio prefilter: jaccard is at most min(sz)/max(sz)
-            # (reached when the smaller set is a subset), so a pair whose
-            # sizes differ by more than 1/threshold can NEVER pass. sz_a/
-            # sz_b are global doc properties carried on every row, so the
-            # decision is identical in every __g group — surviving pairs
-            # keep exact global counts; this drops only provably-dead rows
-            # before the pk shuffle.
-            keep = np.minimum(za, zb).astype(np.float64) >= (
-                threshold * np.maximum(za, zb))
-            a, b, za, zb = a[keep], b[keep], za[keep], zb[keep]
-            # pack (a, b) into ONE int64 key and PARTIAL-count within the
-            # group: the (a,b) shuffle then moves deduplicated skinny rows
-            # and aggregates int columns (doc ids fit 31 bits); sizes are
-            # functionally dependent on the pair, any partial's value works
-            packed = a * np.int64(1 << 32) + b
-            uniq, first, cnt = np.unique(packed, return_index=True,
-                                         return_counts=True)
-            cols = {"pk": uniq, "n": cnt.astype(np.int64),
-                    "sz_a": za[first], "sz_b": zb[first]}
-        else:
-            cols = {k: np.array([], dtype=np.int64)
-                    for k in ("pk", "n", "sz_a", "sz_b")}
+        a = np.concatenate(out_a)
+        b = np.concatenate(out_b)
+        za = np.concatenate(out_za)
+        zb = np.concatenate(out_zb)
+        # size-ratio prefilter: jaccard is at most min(sz)/max(sz) (reached
+        # when the smaller set is a subset), so a pair whose sizes differ
+        # by more than 1/threshold can NEVER pass. sz_a/sz_b are global doc
+        # properties carried on every row, so the decision is identical in
+        # every bucket — surviving pairs keep exact global counts; this
+        # drops only provably-dead rows before the pk shuffle.
+        keep = np.minimum(za, zb).astype(np.float64) >= (
+            threshold * np.maximum(za, zb))
+        a, b, za, zb = a[keep], b[keep], za[keep], zb[keep]
+        # pack (a, b) into ONE int64 key and PARTIAL-count within the
+        # bucket: the (a,b) shuffle then moves deduplicated skinny rows and
+        # aggregates int columns (doc ids fit 31 bits); sizes are
+        # functionally dependent on the pair, any partial's value works
+        packed = a * np.int64(1 << 32) + b
+        uniq, first, cnt = np.unique(packed, return_index=True,
+                                     return_counts=True)
+        cols = {"pk": uniq, "n": cnt.astype(np.int64),
+                "sz_a": za[first], "sz_b": zb[first]}
         if dropped:
-            # df-cap error channel: one marker row per group, pk < 0
+            # df-cap error channel: one marker row per bucket, pk = -1
             # (real pair keys are always >= 0), n = dropped shingles
-            g = int(df["__g"].iloc[0])
-            cols = {k: np.concatenate([v, [m]]) for (k, v), m in zip(
-                cols.items(), [-1 - g, dropped, 0, 0])}
-        return pa.table({k: pa.array(v, pa.int64()) for k, v in cols.items()})
+            cols = {k: np.append(v, m) for (k, v), m in zip(
+                cols.items(), [-1, dropped, 0, 0])}
+        return pa.table(cols)
 
-    def coarse_pk(t: pa.Table) -> pa.Table:
-        # marker rows (pk = -1-g, g < 64) land in bucket 63-g via two's
-        # complement — still in [0, 64)
-        import pyarrow.compute as pc
-
-        return t.append_column("__h", pc.cast(
-            pc.bit_wise_and(t["pk"], 63), pa.int32()))
-
-    def combine_pairs(df: pd.DataFrame) -> pa.Table:
-        # the global per-pair combine, COARSE-bucketed on pk (a native
+    def combine_pairs(t: pa.Table) -> pa.Table:
+        # the global per-pair combine, co-grouped on pk (a native
         # groupby("pk").aggregate pays per-GROUP cost at ~1M mostly-unique
         # pair keys — measured 19 s of a 25 s run at sf0.1; this reduceat
         # over 64 buckets does the same sum in ~1 s)
-        pk = df["pk"].to_numpy()
-        if len(pk) == 0:  # empty sort-boundary block
-            e = pa.array([], pa.int64())
-            return pa.table({"pk": e, "n_common": e, "sz_a": e, "sz_b": e})
-        n = df["n"].to_numpy()
-        sa = df["sz_a"].to_numpy()
-        sb = df["sz_b"].to_numpy()
-        order = np.argsort(pk, kind="stable")
-        pk, n, sa, sb = pk[order], n[order], sa[order], sb[order]
-        starts = np.concatenate(
-            [[0], np.nonzero(np.diff(pk))[0] + 1])
+        order, starts, _ = _runs(t["pk"].to_numpy())
+        first = order[starts]
         return pa.table({
-            "pk": pa.array(pk[starts], pa.int64()),
-            "n_common": pa.array(np.add.reduceat(n, starts), pa.int64()),
-            "sz_a": pa.array(sa[starts], pa.int64()),
-            "sz_b": pa.array(sb[starts], pa.int64())})
+            "pk": t["pk"].take(first),
+            "n_common": np.add.reduceat(t["n"].to_numpy()[order], starts),
+            "sz_a": t["sz_a"].take(first), "sz_b": t["sz_b"].take(first)})
 
-    common = (rows.map_batches(coarse, batch_format="pyarrow")
-              .groupby("__g")
-              .map_groups(functools.partial(group_pairs, cap=max_shingle_df),
-                          batch_format="pandas")
-              .map_batches(coarse_pk, batch_format="pyarrow")
-              .groupby("__h")
-              .map_groups(combine_pairs, batch_format="pandas"))
+    shingles = pa.schema([(id_col, pa.int64()), ("sh", pa.int64()),
+                          ("sz", pa.int64())])
+    partial = pa.schema([(c, pa.int64()) for c in ("pk", "n", "sz_a", "sz_b")])
+    common = cogroup(
+        [(cogroup([(rows, shingles)], "sh", group_pairs, schema=partial),
+          partial)], "pk", combine_pairs,
+        schema=pa.schema([(c, pa.int64())
+                          for c in ("pk", "n_common", "sz_a", "sz_b")]))
 
     def jaccard_filter(t: pa.Table) -> pa.Table:
         pk = t["pk"].to_numpy()

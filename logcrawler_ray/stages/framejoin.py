@@ -4,8 +4,8 @@
   frame_number. ``how="inner"`` drops frames without images — the
   combined.log rule "only write frames which have corresponding images"
   (reference: 02_combine_logs.py:118-136); ``how="left"`` keeps them, the
-  images_jpeg variant (02_combine_logs.py:165-190). Implemented as the
-  tag-union-cogroup pattern: one shuffle on log_id, pandas merge inside.
+  images_jpeg variant (02_combine_logs.py:165-190). One :func:`cogroup`
+  on log_id, an Arrow hash join on (log_id, frame_number) per bucket.
 
 - ``broadcast_lookup``: the frame_number -> frame_id dict probe
   (07_input_cognition_data_rust.py:119-124, 12_input_images.py:39-59) as a
@@ -19,8 +19,9 @@
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+
+from ..functions.cogroup import arrow_schema, cogroup
 
 
 def frame_join(game_ds, image_ds, how: str = "inner", by: str = "log_id",
@@ -30,69 +31,20 @@ def frame_join(game_ds, image_ds, how: str = "inner", by: str = "log_id",
     if how not in ("inner", "left"):
         raise ValueError(how)
 
-    # explicit per-side column lists (round-1 hygiene: dropna(axis=1) on a
-    # group empty on one side silently dropped ALL that side's columns)
-    g_names = list(game_ds.schema().names)
-    i_names = list(image_ds.schema().names)
+    gsch, isch = arrow_schema(game_ds), arrow_schema(image_ds)
+    iside = pa.schema([gsch.field(by), gsch.field(on)]
+                      + [f for f in isch if f.name not in (by, on)])
+    out = pa.schema(list(gsch) + [
+        f.with_name(f.name + "_img" if f.name in gsch.names else f.name)
+        for f in iside if f.name not in (by, on)])
 
-    tag_g = game_ds.map_batches(
-        lambda t: t.append_column("__side", pa.array(np.zeros(t.num_rows, np.int8))),
-        batch_format="pyarrow")
-    tag_i = image_ds.map_batches(
-        lambda t: t.append_column("__side", pa.array(np.ones(t.num_rows, np.int8))),
-        batch_format="pyarrow")
+    def per_bucket(game: pa.Table, img: pa.Table) -> pa.Table:
+        return game.join(img, keys=[by, on], right_suffix="_img",
+                         join_type="inner" if how == "inner" else "left outer",
+                         use_threads=False)
 
-    # canonical output schema + per-column null dtypes across ALL groups
-    # (Arrow-output blocks must agree; a no-image group otherwise fills
-    # the img columns with float64 NaN and fails unification when the
-    # image side has string columns)
-    def _img_dtype(t):
-        """Pandas output dtype for an image column. ``left`` mode must be
-        null-capable (missed rows) -> numerics widen to float64; ``inner``
-        keeps native dtypes (no misses within a group)."""
-        if isinstance(t, pa.DataType):
-            if pa.types.is_timestamp(t):
-                return "datetime64[us]"
-            if pa.types.is_integer(t):
-                if how == "left":
-                    return "float64"
-                # inner: keep the NATIVE width (int32 stays int32)
-                return pa.schema([("c", t)]).empty_table().to_pandas().dtypes["c"]
-            if pa.types.is_floating(t):
-                return "float64"
-            return object
-        if pd.api.types.is_datetime64_any_dtype(t):
-            return "datetime64[us]"
-        if pd.api.types.is_integer_dtype(t):
-            return "float64" if how == "left" else t
-        if pd.api.types.is_float_dtype(t):
-            return "float64"
-        return object
-
-    i_sch = image_ds.schema()
-    img_dtypes = {
-        (n if n not in g_names else n + "_img"): _img_dtype(t)
-        for n, t in zip(i_sch.names, i_sch.types) if n not in (by, on)}
-    out_cols = g_names + list(img_dtypes)
-
-    def per_log(df: pd.DataFrame) -> pa.Table:
-        game = df.loc[df["__side"] == 0, g_names]
-        img = df.loc[df["__side"] == 1, i_names]
-        if img.empty:
-            merged = game.iloc[0:0] if how == "inner" else game.copy()
-        else:
-            merged = game.merge(img.drop(columns=[by]), on=on, how=how,
-                                suffixes=("", "_img"))
-        merged = merged.reindex(columns=out_cols)
-        for c, dt in img_dtypes.items():
-            if merged[c].dtype != dt and not (dt == object and
-                                              merged[c].notna().any()):
-                merged[c] = merged[c].astype(dt)
-        # Arrow output (pandas block builder is ~20-40x slower for
-        # multi-row map_groups outputs, see queries.py q31)
-        return pa.Table.from_pandas(merged, preserve_index=False)
-
-    return tag_g.union(tag_i).groupby(by).map_groups(per_log, batch_format="pandas")
+    return cogroup([(game_ds, gsch), (image_ds, iside)], by, per_bucket,
+                   schema=out)
 
 
 def broadcast_lookup(ds, mapping: dict, key: str, out_col: str, miss: str = "null"):

@@ -11,9 +11,9 @@ a vectorized XOR-popcount inside the bucket.
 The reference has no similarity operator (SURVEY.md §2.6 O7 notes the
 gap); this is the standard large-corpus code-based near-dup shape,
 Ray-Data-first: the shuffle moves only (int32 chunk, int64 value,
-int64 id, int64 code) rows — payloads and text never move. The groupby
-key is the CHUNK (few groups, CLAUDE.md per-group-cost lesson); equal-
-value buckets are handled vectorized inside each chunk group, with the
+int64 id, int64 code) rows — payloads and text never move. Rows are
+co-grouped on (chunk, value) in coarse buckets (functions/cogroup.py);
+equal-value runs are handled vectorized inside each bucket, with the
 O(g^2) degenerate-bucket guard emitting one marker row per dropped
 bucket (the error channel; see :func:`split_candidates`).
 """
@@ -24,6 +24,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..functions.cogroup import _runs, cogroup
 from ..functions.hashing import to_int64, to_uint64
 from ..functions.phash import hamming_batch
 
@@ -32,6 +33,9 @@ from ..functions.phash import hamming_batch
 # (a = -size, b = bucket key, so markers from different buckets stay
 # distinct through the pair-dedup) instead of g^2/2 pairs.
 DEFAULT_MAX_BUCKET = 512
+
+_PAIRS = pa.schema([("a", pa.int64()), ("b", pa.int64())])
+_PAIRS_D = _PAIRS.append(pa.field("hamming", pa.int64()))
 
 
 def split_candidates(pairs: pd.DataFrame) -> tuple[pd.DataFrame, pd.DataFrame]:
@@ -48,46 +52,77 @@ def split_candidates(pairs: pd.DataFrame) -> tuple[pd.DataFrame, pd.DataFrame]:
     return pairs[~mark].reset_index(drop=True), dropped
 
 
-def _pair_bucket(t: pa.Table, n: int, cols: tuple[str, str]) -> pa.Array:
-    """Coarse int32 bucket of an id-pair row, mixing both ids."""
-    from ..functions.hashing import splitmix64
-
-    a = to_uint64(t[cols[0]].to_numpy(zero_copy_only=False).astype(np.int64))
-    b = to_uint64(t[cols[1]].to_numpy(zero_copy_only=False).astype(np.int64))
-    with np.errstate(over="ignore"):
-        u = splitmix64(a * np.uint64(0x9E3779B97F4A7C15) + b)
-    return pa.array((u % np.uint64(n)).astype(np.int32))
-
-
 def distinct_pairs(pairs_ds, carry: str | None = None, num_buckets: int = 64,
                    cols: tuple[str, str] = ("a", "b")):
-    """Distinct int64-pair rows via ONE coarse-bucket shuffle + a C-level
-    per-bucket combine. A native ``groupby([pair]).aggregate`` pays
-    per-GROUP cost at pair-count cardinality (measured ~150 us/distinct
-    key at 200k keys — see dedup.dup_winners); this is the same result
-    at per-ROW cost. ``carry`` names a column functionally dependent on
-    the pair (e.g. hamming) to keep (min per pair, any value equal)."""
+    """Distinct int64-pair rows via ONE coarse-bucket :func:`cogroup` + a
+    C-level per-bucket combine. A native ``groupby([pair]).aggregate``
+    pays per-GROUP cost at pair-count cardinality (measured ~150
+    us/distinct key at 200k keys — see dedup.dup_winners); this is the
+    same result at per-ROW cost. ``carry`` names an int64 column
+    functionally dependent on the pair (e.g. hamming) to keep (min per
+    pair, any value equal)."""
     ca, cb = cols
+    sch = pa.schema([(c, pa.int64()) for c in [ca, cb] + ([carry] if carry else [])])
 
-    def tag(t: pa.Table) -> pa.Table:
-        return t.append_column("__pb", _pair_bucket(t, num_buckets, cols))
+    def merge(t: pa.Table) -> pa.Table:
+        order, starts, _ = _runs(
+            (t[ca].to_numpy(), t[cb].to_numpy()),
+            t[carry].to_numpy() if carry else None)
+        return t.take(order[starts])  # a run's first row holds its min carry
 
-    def merge(df: pd.DataFrame) -> pa.Table:
-        if len(df) == 0:  # empty sort-boundary block
-            out = {ca: df[ca], cb: df[cb]}
-            if carry:
-                out[carry] = df[carry]
-            return pa.Table.from_pandas(pd.DataFrame(out),
-                                        preserve_index=False)
-        if carry:
-            g = df.groupby([ca, cb], as_index=False, sort=False).agg(
-                **{carry: (carry, "min")})
-        else:
-            g = df[[ca, cb]].drop_duplicates()
-        return pa.Table.from_pandas(g, preserve_index=False)
+    return cogroup([(pairs_ds, sch)], [ca, cb], merge, schema=sch,
+                   n_buckets=num_buckets)
 
-    return (pairs_ds.map_batches(tag, batch_format="pyarrow")
-            .groupby("__pb").map_groups(merge, batch_format="pandas"))
+
+def _chunk_rows(codes: np.ndarray, ids: np.ndarray, widths: np.ndarray,
+                offsets: np.ndarray) -> pa.Table:
+    """One (chunk, value, __id, __code) row per code per pigeonhole chunk."""
+    n, k = len(ids), len(widths)
+    return pa.table({
+        "chunk": np.repeat(np.arange(k, dtype=np.int32), n),
+        "value": np.concatenate(
+            [to_int64((codes >> np.uint64(int(offsets[c])))
+                      & np.uint64((1 << int(widths[c])) - 1)) for c in range(k)]),
+        "__id": np.tile(ids, k),
+        "__code": np.tile(to_int64(codes), k)})
+
+
+def _run_pairs(t: pa.Table, max_bucket: int,
+               max_hamming: int | None = None) -> pa.Table:
+    """All id pairs (a < b) within each equal-``(chunk, value)`` run of one
+    bucket's exploded rows, vectorized per run. A run past ``max_bucket``
+    emits ONE dropped-bucket marker (a = -size, b = chunk/value key)
+    instead of its O(g^2) pairs. With ``max_hamming``, pairs are verified
+    by XOR-popcount on ``__code`` and carry their ``hamming`` distance."""
+    chunk = t["chunk"].to_numpy().astype(np.int64)
+    value = t["value"].to_numpy()
+    order, starts, counts = _runs((chunk, value), t["__id"].to_numpy())
+    ids = t["__id"].to_numpy()[order]
+    codes = None if max_hamming is None else \
+        to_uint64(t["__code"].to_numpy()[order])
+    out_a, out_b, out_d = [np.empty(0, np.int64)], [np.empty(0, np.int64)], \
+        [np.empty(0, np.int64)]
+    for s, n in zip(starts[counts >= 2], counts[counts >= 2]):
+        if n > max_bucket:  # O(g^2) guard: dropped-bucket marker
+            r = order[s]
+            out_a.append(np.array([-n], np.int64))
+            out_b.append(np.array([(chunk[r] << 48) ^ (value[r] & 0xFFFFFFFFFFFF)],
+                                  np.int64))
+            out_d.append(np.array([-1], np.int64))
+            continue
+        ai, bi = np.triu_indices(n, k=1)
+        ai, bi = ai + s, bi + s
+        if codes is not None:
+            d = hamming_batch(codes[ai], codes[bi]).astype(np.int64)
+            keep = d <= max_hamming
+            ai, bi = ai[keep], bi[keep]
+            out_d.append(d[keep])
+        out_a.append(ids[ai])
+        out_b.append(ids[bi])
+    cols = {"a": np.concatenate(out_a), "b": np.concatenate(out_b)}
+    if codes is not None:
+        cols["hamming"] = np.concatenate(out_d)
+    return pa.table(cols)
 
 
 def _chunk_geometry(max_hamming: int, nbits: int, n_chunks: int | None):
@@ -141,7 +176,6 @@ def hamming_pairs_ds(ds, code_col: str = "code", id_col: str = "doc_id",
     """
     n_chunks, widths, offsets, bits_mask = _chunk_geometry(
         max_hamming, nbits, n_chunks)
-    masks = [np.uint64((1 << int(w)) - 1) for w in widths]
 
     def explode(batch: pa.Table) -> pa.Table:
         keep = None
@@ -164,50 +198,17 @@ def hamming_pairs_ds(ds, code_col: str = "code", id_col: str = "doc_id",
                 f"hamming_pairs_ds: negative {id_col!r} — ids must be "
                 "non-negative int64 (negative ids are the dropped-bucket "
                 "marker channel and would be silently filtered)")
-        n = len(ids)
-        chunk_ids = np.repeat(np.arange(n_chunks, dtype=np.int32), n)
-        chunks = np.concatenate(
-            [to_int64((codes >> np.uint64(int(offsets[c]))) & masks[c])
-             for c in range(n_chunks)])
-        return pa.table({"chunk": chunk_ids, "value": chunks,
-                         "__id": np.tile(ids, n_chunks),
-                         "__code": np.tile(to_int64(codes), n_chunks)})
-
-    def chunk_pairs(df: pd.DataFrame):
-        """One CHUNK's rows: pairs within each equal-value bucket."""
-        counts = df["value"].value_counts()
-        hot = counts[counts >= 2]
-        empty = pd.DataFrame({"a": [], "b": [], "hamming": []}).astype(
-            {"a": np.int64, "b": np.int64, "hamming": np.int64})
-        if hot.empty:
-            return pa.Table.from_pandas(empty, preserve_index=False)
-        out = [empty]
-        for value, g in df[df["value"].isin(hot.index)].groupby("value"):
-            n = len(g)
-            if n > max_bucket:  # O(g^2) guard: dropped-bucket marker
-                chunk = np.int64(g["chunk"].iloc[0])
-                out.append(pd.DataFrame(
-                    {"a": [np.int64(-n)],
-                     "b": [np.int64((chunk << 48) ^ (value & 0xFFFFFFFFFFFF))],
-                     "hamming": [np.int64(-1)]}))
-                continue
-            g = g.sort_values("__id")
-            ids = g["__id"].to_numpy()
-            codes = to_uint64(g["__code"].to_numpy())
-            ai, bi = np.triu_indices(n, k=1)
-            d = hamming_batch(codes[ai], codes[bi]).astype(np.int64)
-            keep = d <= max_hamming
-            out.append(pd.DataFrame({"a": ids[ai][keep], "b": ids[bi][keep],
-                                     "hamming": d[keep]}))
-        return pa.Table.from_pandas(pd.concat(out, ignore_index=True),
-                                    preserve_index=False)
+        return _chunk_rows(codes, ids, widths, offsets)
 
     import pyarrow.compute as pc
 
-    raw = (ds.map_batches(explode, batch_format="pyarrow")
-           .groupby("chunk")
-           .map_groups(chunk_pairs, batch_format="pandas")
-           .materialize())
+    rows = pa.schema([("chunk", pa.int32()), ("value", pa.int64()),
+                      ("__id", pa.int64()), ("__code", pa.int64())])
+    raw = cogroup(
+        [(ds.map_batches(explode, batch_format="pyarrow"), rows)],
+        ["chunk", "value"],
+        lambda t: _run_pairs(t, max_bucket, max_hamming),
+        schema=_PAIRS_D).materialize()
     n_dropped = raw.map_batches(
         lambda t: pa.table({"n": [int(pc.sum(
             pc.less(t["a"], 0)).as_py() or 0)]}),
@@ -230,48 +231,18 @@ def hamming_pairs_local(codes, ids, *, max_hamming: int = 3, nbits: int = 64,
     distinct-pair rule, minus ~3 Ray executions of fixed cost. Equality
     with the Dataset path is pytest-pinned. Returns
     ``(DataFrame(a, b, hamming) sorted, n_dropped_buckets)``."""
-    import pandas as pd
-
     n_chunks, widths, offsets, bits_mask = _chunk_geometry(
         max_hamming, nbits, n_chunks)
     codes = to_uint64(np.asarray(codes))
     ids = np.asarray(ids, dtype=np.int64)
     if (ids < 0).any():
         raise ValueError("hamming_pairs_local: negative ids")
-    codes = codes & bits_mask
-    out_a, out_b, out_d = [], [], []
-    n_dropped = 0
-    for c in range(n_chunks):
-        mask = np.uint64((1 << int(widths[c])) - 1)
-        vals = (codes >> np.uint64(int(offsets[c]))) & mask
-        order = np.lexsort((ids, vals))
-        sv, si, sc = vals[order], ids[order], codes[order]
-        starts = np.concatenate(
-            [[0], np.nonzero(np.diff(sv.view(np.int64)))[0] + 1, [len(sv)]])
-        for s, e in zip(starts[:-1], starts[1:]):
-            n = e - s
-            if n < 2:
-                continue
-            if n > max_bucket:
-                n_dropped += 1
-                continue
-            ai, bi = np.triu_indices(n, k=1)
-            d = hamming_batch(sc[s:e][ai], sc[s:e][bi]).astype(np.int64)
-            keep = d <= max_hamming
-            out_a.append(si[s:e][ai][keep])
-            out_b.append(si[s:e][bi][keep])
-            out_d.append(d[keep])
-    if not out_a:
-        return (pd.DataFrame({"a": pd.Series(dtype=np.int64),
-                              "b": pd.Series(dtype=np.int64),
-                              "hamming": pd.Series(dtype=np.int64)}),
-                n_dropped)
-    df = pd.DataFrame({"a": np.concatenate(out_a),
-                       "b": np.concatenate(out_b),
-                       "hamming": np.concatenate(out_d)})
-    df = (df.drop_duplicates(["a", "b"])
+    raw = _run_pairs(_chunk_rows(codes & bits_mask, ids, widths, offsets),
+                     max_bucket, max_hamming).to_pandas()
+    mark = raw["a"] < 0
+    df = (raw[~mark].drop_duplicates(["a", "b"])
           .sort_values(["a", "b"]).reset_index(drop=True))
-    return df, n_dropped
+    return df, int(mark.sum())
 
 
 def band_pairs_ds(ds, band_fn, id_col: str = "doc_id",
@@ -316,32 +287,12 @@ def band_pairs_ds(ds, band_fn, id_col: str = "doc_id",
             "__id": np.tile(ids, n_bands),
         })
 
-    def band_bucket_pairs(df: pd.DataFrame):
-        counts = df["value"].value_counts()
-        hot = counts[counts >= 2]
-        empty = pd.DataFrame({"a": [], "b": []}).astype(
-            {"a": np.int64, "b": np.int64})
-        if hot.empty:
-            return pa.Table.from_pandas(empty, preserve_index=False)
-        out = [empty]
-        for value, g in df[df["value"].isin(hot.index)].groupby("value"):
-            n = len(g)
-            if n > max_bucket:  # O(g^2) guard: dropped-bucket marker
-                chunk = np.int64(g["chunk"].iloc[0])
-                out.append(pd.DataFrame(
-                    {"a": [np.int64(-n)],
-                     "b": [np.int64((chunk << 48) ^ (value & 0xFFFFFFFFFFFF))]}))
-                continue
-            ids = np.sort(g["__id"].to_numpy())
-            ai, bi = np.triu_indices(n, k=1)
-            out.append(pd.DataFrame({"a": ids[ai], "b": ids[bi]}))
-        return pa.Table.from_pandas(pd.concat(out, ignore_index=True),
-                                    preserve_index=False)
-
-    raw = (ds.map_batches(explode, batch_format="pyarrow")
-           .groupby("chunk")
-           .map_groups(band_bucket_pairs, batch_format="pandas")
-           .materialize())
+    rows = pa.schema([("chunk", pa.int32()), ("value", pa.int64()),
+                      ("__id", pa.int64())])
+    raw = cogroup(
+        [(ds.map_batches(explode, batch_format="pyarrow"), rows)],
+        ["chunk", "value"], lambda t: _run_pairs(t, max_bucket),
+        schema=_PAIRS).materialize()
     n_dropped = raw.map_batches(
         lambda t: pa.table({"n": [int(pc.sum(
             pc.less(t["a"], 0)).as_py() or 0)]}),

@@ -24,8 +24,9 @@ fit one task, vectorized per-bucket work.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+
+from ..functions.cogroup import _runs, arrow_schema, cogroup
 
 
 def _disc_index(q: float, n: np.ndarray) -> np.ndarray:
@@ -50,94 +51,61 @@ def grouped_percentiles(ds, group_col: str, value_col: str,
     task). Output values are actual elements of the input column, so the
     result is dtype-preserving and hash-comparable to SQL quantile_disc.
     """
-    from .dedup import _bucket_of
+    import pyarrow.compute as pc
 
     for name, q in qs.items():
         if not 0 < q <= 1:
             raise ValueError(f"{name}: quantile {q} outside (0, 1]")
 
-    # the ORIGINAL Arrow value type: a bucket that received a null marker
-    # sees pandas upcast an integer column to float64, which would emit
-    # float64 percentile columns in SOME buckets and int64 in others —
-    # mixed block schemas + a dtype divergence from quantile_disc (ADVICE
-    # r4). Every bucket casts its picks back to this type.
-    sch = ds.schema()
-    val_type = dict(zip(sch.names, sch.types))[value_col]
-    if not isinstance(val_type, pa.DataType):  # pandas-backed block schema
-        val_type = pa.from_numpy_dtype(val_type)
+    sch = arrow_schema(ds)
+    rows = pa.schema([sch.field(group_col), sch.field(value_col)])
+    val_type = rows.field(value_col).type
+    out = rows.remove(1)
+    for name in qs:
+        out = out.append(pa.field(name, val_type))
 
-    def tag(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
+    def drop_nulls(t: pa.Table) -> pa.Table:
         t = t.select([group_col, value_col])
         # quantile_disc ignores NULL values — drop them BEFORE the shuffle
         # (ADVICE r3: a NULL/NaN that survives to the sort is picked as a
-        # high percentile because pandas sorts NaN last). But a group must
-        # not VANISH when all its values are null (quantile_disc still
-        # emits the group with NULL percentiles — review finding), so the
-        # dropped rows leave behind one null-value marker per distinct
-        # group key per batch.
+        # high percentile). But a group must not VANISH when all its
+        # values are null (quantile_disc still emits the group with NULL
+        # percentiles — review finding), so the dropped rows leave behind
+        # one null-value marker per distinct group key per batch.
         keep = pc.is_valid(t[value_col])
-        if pa.types.is_floating(t.schema.field(value_col).type):
-            keep = pc.and_kleene(keep, pc.invert(
-                pc.is_nan(t[value_col])))
-            keep = pc.fill_null(keep, False)
+        if pa.types.is_floating(val_type):
+            keep = pc.fill_null(pc.and_kleene(keep, pc.invert(
+                pc.is_nan(t[value_col]))), False)
         dropped = t.filter(pc.invert(keep))
         t = t.filter(keep)
         if dropped.num_rows:
             g = pc.unique(dropped[group_col])
             t = pa.concat_tables([t, pa.table({
-                group_col: g,
-                value_col: pa.nulls(len(g),
-                                    t.schema.field(value_col).type)})])
-        return t.append_column("__qb", _bucket_of(t[group_col], num_buckets))
+                group_col: g, value_col: pa.nulls(len(g), val_type)})])
+        return t
 
-    def per_bucket(df: pd.DataFrame) -> pa.Table:
-        from .dedup import typed_from_pandas
-
-        if len(df) == 0:  # empty sort-boundary block
-            tab = typed_from_pandas(pd.DataFrame({group_col: df[group_col]}))
-            for n in qs:  # typed empty columns — block schemas must agree
-                tab = tab.append_column(n, pa.nulls(0, val_type))
-            return tab
-        df = (df.sort_values([group_col, value_col], kind="mergesort")
-              .reset_index(drop=True))
-        # factorize: null/NaN group keys get ONE code (one run) instead of
-        # per-row runs from NaN != NaN (ADVICE r3); sort_values already
-        # co-located them at the end.
-        codes, _ = pd.factorize(df[group_col], use_na_sentinel=False)
-        vals = df[value_col].to_numpy()
-        bounds = np.nonzero(codes[1:] != codes[:-1])[0] + 1
-        starts = np.concatenate([[0], bounds])
-        ends = np.concatenate([bounds, [len(codes)]])
-        # null markers sort last within each group; percentiles index only
+    def per_bucket(t: pa.Table) -> pa.Table:
+        # dictionary codes give null (and NaN) group keys ONE run; null
+        # markers sort last within their group, so percentiles index only
         # the group's VALID prefix, and all-null groups emit NULL (the
         # quantile_disc contract)
-        valid = df[value_col].notna().to_numpy()
-        nv = np.add.reduceat(valid.astype(np.int64), starts)
-        out = pd.DataFrame({group_col: df[group_col].iloc[starts]
-                            .reset_index(drop=True)})
-        tab = typed_from_pandas(out)
-        import pyarrow.compute as pc
-
+        codes = pc.dictionary_encode(t[group_col].combine_chunks(),
+                                     null_encoding="encode").indices
+        order = pc.sort_indices(pa.table({"c": codes, "v": t[value_col]}),
+                                sort_keys=[("c", "ascending"), ("v", "ascending")])
+        vals = t[value_col].take(order)
+        _, starts, counts = _runs(codes.take(order).to_numpy())
+        nv = np.add.reduceat(pc.is_valid(vals).to_numpy(zero_copy_only=False)
+                             .astype(np.int64), starts)
         has = pa.array(nv > 0)
+        cols = {group_col: t[group_col].take(order).take(starts)}
         for name, q in qs.items():
             idx = starts + np.where(nv > 0, _disc_index(q, np.maximum(nv, 1)), 0)
-            picks = vals[idx]
-            if len(picks) and (nv == 0).any() and picks.dtype.kind == "f" \
-                    and not pa.types.is_floating(val_type):
-                # all-null groups picked a NaN placeholder — neutral-fill
-                # before the integer cast (masked to NULL below anyway)
-                picks = np.where(nv > 0, picks, 0)
-            col = pa.array(picks)
-            if not col.type.equals(val_type):
-                col = pc.cast(col, val_type)  # undo the null-marker upcast
-            tab = tab.append_column(
-                name, pc.if_else(has, col, pa.scalar(None, val_type)))
-        return tab
+            cols[name] = pc.if_else(has, vals.take(idx), pa.scalar(None, val_type))
+        return pa.table(cols)
 
-    return (ds.map_batches(tag, batch_format="pyarrow")
-            .groupby("__qb").map_groups(per_bucket, batch_format="pandas"))
+    return cogroup([(ds.map_batches(drop_nulls, batch_format="pyarrow"), rows)],
+                   group_col, per_bucket, schema=out, n_buckets=num_buckets)
 
 
 def quantile_sketch(ds, value_col: str, nbins: int = 4096) -> dict:
@@ -185,25 +153,17 @@ def quantile_sketch(ds, value_col: str, nbins: int = 4096) -> dict:
         c = np.bincount(idx, minlength=nbins).astype(np.int64)
         nz = np.nonzero(c)[0]  # sparse partials: most bins are empty
         return pa.table({"bin": pa.array(nz, pa.int64()),
-                         "n": pa.array(c[nz], pa.int64()),
-                         "__hb": pa.array((nz & 63).astype(np.int32))})
+                         "n": pa.array(c[nz], pa.int64())})
 
-    def merge(df: pd.DataFrame) -> pa.Table:
-        if len(df) == 0:
-            e = pa.array([], pa.int64())
-            return pa.table({"bin": e, "n": e})
-        b = df["bin"].to_numpy()
-        n = df["n"].to_numpy()
-        order = np.argsort(b, kind="stable")
-        b, n = b[order], n[order]
-        starts = np.concatenate([[0], np.nonzero(np.diff(b))[0] + 1])
-        return pa.table({"bin": pa.array(b[starts], pa.int64()),
-                         "n": pa.array(np.add.reduceat(n, starts),
-                                       pa.int64())})
+    def merge(t: pa.Table) -> pa.Table:
+        b = t["bin"].to_numpy()
+        order, starts, _ = _runs(b)
+        return pa.table({"bin": b[order][starts],
+                         "n": np.add.reduceat(t["n"].to_numpy()[order], starts)})
 
-    rows = (ds.map_batches(hist, batch_format="pyarrow")
-            .groupby("__hb").map_groups(merge, batch_format="pandas")
-            .to_pandas())
+    bins = pa.schema([("bin", pa.int64()), ("n", pa.int64())])
+    rows = cogroup([(ds.map_batches(hist, batch_format="pyarrow"), bins)],
+                   "bin", merge, schema=bins).to_pandas()
     counts = np.zeros(nbins, dtype=np.int64)
     counts[rows["bin"].to_numpy()] = rows["n"].to_numpy()
     return {"lo": lo_f, "hi": hi_f, "total": int(counts.sum()),

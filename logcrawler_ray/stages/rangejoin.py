@@ -8,9 +8,8 @@ pair ``(l, r)`` with ``r[k] == l[k]`` and ``l[t] + a <= r[t] < l[t] + b``
 
 Ray-Data shape — the co-group pattern shared with ``asof_join``:
 
-- tag each side, ``union``, ONE shuffle on a coarse bucket of the key
-  (int keys: ``key & (buckets-1)``; other key types group per key),
-- inside each group a fully vectorized sweep: sort right by ``(key, t)``,
+- ONE :func:`cogroup` of both sides on coarse buckets of the key,
+- inside each bucket a fully vectorized sweep: sort right by ``(key, t)``,
   build a collision-free composite ``block_rank * BIG + (t - tmin)`` and
   answer every left row's window with two ``np.searchsorted`` calls, then
   expand the ``[lo, hi)`` ranges into pairs with the cumsum/repeat trick —
@@ -29,17 +28,12 @@ size is the true pair count (the window bounds it), never |L| x |R|.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
+from ..functions.cogroup import arrow_schema, cogroup
+from .asof import _i64
+
 _I64_MAX = (1 << 63) - 1
-
-
-def _to_i64(values: np.ndarray) -> np.ndarray:
-    """Ordered int64 view of a time-like column (timestamp[*] or int)."""
-    if np.issubdtype(values.dtype, np.datetime64):
-        return values.astype("datetime64[us]").astype(np.int64)
-    return values.astype(np.int64, copy=False)
 
 
 def range_pairs_arrays(by_l, on_l: np.ndarray, by_r, on_r: np.ndarray,
@@ -118,67 +112,27 @@ def range_join(left_ds, right_ds, *, by: str, on: str, lower: int, upper: int,
     import pyarrow.compute as pc
 
     r_cols = [on] + [c for c in (right_cols or []) if c != on]
+    lsch, rsch = arrow_schema(left_ds), arrow_schema(right_ds)
+    rside = pa.schema([lsch.field(by), lsch.field(on)]
+                      + [rsch.field(c) for c in r_cols[1:]])
+    out_names = [c + suffix if c in lsch.names else c for c in r_cols]
+    out = pa.schema(list(lsch) + [rside.field(c).with_name(n)
+                                  for c, n in zip(r_cols, out_names)])
 
-    def _schema(ds):
-        sch = ds.schema()
-        return list(sch.names), dict(zip(sch.names, sch.types))
+    def per_bucket(left: pa.Table, right: pa.Table) -> pa.Table:
+        codes = pc.dictionary_encode(pa.concat_arrays(
+            [left[by].combine_chunks(), right[by].combine_chunks()]))
+        codes = codes.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+        lc, rc = codes[:left.num_rows], codes[left.num_rows:]
+        rt = _i64(right[on])
+        order = np.lexsort((rt, rc))  # right sorted by (key, time)
+        l_take, r_take = range_pairs_arrays(lc, _i64(left[on]), rc[order],
+                                            rt[order], int(lower), int(upper))
+        right = right.take(order)
+        res = left.take(l_take)
+        for c, n in zip(r_cols, out_names):
+            res = res.append_column(n, right[c].take(r_take))
+        return res
 
-    l_names, l_types = _schema(left_ds)
-    _, r_types = _schema(right_ds)
-    l_dtypes = {n: pa.schema([(n, t)]).empty_table().to_pandas().dtypes[n]
-                for n, t in l_types.items()}
-    r_dtypes = {n: pa.schema([(n, t)]).empty_table().to_pandas().dtypes[n]
-                for n, t in r_types.items()}
-    out_names = {c: c + suffix if c in l_names else c for c in r_cols}
-    by_is_int = pd.api.types.is_integer_dtype(l_dtypes[by])
-    group_key = "__g" if by_is_int else by
-
-    def _tag(side: int):
-        def fn(t: pa.Table) -> pa.Table:
-            t = t.append_column(
-                "__side", pa.array(np.full(t.num_rows, side, dtype=np.int8)))
-            if by_is_int:
-                t = t.append_column("__g", pc.cast(
-                    pc.bit_wise_and(t[by], buckets - 1), pa.int32()))
-            return t
-        return fn
-
-    both = (left_ds.map_batches(_tag(0), batch_format="pyarrow")
-            .union(right_ds.map_batches(_tag(1), batch_format="pyarrow")))
-
-    def empty_out() -> pa.Table:
-        cols = {c: pd.Series([], dtype=l_dtypes[c]) for c in l_names}
-        for c in r_cols:
-            cols[out_names[c]] = pd.Series([], dtype=r_dtypes[c])
-        return pa.Table.from_pandas(pd.DataFrame(cols), preserve_index=False)
-
-    def per_group(df: pd.DataFrame) -> pa.Table:
-        # a group fed by blocks of only ONE side arrives without the other
-        # side's columns at all (the shuffle null-unifies schemas only when
-        # a partition mixes them) — inner join, so such groups are empty
-        have = set(df.columns)
-        if not (set(l_names) <= have and set([by] + r_cols) <= have):
-            return empty_out()
-        left = df.loc[df["__side"] == 0, l_names]
-        right = df.loc[df["__side"] == 1, [by] + r_cols]
-        if left.empty or right.empty:
-            return empty_out()
-        # undo the union null-fill upcasts (inner join: no nulls survive)
-        for c in l_names:
-            if left[c].dtype != l_dtypes[c]:
-                left = left.assign(**{c: left[c].astype(l_dtypes[c])})
-        for c in [by] + r_cols:
-            if right[c].dtype != r_dtypes[c]:
-                right = right.assign(**{c: right[c].astype(r_dtypes[c])})
-        right = right.sort_values([by, on], kind="mergesort")
-        l_take, r_take = range_pairs_arrays(
-            left[by].to_numpy(), _to_i64(left[on].to_numpy()),
-            right[by].to_numpy(), _to_i64(right[on].to_numpy()),
-            int(lower), int(upper))
-        out = left.iloc[l_take].reset_index(drop=True)
-        rmatch = right.iloc[r_take]
-        for c in r_cols:
-            out[out_names[c]] = rmatch[c].to_numpy()
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    return both.groupby(group_key).map_groups(per_group, batch_format="pandas")
+    return cogroup([(left_ds, lsch), (right_ds, rside)], by, per_bucket,
+                   schema=out, n_buckets=buckets)

@@ -12,14 +12,15 @@ key (the synthetic web plants one holding ~30% of rows), so:
   merges partials under one coarse-bucket shuffle.
 
 - ``repartition_by_key``: explicit hash co-location of a key's rows
-  (bucket column + sort-free groupby repartition), used before stages
+  (an identity :func:`cogroup` on the key), used before stages
   that want per-host locality (politeness batching, per-host outputs).
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
+
+from ..functions.cogroup import arrow_schema, cogroup
 
 
 def salted_aggregate(ds, key: str, agg_cols: dict[str, str],
@@ -30,48 +31,37 @@ def salted_aggregate(ds, key: str, agg_cols: dict[str, str],
     one row per key and the same output column names.
 
     Phase 1 is a map-side COMBINER: each batch reduces to one row per key
-    it sees (C-level pandas groupby), so a hot key contributes O(blocks)
+    it sees (C-level Arrow group_by), so a hot key contributes O(blocks)
     partial rows instead of its full row count — for algebraic aggregates
     the combiner subsumes explicit key salting (``n_salts`` is kept for
     API compatibility; a salt bound only matters when phase 1 is itself a
-    shuffle). Phase 2 merges the partials under ONE coarse-bucket shuffle
+    shuffle). Phase 2 merges the partials under ONE :func:`cogroup`
     — a native per-key ``groupby(key).aggregate`` pays per-GROUP cost
     (~17-150 us/distinct key, the r3 CLAUDE.md lesson), the wrong shape
     when key cardinality is the user/host population.
     """
-    import pandas as pd
-
-    from .dedup import _bucket_of, typed_from_pandas
-
-    _PARTIAL = {"sum": "sum", "count": "size", "min": "min", "max": "max"}
+    _PARTIAL = {"sum": "sum", "count": "count_all", "min": "min", "max": "max"}
     _MERGE = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
     for how in agg_cols.values():
         if how not in _PARTIAL:
             raise ValueError(how)
 
-    needed = [key] + sorted({out for out, how in agg_cols.items()
-                             if how != "count"})
+    def combine(t: pa.Table, fns: dict) -> pa.Table:
+        """One row per key (null keys included) of ``t``, Arrow-native."""
+        g = t.group_by(key, use_threads=False).aggregate(
+            [(([] if fns[out] == "count_all" else out), fns[out])
+             for out in agg_cols])
+        return g.rename_columns([key, *agg_cols])  # keys come first
 
     def partials(t: pa.Table) -> pa.Table:
-        df = t.select(needed).to_pandas()
-        spec = {out: ((key if how == "count" else out), _PARTIAL[how])
-                for out, how in agg_cols.items()}
-        g = df.groupby(key, as_index=False, sort=False,
-                       dropna=False).agg(**spec)
-        for out, how in agg_cols.items():
-            if how == "count":
-                g[out] = g[out].astype(np.int64)
-        tab = typed_from_pandas(g)
-        return tab.append_column("__kb", _bucket_of(tab[key], num_buckets))
+        return combine(t, {o: _PARTIAL[h] for o, h in agg_cols.items()})
 
-    def merge(df: pd.DataFrame) -> pa.Table:
-        spec = {out: (out, _MERGE[how]) for out, how in agg_cols.items()}
-        g = df.groupby(key, as_index=False, sort=False,
-                       dropna=False).agg(**spec)
-        return typed_from_pandas(g[[key, *agg_cols]])
+    def merge(t: pa.Table) -> pa.Table:
+        return combine(t, {o: _MERGE[h] for o, h in agg_cols.items()})
 
-    return (ds.map_batches(partials, batch_format="pyarrow")
-            .groupby("__kb").map_groups(merge, batch_format="pandas"))
+    sch = partials(arrow_schema(ds).empty_table()).schema
+    return cogroup([(ds.map_batches(partials, batch_format="pyarrow"), sch)],
+                   key, merge, schema=sch, n_buckets=num_buckets)
 
 
 def repartition_by_key(ds, key_hash_col: str, n_buckets: int):
@@ -81,14 +71,6 @@ def repartition_by_key(ds, key_hash_col: str, n_buckets: int):
     downstream ``map_batches`` sees hosts co-located (the §7.4 partition
     discipline); the salt trick above is for when ONE key exceeds a
     partition."""
-
-    def bucketize(t: pa.Table) -> pa.Table:
-        hh = t[key_hash_col].to_numpy(zero_copy_only=False).view(np.uint64)
-        return t.append_column(
-            "__bucket", pa.array((hh % np.uint64(n_buckets)).astype(np.int32)))
-
-    return (ds.map_batches(bucketize, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(lambda df: pa.Table.from_pandas(
-                df.drop(columns="__bucket"), preserve_index=False),
-                batch_format="pandas"))
+    sch = arrow_schema(ds)
+    return cogroup([(ds, sch)], key_hash_col, lambda t: t, schema=sch,
+                   n_buckets=n_buckets)

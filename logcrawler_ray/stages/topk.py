@@ -5,12 +5,10 @@ Two-phase shape (the partial-aggregation rule applied to ORDER BY ... LIMIT):
 1. per-BATCH prune inside ``map_batches``: every block keeps at most ``k``
    rows per group it sees, so the shuffle carries O(k x groups_per_block)
    rows per block instead of the full table;
-2. ONE co-group shuffle (int group keys bucket coarse via ``& (buckets-1)``
-   — per-group ``map_groups`` costs ~1-2 ms per group, CLAUDE.md — other
-   key types group per key) and the same prune runs once more per group,
-   now globally exact.
+2. ONE :func:`cogroup` shuffle on coarse group-key buckets, and the same
+   prune runs once more per bucket, now globally exact.
 
-The prune is a stable mergesort + C-level ``groupby().cumcount()`` — ties
+The prune is a stable Arrow sort + a vectorized rank-in-run — ties
 are broken by the caller-supplied ``tiebreak_cols`` so results are a
 deterministic set, independent of block layout.
 
@@ -23,8 +21,10 @@ stratum, and expressible in ANSI SQL for the oracle (q60).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+
+from ..functions.cogroup import arrow_schema, cogroup
 
 # Knuth's multiplicative constant: spreads sequential ids uniformly over
 # [0, 2^32). Kept as plain SQL-expressible arithmetic ((id * A) % 2^32) so
@@ -33,13 +33,19 @@ HASH_MULT = 2654435761
 HASH_MOD = 1 << 32
 
 
-def _prune_df(df: pd.DataFrame, group_col: str, sort_cols: list[str],
-              ascending: list[bool], k: int) -> pd.DataFrame:
-    df = df.sort_values(sort_cols, ascending=ascending, kind="mergesort")
-    # dropna=False: a NULL group key is a real partition under SQL
-    # ROW_NUMBER() semantics — dropping it here would silently delete
-    # those rows from the result (ADVICE r3).
-    return df[df.groupby(group_col, sort=False, dropna=False).cumcount() < k]
+def _prune(t: pa.Table, group_col: str, sort_keys: list, k: int) -> pa.Table:
+    """The first ``k`` rows of each group of ``t`` under ``sort_keys``
+    (a stable Arrow sort). A NULL group key is one real partition under
+    SQL ROW_NUMBER() semantics — dropping it would silently delete those
+    rows from the result (ADVICE r3) — so runs are taken over dictionary
+    codes, where every null key shares one code."""
+    t = t.take(pc.sort_indices(t, sort_keys=sort_keys))
+    codes = pc.dictionary_encode(t[group_col].combine_chunks(),
+                                 null_encoding="encode").indices.to_numpy()
+    pos = np.arange(len(codes))
+    new = np.ones(len(codes), dtype=bool)
+    new[1:] = codes[1:] != codes[:-1]
+    return t.filter(pa.array(pos - np.maximum.accumulate(np.where(new, pos, 0)) < k))
 
 
 def topk_per_group(ds, *, group_col: str, order_col: str, k: int,
@@ -50,30 +56,16 @@ def topk_per_group(ds, *, group_col: str, order_col: str, k: int,
     Deterministic iff ``(order_col, *tiebreak_cols)`` is a total order
     within each group (pass the primary key as the last tiebreak).
     """
-    sort_cols = [group_col, order_col, *tiebreak_cols]
-    ascending = [True, not descending] + [True] * len(tiebreak_cols)
-    in_names = list(ds.schema().names)
+    sort_keys = [(group_col, "ascending"),
+                 (order_col, "descending" if descending else "ascending")] \
+        + [(c, "ascending") for c in tiebreak_cols]
+    sch = arrow_schema(ds)
 
-    def prune_batch(t: pa.Table) -> pa.Table:
-        out = _prune_df(t.to_pandas(), group_col, sort_cols, ascending, k)
-        return pa.Table.from_pandas(out, preserve_index=False)
+    def prune(t: pa.Table) -> pa.Table:
+        return _prune(t, group_col, sort_keys, k)
 
-    pruned = ds.map_batches(prune_batch, batch_format="pyarrow")
-
-    # _bucket_of is null-safe (null keys land in ONE bucket) and works for
-    # any key type, so every key type gets the coarse-bucket path — the
-    # per-group map_groups cost (~1-2 ms/group, CLAUDE.md) never applies.
-    from .dedup import _bucket_of
-
-    def bucketize(t: pa.Table) -> pa.Table:
-        return t.append_column("__g", _bucket_of(t[group_col], buckets))
-
-    def finalize(df: pd.DataFrame) -> pa.Table:
-        out = _prune_df(df[in_names], group_col, sort_cols, ascending, k)
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    return (pruned.map_batches(bucketize, batch_format="pyarrow")
-            .groupby("__g").map_groups(finalize, batch_format="pandas"))
+    return cogroup([(ds.map_batches(prune, batch_format="pyarrow"), sch)],
+                   group_col, prune, schema=sch, n_buckets=buckets)
 
 
 def stratified_sample_hash(ds, *, stratum_col: str, id_col: str, k: int,
