@@ -23,21 +23,23 @@ def entry() -> Any:
     Reads the documents table to size a deterministic synthetic image+caption
     corpus (the BASELINE.json ``input_hint`` shape — this container has no
     image data, so the corpus is synthesized from seed 42 exactly as in
-    tests/bench), then runs the flagship ingest pipeline:
-    decode+stats+phash actor pool -> error-channel filter -> host-hash
-    bucket -> exact phash dedup. Returns the resulting Dataset (bytes
-    dropped so the smoke result stays light).
+    tests/bench), then runs the flagship ingest's stages without a store,
+    as q25 does: decode+stats+phash actor pool -> error-channel filter ->
+    host-hash bucket, materialized once -> exact phash dedup. Returns the
+    resulting Dataset (bytes dropped so the smoke result stays light).
     """
     import pyarrow.parquet as pq
 
-    from logcrawler_ray.pipelines.ingest import ingest
+    from logcrawler_ray.pipelines.ingest import add_bucket, decode_pipeline
     from logcrawler_ray.sources.corpus import corpus_dataset
+    from logcrawler_ray.stages.dedup import dedup_exact
 
     n_docs = pq.read_metadata(f"{SF0001}/documents.parquet").num_rows
     n = max(64, min(n_docs, 256))
     src = corpus_dataset(n, seed=42, batch_size=64)
-    return ingest(src, store=None, pid="entry", concurrency=2, batch_size=64,
-                  keep_bytes=False)
+    pre = add_bucket(decode_pipeline(src, concurrency=2, batch_size=64,
+                                     keep_bytes=False)).materialize()
+    return dedup_exact(pre, key="phash", order_col="image_id")
 
 
 def queries() -> dict[str, Callable[[str], Any]]:

@@ -71,8 +71,7 @@ def bench_ingest() -> dict:
     # task-mode decode (concurrency=None): DecodeStats state is cheap, and
     # a fixed actor pool pays ~5 s startup per run (measured — see
     # CLAUDE.md perf lessons; actor pools are for expensive ctor state)
-    ingest(src, store, pid="bench", concurrency=None,
-           batch_size=128, keep_bytes=True)
+    ingest(src, store, pid="bench", concurrency=None, batch_size=128)
     dt = time.perf_counter() - t0
     written = store.rows("bench")
     shutil.rmtree(store_root, ignore_errors=True)

@@ -5,7 +5,7 @@
   python -m logcrawler_ray crawl  --store DIR --ckpt DIR [--seeds N]
          [--resume] [--force] [--reverse] [--waves N] [--wave-size N] ...
   python -m logcrawler_ray ingest --input GLOB --store DIR [--pid P]
-         [--force] [--shards-of N]
+         [--force] [--shards-of N]   # N input files per resumable group
   python -m logcrawler_ray stats  --store DIR --pid P [--force]
   python -m logcrawler_ray report --store DIR
   python -m logcrawler_ray compact --store DIR --pid P [--target-rows N]
@@ -56,7 +56,7 @@ def cmd_crawl(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    from .pipelines.ingest import ingest_sharded
+    from .pipelines.ingest import ingest
     from .sources.objstore import open_store
 
     _ray_session()
@@ -78,7 +78,7 @@ def cmd_ingest(args) -> int:
 
     from .tuning import apply_wide_row_context
 
-    # aggregate width over a metadata sample (footers only); empty shard
+    # aggregate width over a metadata sample (footers only); empty input
     # files contribute nothing — a lone empty first file must not yield a
     # tiny row_bytes and an OOM-sized batch
     tot_bytes = tot_rows = 0
@@ -94,11 +94,9 @@ def cmd_ingest(args) -> int:
 
     t = apply_wide_row_context(row_bytes=max(1, row_bytes),
                                concurrency=_os.cpu_count() or 8)
-    pid = ingest_sharded(files, store, pid=args.pid,
-                         files_per_shard=args.shards_of,
-                         batch_size=t["batch_size"])
-    meta = store.manifest(pid)["meta"] if store.is_done(pid) else {}
-    print(json.dumps({"pid": pid, "rows": meta.get("rows_total"),
+    ingest(files, store, args.pid, files_per_group=args.shards_of,
+           batch_size=t["batch_size"])
+    print(json.dumps({"pid": args.pid, "rows": store.rows(args.pid),
                       "partitions": store.partitions()}))
     return 0
 
@@ -224,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     i.add_argument("--input", required=True, help="glob of input parquet files")
     i.add_argument("--store", required=True)
     i.add_argument("--pid", default="ingest")
-    i.add_argument("--shards-of", type=int, default=8, help="input files per shard")
+    i.add_argument("--shards-of", type=int, default=8, help="input files per resumable group")
     i.add_argument("--force", action="store_true")
     i.set_defaults(fn=cmd_ingest)
 

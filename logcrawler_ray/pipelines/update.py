@@ -55,8 +55,8 @@ def update_image_stats(store: ObjectStore, pid: str, *, batch_size: int = 128,
             return pa.concat_tables(out_parts)
 
         # key/count-preserving by construction (stats columns only) —
-        # safe under live views over this partition (CLI stats on a
-        # sharded-ingest shard base)
+        # safe under live views over this partition (CLI stats on an
+        # ingest's raw partition)
         store.rewrite_partition(pid, widen, allow_view_base=True)
         return n
 

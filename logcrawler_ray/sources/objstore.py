@@ -7,7 +7,8 @@ Reference pushes artifacts to MinIO, patch_exporter/main.py:117-145.
 Layout::
 
     root/
-      _manifests/<pid>.json                 # {"rows": n, "files": [...], "meta": {...}}
+      _manifests/<pid>.json                 # {"rows": n, "files": [...],
+                                            #  "file_rows": [...], "meta": {...}}
       data/<pid>/stage-<uuid>/*.parquet
 
 The manifests replace the reference's two resume mechanisms in one
@@ -99,7 +100,8 @@ def _read_keys(pafs, keys: list[str], columns: list[str] | None):
             yield pq.read_table(f, columns=columns)
 
 
-def _manifest_dataset(keys: list[str], columns: list[str] | None, pafs):
+def _manifest_dataset(keys: list[str], columns: list[str] | None, pafs,
+                      file_rows: list[int | None]):
     """Dataset over exactly ``keys`` (a partition's manifest file list).
 
     One read task per contiguous file group, each running
@@ -109,7 +111,11 @@ def _manifest_dataset(keys: list[str], columns: list[str] | None, pafs):
     already names every file. The task count is Ray's own read floor, two
     per cluster CPU, capped at one per file; it is passed as the read's
     block count, so Ray never splits the read's blocks (a split would also
-    keep the read from fusing with the next map)."""
+    keep the read from fusing with the next map).
+
+    ``file_rows`` (aligned with ``keys``; ``None`` where a manifest predates
+    per-file counts) gives each task its row count, so ``count()`` on the
+    read is answered from metadata without running it."""
     import ray
     import ray.data as rd
     from ray.data.block import BlockMetadata
@@ -123,7 +129,9 @@ def _manifest_dataset(keys: list[str], columns: list[str] | None, pafs):
             n = max(1, min(parallelism, len(keys)))
             cuts = [len(keys) * i // n for i in range(n + 1)]
             return [ReadTask(lambda g=keys[a:b]: _read_keys(pafs, g, columns),
-                             BlockMetadata(num_rows=None, size_bytes=None,
+                             BlockMetadata(num_rows=None if None in file_rows[a:b]
+                                           else sum(file_rows[a:b]),
+                                           size_bytes=None,
                                            input_files=keys[a:b],
                                            exec_stats=None))
                     for a, b in zip(cuts, cuts[1:])]
@@ -455,13 +463,22 @@ class ObjectStore:
             return
         self._retry(self.fs.pipe_file, self._manifest_key(pid), payload)
 
-    def _footer_rows(self, keys: list[str]) -> int:
+    def _footer_rows(self, keys: list[str]) -> list[int]:
+        """Row count of each data file, from its parquet footer."""
         pafs = self._pafs()
-        total = 0
+        counts = []
         for k in keys:
             with pafs.open_input_file(k) as f:
-                total += pq.read_metadata(f).num_rows
-        return total
+                counts.append(pq.read_metadata(f).num_rows)
+        return counts
+
+    @staticmethod
+    def _data_manifest(files: list[str], file_rows: list[int],
+                       meta: dict | None) -> dict:
+        """A base partition's manifest: its files with their row counts
+        (which let a read answer ``count()`` from metadata)."""
+        return {"rows": sum(file_rows), "files": files, "file_rows": file_rows,
+                "meta": meta or {}}
 
     # -- writers --------------------------------------------------------------
     def append_table(self, pid: str, table: pa.Table, meta: dict | None = None,
@@ -473,7 +490,7 @@ class ObjectStore:
         key = posixpath.join(stage, "part-0.parquet")
         write_fragment(table, self._url(key), compression=self.compression,
                        storage_options=self.storage_options)
-        manifest = {"rows": table.num_rows, "files": [key], "meta": meta or {}}
+        manifest = self._data_manifest([key], [table.num_rows], meta)
         if supersedes is not None:  # explicit [] = clear (skip inheritance)
             manifest["supersedes"] = supersedes
         self._put_manifest(pid, manifest)
@@ -488,10 +505,9 @@ class ObjectStore:
             ds.write_parquet(stage, filesystem=self._pafs(),
                              compression=self.compression)
         keys = self._stage_files(stage)
-        rows = self._footer_rows(keys)
-        self._put_manifest(pid, {"rows": rows, "files": sorted(keys),
-                                 "meta": meta or {}})
-        return rows
+        manifest = self._data_manifest(keys, self._footer_rows(keys), meta)
+        self._put_manifest(pid, manifest)
+        return manifest["rows"]
 
     def _stage_files(self, stage: str) -> list[str]:
         """Parquet keys under a staging prefix. An empty stage is a VALID
@@ -519,11 +535,12 @@ class ObjectStore:
         pafs = self._pafs()
         stage = self._new_stage(pid)
         new_files: list[str] = []
+        counts: list[int] = []
         buf: list[pa.Table] = []
-        buffered = total = 0
+        buffered = 0
 
         def flush():
-            nonlocal buf, buffered, total
+            nonlocal buf, buffered
             if not buf:
                 return
             nk = posixpath.join(stage, f"compact-{len(new_files):05d}.parquet")
@@ -531,7 +548,7 @@ class ObjectStore:
                            storage_options=self.storage_options,
                            compression=self.compression)
             new_files.append(nk)
-            total += buffered
+            counts.append(buffered)
             buf, buffered = [], 0
 
         for f in m["files"]:
@@ -542,20 +559,12 @@ class ObjectStore:
             if buffered >= target_rows:
                 flush()
         flush()
-        manifest = {"rows": total, "files": sorted(new_files),
-                    "meta": m.get("meta", {})}
+        manifest = self._data_manifest(new_files, counts, m.get("meta"))
         if m.get("supersedes"):
             manifest["supersedes"] = m["supersedes"]
         self._put_manifest(pid, manifest)
         self.gc(pid)
         return len(new_files)
-
-    def append_meta(self, pid: str, meta: dict) -> None:
-        """Commit a FILELESS zero-row partition that exists only for its
-        manifest metadata (e.g. ingest_sharded's shard listing) — invisible
-        to whole-store reads and counted as 0 rows, unlike a data
-        partition smuggling the listing as rows."""
-        self._put_manifest(pid, {"rows": 0, "files": [], "meta": meta})
 
     def external_tmp(self, pid: str) -> str:
         """Staging prefix (path or URL) that fused-sink TASKS write parquet
@@ -600,16 +609,28 @@ class ObjectStore:
                     "construct open_store(root, shared_fs=True) only if "
                     "every node mounts the same path")
 
-    def commit_external(self, pid: str, tmp_dir: str, meta: dict | None = None) -> int:
-        """Commit the fragments tasks wrote into ``tmp_dir``; row count
-        from parquet footers only. Stale stages of the same pid (from a
-        crashed earlier attempt) are reclaimed by the post-commit gc."""
+    def commit_external(self, pid: str, tmp_dir: str, meta: dict | None = None,
+                        *, extend: bool = False) -> int:
+        """Commit the fragments tasks wrote into ``tmp_dir``; row counts
+        from parquet footers only. ``extend=True`` adds them to ``pid``'s
+        committed files instead of replacing them: the new manifest lists
+        the old files plus the new stage's, with rows summed, in the same
+        single manifest PUT. Stages no manifest references (a crashed
+        earlier attempt) are reclaimed by the post-commit gc. Returns the
+        partition's rows."""
         stage = self.fs._strip_protocol(tmp_dir)
         keys = self._stage_files(stage)
-        rows = self._footer_rows(keys)
-        self._put_manifest(pid, {"rows": rows, "files": keys, "meta": meta or {}})
+        counts = self._footer_rows(keys)
+        manifest = self._data_manifest(keys, counts, meta)
+        if extend and self.is_done(pid):
+            old = self.manifest(pid)
+            manifest["rows"] += old["rows"]
+            manifest["files"] = old["files"] + keys
+            manifest["file_rows"] = old.get(
+                "file_rows", [None] * len(old["files"])) + counts
+        self._put_manifest(pid, manifest)
         self.gc(pid)
-        return rows
+        return manifest["rows"]
 
     def drop_partition(self, pid: str, *, force: bool = False) -> None:
         """Uncommit + reclaim a partition (CrawlEngine resets stale wave
@@ -719,22 +740,13 @@ class ObjectStore:
                        compression=self.compression)
         return self._commit_view(pid, base_pid, [dkey], key_col, len(keys), meta)
 
-    def commit_delete_view_file(self, pid: str, base_pid: str, delete_file: str,
-                                key_col: str, meta: dict | None = None) -> int:
-        """Commit a delete-vector view whose key file was written by a
-        DISTRIBUTED loser pass (stages/dedup.py::exact_losers_files) — the
-        keys never transit the driver; the count comes from the parquet
-        footer. The file must already hold sorted, unique keys."""
-        return self.commit_delete_view_files(pid, base_pid, [delete_file],
-                                             key_col, meta)
-
     def commit_delete_view_files(self, pid: str, base_pid: str,
                                  delete_files: list[str], key_col: str,
                                  meta: dict | None = None) -> int:
-        """Multi-file variant: each file was written by a separate
-        distributed task (one per loser-hash bucket — pipelines/ingest.py
-        ::neardup_pass's distributed tier) under a scratch prefix on THIS
-        filesystem. Files must be disjoint with sorted, unique keys. Each
+        """Commit a delete-vector view whose key files were written by a
+        DISTRIBUTED loser pass, one file per loser-hash bucket
+        (stages/dedup.py::write_loser_files), under a scratch prefix on
+        THIS filesystem. Files must be disjoint with sorted, unique keys. Each
         is copied into the view's stage (a server-side object COPY on
         object stores), then manifest-last commit; counts come from the
         parquet footers, keys never transit the driver."""
@@ -746,7 +758,7 @@ class ObjectStore:
             dst = posixpath.join(stage, f"deletes-{i:05d}.parquet")
             self._retry(self.fs.copy, self.fs._strip_protocol(f), dst)
             keys.append(dst)
-        n = self._footer_rows(keys)
+        n = sum(self._footer_rows(keys))
         return self._commit_view(pid, base_pid, keys, key_col, n, meta)
 
     def _commit_view(self, pid: str, base_pid: str, delete_keys_files: list[str],
@@ -790,17 +802,25 @@ class ObjectStore:
     def files(self, pid: str | None = None) -> list[str]:
         """Data files of committed partitions only (crashed stages
         invisible; view partitions resolve to their base's files)."""
+        return self._files_rows(pid)[0]
+
+    def _files_rows(self, pid: str | None) -> tuple[list[str], list]:
+        """:meth:`files` and each file's row count from the same manifests
+        (``None`` where a manifest predates per-file counts)."""
         if pid is None and self._mcache is None:
             with self._manifest_cache(self._all_manifests()):
-                return self.files(None)
-        out: list[str] = []
+                return self._files_rows(None)
+        files: list[str] = []
+        rows: list = []
         for p in [pid] if pid else self._live_manifests():
             m = self.manifest(p)
             if m.get("view"):
-                out.extend(self.files(m["view"]["base"]))
+                f, r = self._files_rows(m["view"]["base"])
             else:
-                out.extend(m["files"])
-        return out
+                f, r = m["files"], m.get("file_rows", [None] * len(m["files"]))
+            files += f
+            rows += r
+        return files, rows
 
     def read_dataset(self, pid: str | None = None, columns: list[str] | None = None):
         import ray.data as rd
@@ -834,10 +854,10 @@ class ObjectStore:
                 return anti(t, key_col, ray.get(ref), columns)
 
             return ds.map_batches(anti_fn, batch_format="pyarrow")
-        files = self.files(pid)
+        files, counts = self._files_rows(pid)
         if not files:
             return rd.from_arrow(pa.table({}))
-        return _manifest_dataset(files, columns, self._pafs())
+        return _manifest_dataset(files, columns, self._pafs(), counts)
 
     def read_table(self, pid: str | None = None, columns: list[str] | None = None) -> pa.Table:
         if pid is None:
@@ -916,15 +936,14 @@ class ObjectStore:
             results = [_merge_one_fragment(self.fs, src, dst, key, upd_keys,
                                            self.compression)
                        for src, dst in jobs]
-        new_files = [k for k, _ in results if k is not None]
-        rows = sum(r for _, r in results)
         up = updates.select(schema_names)
         uk = posixpath.join(stage, f"upsert-{uuid.uuid4().hex}.parquet")
         write_fragment(up, self._url(uk), compression=self.compression,
                        storage_options=self.storage_options)
-        new_files.append(uk)
-        manifest = {"rows": rows + up.num_rows, "files": sorted(new_files),
-                    "meta": m.get("meta", {})}
+        kept = sorted([(k, n) for k, n in results if k is not None]
+                      + [(uk, up.num_rows)])
+        manifest = self._data_manifest([k for k, _ in kept],
+                                       [n for _, n in kept], m.get("meta"))
         if m.get("supersedes"):
             manifest["supersedes"] = m["supersedes"]
         self._put_manifest(pid, manifest)
@@ -949,7 +968,7 @@ class ObjectStore:
             src_files = self.files(base)
         pafs = self._pafs()
         stage = self._new_stage(pid)
-        new_files, rows = [], 0
+        kept = []
         for i, f in enumerate(src_files):
             with pafs.open_input_file(f) as fh:
                 out = fragment_fn(pq.read_table(fh))
@@ -959,12 +978,13 @@ class ObjectStore:
                 nk = posixpath.join(stage, f"{i:05d}-{posixpath.basename(f)}")
                 write_fragment(out, self._url(nk), compression=self.compression,
                                storage_options=self.storage_options)
-                new_files.append(nk)
-                rows += out.num_rows
-        manifest = {"rows": rows, "files": sorted(new_files),
-                    "meta": meta if meta is not None else m.get("meta", {})}
+                kept.append((nk, out.num_rows))
+        kept.sort()
+        manifest = self._data_manifest(
+            [k for k, _ in kept], [n for _, n in kept],
+            meta if meta is not None else m.get("meta"))
         if supersedes:
             manifest["supersedes"] = supersedes
         self._put_manifest(pid, manifest)
         self.gc(pid)
-        return rows
+        return manifest["rows"]

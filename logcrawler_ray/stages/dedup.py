@@ -34,7 +34,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.cogroup import _runs, arrow_schema, cogroup, per_key
+from ..functions.cogroup import _bucket_of, _runs, arrow_schema, cogroup, per_key
 from . import broadcast
 
 
@@ -138,7 +138,8 @@ def _collect_losers(skinny_ds, dups_ds, key: str, order_col: str,
 
 
 def exact_losers(skinny_ds, key: str, order_col: str,
-                 max_collect: int | None = None) -> frozenset | None:
+                 max_collect: int | None = None,
+                 winners: list | None = None) -> frozenset | None:
     """Skinny (key, order) dataset -> set of order_col values to DROP.
 
     ONE distributed pass: each block emits its :func:`loser_partials`; the
@@ -156,7 +157,10 @@ def exact_losers(skinny_ds, key: str, order_col: str,
     DISTRIBUTED loser count (``sum(__n) - count`` over the duplicates-only
     aggregate — two scalars, nothing collected) exceeds it, returns
     ``None`` before any loser is collected, so the caller can take a
-    shuffle path instead.
+    shuffle path instead. A ``winners`` list receives the :func:`dup_winners`
+    Dataset whenever the scale path builds it, so a caller that gets
+    ``None`` hands it to :func:`exact_losers_files` instead of building it
+    twice.
     """
     import functools
 
@@ -171,6 +175,8 @@ def exact_losers(skinny_ds, key: str, order_col: str,
         # filtered distributed, then one broadcast-probe scan — the driver
         # collects O(duplicate keys), never the full distinct-key aggregate
         dups_ds = dup_winners(skinny_ds, key, order_col)
+        if winners is not None:
+            winners.append(dups_ds)
         if max_collect is not None:
             # both the winner broadcast and the loser set must fit
             n_dup_keys = dups_ds.count()
@@ -225,54 +231,33 @@ def dup_winners(skinny_ds, key: str, order_col: str, num_buckets: int = 64):
                    n_buckets=num_buckets).materialize()
 
 
-def exact_losers_by(skinny_ds, key: str, order_col: str,
-                    part_col: str, dups=None) -> dict:
-    """Like :func:`exact_losers`, but the skinny rows carry a partition
-    column and the result is ``{part: [losers...]}`` — so a sharded caller
-    never reads each shard's full key column to the driver (the round-1
-    ingest residual); only the duplicate rows come back, already routed.
-
-    Driver memory is O(duplicate keys + losers); past
-    ``broadcast.DEFAULT_MAX_BROADCAST_ROWS`` duplicates use
-    :func:`exact_losers_files` (the fully-distributed 10^10 path)
-    instead."""
-    dups_ds = dup_winners(skinny_ds, key, order_col) if dups is None else dups
-    out: dict = {}
-    for r in _collect_losers(skinny_ds, dups_ds, key, order_col,
-                             [order_col, part_col]):
-        out.setdefault(r[part_col], []).append(r[order_col])
-    return {p: sorted(v) for p, v in out.items()}
-
-
-def exact_losers_files(skinny_ds, key: str, order_col: str, part_col: str,
-                       out_dir: str, dups=None,
-                       num_buckets: int = 64,
-                       storage_options: dict | None = None) -> dict:
+def exact_losers_files(skinny_ds, key: str, order_col: str, out_dir: str,
+                       dups=None, num_buckets: int = 64,
+                       storage_options: dict | None = None) -> list[str]:
     """The bucketed 10^10 loser path (SCALE.md §4): losers are computed and
-    ROUTED fully distributed — the driver never holds a key, a winner, or a
-    loser, only per-partition counts and file paths.
+    written fully distributed — the driver never holds a key, a winner, or
+    a loser, only the written files' paths.
 
     1. ``dup_winners`` — distributed groupby, duplicates-only (O(dup keys)
-       materialized in the object store);
+       materialized in the object store); pass ``dups`` to reuse one;
     2. skinny rows and winner rows are co-grouped by coarse key bucket
        (:func:`cogroup`);
     3. within a bucket, the winner probe (:func:`_loser_mask`) marks every
        skinny row whose ``order_col`` differs from its key's winner;
-    4. :func:`write_loser_files` writes one sorted+unique
-       ``losers-<part>.parquet`` per partition into ``out_dir`` — ready for
-       :meth:`ObjectStore.commit_delete_view_file`.
+    4. :func:`write_loser_files` writes them into ``out_dir`` — ready for
+       :meth:`ObjectStore.commit_delete_view_files`.
 
-    Both shuffles move only skinny (key, order, part) rows. Reference
-    analog: the count-ledger anti-join (07_input_cognition_data_rust.py:
-    64-83) likewise never materializes row sets on the coordinator.
+    Both shuffles move only skinny (key, order) rows. Reference analog: the
+    count-ledger anti-join (07_input_cognition_data_rust.py:64-83) likewise
+    never materializes row sets on the coordinator.
     """
     dups_ds = dup_winners(skinny_ds, key, order_col) if dups is None else dups
     if dups_ds.count() == 0:
-        return {}
+        return []
 
     sch = arrow_schema(skinny_ds)
-    skinny = pa.schema([sch.field(c) for c in (key, order_col, part_col)])
-    losers = pa.schema([sch.field(order_col), sch.field(part_col)])
+    skinny = pa.schema([sch.field(key), sch.field(order_col)])
+    losers = pa.schema([sch.field(order_col)])
 
     def bucket_losers(s: pa.Table, w: pa.Table) -> pa.Table:
         return s.filter(_loser_mask(s, key, order_col, w[key].combine_chunks(),
@@ -281,36 +266,40 @@ def exact_losers_files(skinny_ds, key: str, order_col: str, part_col: str,
     winners = _winners_schema(sch, key, order_col)
     losers_ds = cogroup([(skinny_ds, skinny), (dups_ds, winners)], key,
                         bucket_losers, schema=losers, n_buckets=num_buckets)
-    rows = write_loser_files((losers_ds, losers), part_col, order_col, out_dir,
-                             storage_options)
-    return {r[part_col]: (r["path"], r["n"]) for r in rows}
+    return write_loser_files((losers_ds, losers), order_col, out_dir,
+                             storage_options=storage_options)
 
 
-def write_loser_files(losers, group_col: str, id_col: str, out_dir: str,
-                      storage_options: dict | None = None) -> list[dict]:
+def write_loser_files(losers, id_col: str, out_dir: str, num_files: int = 16,
+                      storage_options: dict | None = None) -> list[str]:
     """The one loser-file writer: ``losers`` is a ``(Dataset, schema)``
-    :func:`cogroup` side; each ``group_col`` value's sorted, distinct
-    ``id_col`` values go to ``out_dir/losers-<group>.parquet``, written by
-    the task that holds the group — no single-writer funnel, and the
-    driver sees only one ``(group_col, path, n)`` row per file."""
+    :func:`cogroup` side holding ``id_col``. Ids are routed by hash into at
+    most ``num_files`` buckets, and each bucket's sorted, distinct ids go to
+    ``out_dir/losers-<bucket>.parquet``, written by the task that holds the
+    bucket — no single-writer funnel. Files are disjoint (an id always
+    hashes to one bucket), and the driver sees only their paths."""
     import os
 
     from ..sources.store import write_fragment
 
-    out = pa.schema([losers[1].field(group_col), pa.field("path", pa.string()),
-                     pa.field("n", pa.int64())])
+    def route(t: pa.Table) -> pa.Table:
+        return pa.table({id_col: t[id_col],
+                         "__g": _bucket_of(t[id_col], num_files)})
 
-    def write(g: pa.Table) -> pa.Table:  # one group's losers
+    routed = pa.schema([losers[1].field(id_col), pa.field("__g", pa.int32())])
+    out = pa.schema([pa.field("path", pa.string())])
+
+    def write(g: pa.Table) -> pa.Table:  # one bucket's losers
         arr = pc.unique(g[id_col].combine_chunks())
         arr = arr.take(pc.sort_indices(arr))
-        path = os.path.join(out_dir, f"losers-{g[group_col][0].as_py()}.parquet")
+        path = os.path.join(out_dir, f"losers-{g['__g'][0].as_py()}.parquet")
         write_fragment(pa.table({id_col: arr}), path,
                        storage_options=storage_options)
-        return pa.table({group_col: g[group_col].slice(0, 1), "path": [path],
-                         "n": [len(arr)]})
+        return pa.table({"path": [path]})
 
-    return cogroup([losers], group_col, per_key(group_col, write),
-                   schema=out).take_all()
+    side = (losers[0].map_batches(route, batch_format="pyarrow"), routed)
+    rows = cogroup([side], "__g", per_key("__g", write), schema=out).take_all()
+    return [r["path"] for r in rows]
 
 
 def anti_filter_fn(loser_ref, order_col: str):

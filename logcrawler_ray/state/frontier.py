@@ -13,8 +13,8 @@ where ``seq`` is the global admission number (assigned at enqueue, unique,
 monotone per shard run) — the tie-breaker that makes parallel draining
 reproducible.
 
-``FrontierShard`` is plain Python (shared by the serial reference executor);
-``make_frontier_actor_cls`` wraps it as a Ray actor. Draining applies the
+``FrontierShard`` is plain Python, shared by the serial reference executor
+and the engine's ``state/shard.py::ShardGroup``. Draining applies the
 per-host politeness budget *in heap order*, deferring entries whose host is
 throttled beyond the horizon — deterministic because the budget math is a
 pure function of drain order (see politeness.py).
@@ -112,36 +112,3 @@ class FrontierShard:
         obj.heap = [Entry(p, t, s, u, h, d) for p, t, s, u, h, d in st["entries"]]
         heapq.heapify(obj.heap)
         return obj
-
-
-def make_frontier_actor_cls():
-    import ray
-
-    from .politeness import HostBudget
-
-    @ray.remote(num_cpus=0)
-    class FrontierActor:
-        def __init__(self, shard_id: int, n_shards: int,
-                     state: dict | None = None, budget_state: dict | None = None,
-                     delays: dict | None = None, default_delay: int = 0):
-            self.shard = (FrontierShard.from_state(state) if state is not None
-                          else FrontierShard(shard_id, n_shards))
-            self.budget = (HostBudget.from_state(budget_state) if budget_state is not None
-                           else HostBudget(delays or {}, default_delay))
-
-        def push(self, rows: list[dict]) -> list[int]:
-            return self.shard.push(rows)
-
-        def set_delays(self, delays: dict) -> None:
-            self.budget.delays.update(delays)
-
-        def drain(self, now: int, max_n: int, horizon: int):
-            return self.shard.drain(self.budget, now, max_n, horizon)
-
-        def size(self) -> int:
-            return len(self.shard)
-
-        def state(self) -> dict:
-            return {"frontier": self.shard.state(), "budget": self.budget.state()}
-
-    return FrontierActor

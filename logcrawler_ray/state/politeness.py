@@ -100,20 +100,3 @@ class RobotsCache:
 
     def crawl_delay_ms(self, host: str) -> int:
         return self.rules(host).crawl_delay_ms
-
-
-def make_robots_actor_cls():
-    import ray
-
-    @ray.remote(num_cpus=0)
-    class RobotsActor:
-        def __init__(self, fetcher):
-            self.cache = RobotsCache(fetcher)
-
-        def filter_allowed(self, hosts: list[str], paths: list[str]) -> list[bool]:
-            return [self.cache.allowed(h, p) for h, p in zip(hosts, paths)]
-
-        def delays(self, hosts: list[str]) -> dict[str, int]:
-            return {h: self.cache.crawl_delay_ms(h) for h in set(hosts)}
-
-    return RobotsActor

@@ -11,8 +11,8 @@ Sharding is by ``host_hash % n_shards`` — the SAME partition key as the
 frontier and the politeness budgets (SURVEY.md §7.4), so one host's URLs
 always meet the same shard and per-shard state needs no coordination.
 
-``SeenShard`` is plain Python (used serially by the reference executor and
-in tests); ``SeenShardActor`` wraps it as a Ray actor. Snapshot/restore is
+``SeenShard`` is plain Python, used serially by the reference executor and
+hosted by the engine's ``state/shard.py::ShardGroup``. Snapshot/restore is
 a dict of numpy arrays -> a pickle per shard, written atomically by the
 checkpoint module.
 """
@@ -148,31 +148,3 @@ class GrowableSeen:
         obj.seed = st["seed"]
         obj.gens = [SeenShard.from_state(g) for g in st["gens"]]
         return obj
-
-
-def make_seen_actor_cls():
-    """Ray actor wrapper (deferred so importing this module needs no ray)."""
-    import ray
-
-    @ray.remote(num_cpus=0)
-    class SeenShardActor:
-        def __init__(self, capacity: int, fp_rate: float = 0.01, seed: int = 7,
-                     state: dict | None = None):
-            self.shard = (
-                SeenShard.from_state(state) if state is not None
-                else SeenShard(capacity, fp_rate, seed)
-            )
-
-        def add_if_new(self, keys: np.ndarray) -> np.ndarray:
-            return self.shard.add_if_new(keys)
-
-        def contains(self, keys: np.ndarray) -> np.ndarray:
-            return self.shard.contains(keys)
-
-        def size(self) -> int:
-            return self.shard.size
-
-        def state(self) -> dict:
-            return self.shard.state()
-
-    return SeenShardActor

@@ -2,6 +2,7 @@
 so running under the session fixture is a no-op init)."""
 
 import json
+import os
 
 import pyarrow.parquet as pq
 import pytest
@@ -58,7 +59,18 @@ def test_cli_ingest_and_stats(ray_session, tmp_path, capsys):
                "--shards-of", "1"])
     assert rc == 0
     out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert out["pid"] == "ingest"
+    assert out["pid"] == "ingest" and out["rows"] > 0
+    # kill-and-rerun contract: a second run over the same store finds every
+    # group committed, prints the same rows and rewrites no manifest
+    mtimes = {p: os.path.getmtime(os.path.join(store, "_manifests", p))
+              for p in os.listdir(os.path.join(store, "_manifests"))}
+    rc = main(["ingest", "--input", str(inp / "*.parquet"), "--store", store,
+               "--shards-of", "1"])
+    assert rc == 0
+    again = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert again["rows"] == out["rows"]
+    assert {p: os.path.getmtime(os.path.join(store, "_manifests", p))
+            for p in os.listdir(os.path.join(store, "_manifests"))} == mtimes
     rc = main(["report", "--store", store])
     rep = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert rep["total_rows"] > 0

@@ -4,6 +4,7 @@ and the source guard that keeps every keyed shuffle on it."""
 
 import ast
 import functools
+import os
 import pathlib
 
 import numpy as np
@@ -116,18 +117,19 @@ def test_exact_losers_files_independent_of_bucket_count(ray_session, tmp_path):
 
     rng = np.random.default_rng(3)
     tab = pa.table({"phash": rng.integers(0, 150, 600).tolist(),
-                    "image_id": [f"i-{i:04d}" for i in range(600)],
-                    "__shard": [f"p{i % 4}" for i in range(600)]})
+                    "image_id": [f"i-{i:04d}" for i in range(600)]})
     skinny = rd.from_arrow(tab).repartition(5)
     got = []
     for nb in (1, 64):
         out_dir = tmp_path / f"b{nb}"
         out_dir.mkdir()
-        routed = dedup.exact_losers_files(skinny, "phash", "image_id", "__shard",
-                                          str(out_dir), num_buckets=nb)
-        got.append({p: pq.read_table(path)["image_id"].to_pylist()
-                    for p, (path, _) in routed.items()})
-    assert got[0] == got[1] and sum(map(len, got[0].values())) > 0
+        paths = dedup.exact_losers_files(skinny, "phash", "image_id",
+                                         str(out_dir), num_buckets=nb)
+        got.append({os.path.basename(p): pq.read_table(p)["image_id"].to_pylist()
+                    for p in paths})
+    want = dedup.exact_losers(skinny, "phash", "image_id")
+    assert got[0] == got[1] and want
+    assert sorted(x for v in got[0].values() for x in v) == sorted(want)
 
 
 def test_asof_join_independent_of_bucket_count(ray_session, monkeypatch):

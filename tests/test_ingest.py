@@ -194,6 +194,14 @@ def test_ingest_resume_skips_done(ray_session, source_ds, tmp_path):
     out = ingest(source_ds, store, pid="t0", concurrency=2, batch_size=32)
     assert store.rows("t0") == n1
     assert out.count() == n1
+    # a crash between the raw and the view commit, in a store whose raw
+    # manifest records no groups: the rerun re-derives the losers from the
+    # raw partition instead of sinking the source into it again
+    raw = store.manifest("t0-raw")
+    store.drop_partition("t0", force=True)
+    store._put_manifest("t0-raw", {**raw, "meta": {"pipeline": "ingest"}})
+    assert ingest(source_ds, store, pid="t0").count() == n1
+    assert store.rows("t0-raw") == raw["rows"]
 
 
 def test_dedup_within_batch():
@@ -250,13 +258,10 @@ def test_loser_pass_driver_collects_only_duplicates(ray_session):
     # duplicate the first 7 keys once each
     keys += list(range(n_dup))
     ids += [f"zz-{i:05d}" for i in range(n_dup)]
-    skinny = rd.from_arrow(pa.table(
-        {"phash": keys, "image_id": ids,
-         "__shard": ["s0" if i % 2 == 0 else "s1" for i in range(len(keys))]}
-    )).map_batches(lambda t: t, batch_size=500, batch_format="pyarrow")
+    skinny = rd.from_arrow(pa.table({"phash": keys, "image_id": ids})).map_batches(
+        lambda t: t, batch_size=500, batch_format="pyarrow")
 
-    routed = dedup.exact_losers_by(skinny, "phash", "image_id", "__shard")
-    losers = sorted(x for v in routed.values() for x in v)
+    losers = sorted(dedup.exact_losers(skinny, "phash", "image_id"))
     assert losers == [f"zz-{i:05d}" for i in range(n_dup)]
     # the broadcast side the driver collects is the duplicates-only
     # aggregate: one row per duplicated key
@@ -297,8 +302,9 @@ def test_exact_losers_max_collect_bounds_partial_collection(ray_session,
 
 
 def test_exact_losers_files_matches_broadcast(ray_session, tmp_path):
-    """The bucketed 10^10 loser path (distributed join + per-part file
-    routing) produces byte-identical loser sets to the broadcast path."""
+    """The bucketed 10^10 loser path (distributed join + id-hash file
+    routing) writes disjoint, sorted, unique files whose union is the
+    broadcast path's loser set, reusing a given dup_winners Dataset."""
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray.data as rd
@@ -308,132 +314,168 @@ def test_exact_losers_files_matches_broadcast(ray_session, tmp_path):
     rng = np.random.default_rng(7)
     keys = rng.integers(0, 400, size=1000).tolist()  # heavy duplication
     ids = [f"i-{i:04d}" for i in range(1000)]
-    parts = [f"p{i % 3}" for i in range(1000)]
-    tab = pa.table({"phash": keys, "image_id": ids, "__shard": parts})
-    skinny = rd.from_arrow(tab).map_batches(
+    skinny = rd.from_arrow(pa.table({"phash": keys, "image_id": ids})).map_batches(
         lambda t: t, batch_size=100, batch_format="pyarrow")
 
-    want = dedup.exact_losers_by(skinny, "phash", "image_id", "__shard")
+    want = dedup.exact_losers(skinny, "phash", "image_id")
 
     out_dir = str(tmp_path / "losers")
     import os
 
     os.makedirs(out_dir)
-    routed = dedup.exact_losers_files(skinny, "phash", "image_id", "__shard",
-                                      out_dir, num_buckets=4)
-    got = {}
-    for part, (path, n) in routed.items():
+    paths = dedup.exact_losers_files(
+        skinny, "phash", "image_id", out_dir, num_buckets=4,
+        dups=dedup.dup_winners(skinny, "phash", "image_id"))
+    assert len(paths) > 1
+    got = []
+    for path in paths:
         vals = pq.read_table(path)["image_id"].to_pylist()
-        assert vals == sorted(set(vals)) and len(vals) == n
-        got[part] = vals
-    assert got == {p: v for p, v in want.items() if v}
+        assert vals == sorted(set(vals))
+        got += vals
+    assert len(got) == len(set(got)) and set(got) == want
+
+
+def _write_inputs(tmp_path, tabs) -> list[str]:
+    import pyarrow.parquet as pq
+
+    files = []
+    for i, tab in enumerate(tabs):
+        p = str(tmp_path / f"in-{i}.parquet")
+        pq.write_table(tab, p)
+        files.append(p)
+    return files
 
 
 def test_ingest_sharded_file_routed_losers(ray_session, corpus_tab, tmp_path,
                                            monkeypatch):
-    """ingest_sharded with a zero broadcast bound forces the bucketed
-    delete-view-file path; result must equal the broadcast path's."""
-    import pyarrow.parquet as pq
-
-    from logcrawler_ray.pipelines.ingest import ingest_sharded, read_sharded
-    from logcrawler_ray.stages import broadcast
-
-    files = []
-    for i in range(4):
-        p = str(tmp_path / f"in-{i}.parquet")
-        pq.write_table(corpus_tab.slice(i * 24, 24), p)
-        files.append(p)
-
-    sa = open_store(str(tmp_path / "store-a"))
-    sb = open_store(str(tmp_path / "store-b"))
-    pa_ = ingest_sharded(files, sa, pid="sh", files_per_shard=2, concurrency=None)
-    monkeypatch.setattr(broadcast, "DEFAULT_MAX_BROADCAST_ROWS", 0)
-    pb = ingest_sharded(files, sb, pid="sh", files_per_shard=2, concurrency=None)
-    a = read_sharded(sa, pa_).to_pandas().sort_values("image_id")
-    b = read_sharded(sb, pb).to_pandas().sort_values("image_id")
-    assert list(a["image_id"]) == list(b["image_id"])
-    uniq = len(set(corpus_tab["phash"].to_pylist()))
-    assert len(b) == uniq
-    # no loser scratch dirs left behind
+    """A file-group ingest with a zero broadcast bound takes the
+    distributed loser-file tier; its committed rows equal the default
+    bound's driver-merge tier's, and no loser scratch dir is left."""
     import os
 
+    from logcrawler_ray.stages import broadcast
+
+    files = _write_inputs(tmp_path, [corpus_tab.slice(i * 24, 24)
+                                     for i in range(4)])
+    sa = open_store(str(tmp_path / "store-a"))
+    sb = open_store(str(tmp_path / "store-b"))
+    ingest(files, sa, pid="sh", files_per_group=2)
+    monkeypatch.setattr(broadcast, "DEFAULT_MAX_BROADCAST_ROWS", 0)
+    ingest(files, sb, pid="sh", files_per_group=2)
+    assert sa.manifest("sh")["meta"].get("tier") is None
+    assert sb.manifest("sh")["meta"]["tier"] == "distributed"
+    a = sa.read_table("sh").sort_by("image_id")
+    b = sb.read_table("sh").sort_by("image_id")
+    assert a.equals(b)
+    uniq = len(set(corpus_tab["phash"].to_pylist()))
+    assert b.num_rows == uniq == sb.rows("sh")
     scratch = os.path.join(sb.root, "_scratch")
     assert not os.path.exists(scratch) or not os.listdir(scratch)
 
 
 def test_ingest_sharded_survives_fileless_shard(ray_session, corpus_tab,
                                                 tmp_path):
-    """A shard whose rows ALL fail decode commits a fileless partition;
-    the cross-shard dedup union and read_sharded must skip it instead of
-    letting its zero-column read_dataset poison the union (review r5)."""
+    """A file group whose rows ALL fail decode commits no files into the
+    raw partition; the loser pass and the read still see only the good
+    group's rows, and an all-fileless ingest completes with 0 rows."""
     import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from logcrawler_ray.pipelines.ingest import ingest_sharded, read_sharded
 
     good = corpus_tab.slice(0, 24)
     bad = corpus_tab.slice(24, 24)
     idx = bad.schema.get_field_index("bytes")
     bad = bad.set_column(idx, "bytes",
                          pa.array([b"\x00corrupt"] * bad.num_rows))
-    files = []
-    for i, tab in enumerate([good, bad]):
-        p = str(tmp_path / f"in-{i}.parquet")
-        pq.write_table(tab, p)
-        files.append(p)
+    files = _write_inputs(tmp_path, [good, bad])
 
     st = open_store(str(tmp_path / "store"))
-    pid = ingest_sharded(files, st, pid="sh", files_per_shard=1,
-                         concurrency=None)
-    out = read_sharded(st, pid).to_pandas()
+    out = ingest(files, st, pid="sh", files_per_group=1).to_pandas()
     uniq = len(set(good["phash"].to_pylist()))
-    assert len(out) == uniq  # only the good shard's unique rows survive
+    assert len(out) == uniq == st.rows("sh")  # only the good group survives
+    assert len(st.manifest("sh-raw")["meta"]["groups"]) == 2
 
-    # degenerate: EVERY shard fileless — still completes with 0 rows
-    st2 = open_store(str(tmp_path / "store2"))
-    pid2 = ingest_sharded([files[1]], st2, pid="sh", files_per_shard=1,
-                          concurrency=None)
-    assert st2.manifest(pid2)["meta"]["rows_total"] == 0
+    # degenerate: EVERY group fileless — still completes with 0 rows, on
+    # the driver tier and on the re-read tier a resumed run takes
+    for name in ("store2", "store3"):
+        st2 = open_store(str(tmp_path / name))
+        if name == "store3":
+            st2.commit_external("sh-raw", st2.external_tmp("sh-raw"),
+                                {"groups": [[files[1]]]})
+        ingest([files[1]], st2, pid="sh", files_per_group=1)
+        assert st2.rows("sh") == 0 and st2.rows() == 0
 
 
 def test_ingest_sharded_resume(ray_session, corpus_tab, tmp_path):
-    """Shard-granular resumable ingest: commit per input-file-group
-    partitions, global dedup as per-shard delete views, rerun skips all."""
+    """Group-resumable ingest: each input-file group is committed into the
+    one raw partition, the whole-store snapshot equals the deduplicated
+    view, and a rerun rewrites no manifest."""
     import os
 
-    import pyarrow.parquet as pq
-
-    from logcrawler_ray.pipelines.ingest import ingest_sharded, read_sharded
-    from logcrawler_ray.sources.objstore import open_store
-
-    # write the corpus as 4 input files
-    files = []
-    for i in range(4):
-        p = str(tmp_path / f"in-{i}.parquet")
-        pq.write_table(corpus_tab.slice(i * 24, 24), p)
-        files.append(p)
-
+    files = _write_inputs(tmp_path, [corpus_tab.slice(i * 24, 24)
+                                     for i in range(4)])
     store = open_store(str(tmp_path / "store"))
-    pid = ingest_sharded(files, store, pid="sh", files_per_shard=2, concurrency=None,
-                         batch_size=32)
-    out = read_sharded(store, pid).to_pandas()
+    out = ingest(files, store, pid="sh", files_per_group=2,
+                 batch_size=32).to_pandas()
     uniq = len(set(corpus_tab["phash"].to_pylist()))
     assert len(out) == uniq
     assert len(set(out["phash"])) == uniq
-    # whole-store SNAPSHOT: per-shard views shadow their bases, the
-    # metadata-only listing partition contributes 0 rows — rows() and
-    # read_table() see exactly the deduped survivor set
+    assert store.partitions() == ["sh", "sh-raw"]
+    assert store.manifest("sh-raw")["meta"]["groups"] == [files[:2], files[2:]]
+    # whole-store SNAPSHOT: the view shadows the raw partition, so rows()
+    # and read_table() see exactly the deduped survivor set
     assert store.rows() == uniq
-    snap = store.read_table(columns=["image_id"])
-    assert snap.num_rows == uniq
+    assert store.read_table(columns=["image_id"]).num_rows == uniq
 
-    # shard manifests exist; rerun = all skipped, identical result
-    assert store.is_done("sh-shard-00000") and store.is_done("sh-shard-00001")
-    mtimes = {p: os.path.getmtime(store._manifest_key(p)) for p in store.partitions()}
-    pid2 = ingest_sharded(files, store, pid="sh", files_per_shard=2, concurrency=None)
-    assert pid2 == pid
+    mtimes = {p: os.path.getmtime(store._manifest_key(p))
+              for p in store.partitions()}
+    again = open_store(str(tmp_path / "store"))
+    assert ingest(files, again, pid="sh", files_per_group=2).count() == uniq
     for p, t in mtimes.items():
         assert os.path.getmtime(store._manifest_key(p)) == t  # untouched
+
+
+def test_ingest_resumes_after_crash_in_group_commit(ray_session, corpus_tab,
+                                                    tmp_path, monkeypatch):
+    """A crash in the extend commit of group 3 of 4 loses only that group:
+    the rerun sends groups 3 and 4 alone through the fused sink, and
+    commits the same rows as an uninterrupted run."""
+    from logcrawler_ray.pipelines import ingest as ingest_mod
+    from logcrawler_ray.sources.objstore import ObjectStore
+
+    files = _write_inputs(tmp_path, [corpus_tab.slice(i * 24, 24)
+                                     for i in range(4)])
+    want = open_store(str(tmp_path / "whole"))
+    ingest(files, want, pid="p", files_per_group=1)
+
+    commit = ObjectStore.commit_external
+    calls = []
+
+    def crash_on_third(self, *a, **kw):
+        calls.append(a[0])
+        if len(calls) == 3:
+            raise OSError("injected crash")
+        return commit(self, *a, **kw)
+
+    monkeypatch.setattr(ObjectStore, "commit_external", crash_on_third)
+    with pytest.raises(OSError, match="injected"):
+        ingest(files, open_store(str(tmp_path / "s")), pid="p",
+               files_per_group=1)
+    monkeypatch.setattr(ObjectStore, "commit_external", commit)
+
+    sunk = []
+    fused = ingest_mod._fused_sink
+
+    def recording(source_ds, *a, **kw):
+        sunk.append(a[-1]["groups"][-1])  # the group this call commits
+        return fused(source_ds, *a, **kw)
+
+    monkeypatch.setattr(ingest_mod, "_fused_sink", recording)
+    st = open_store(str(tmp_path / "s"))
+    ingest(files, st, pid="p", files_per_group=1)
+    assert sunk == [[files[2]], [files[3]]]
+    assert st.read_table("p").sort_by("image_id").equals(
+        want.read_table("p").sort_by("image_id"))
+    assert st.rows("p") == want.rows("p") and st.rows("p-raw") == 4 * 24
+    assert len(st.files("p-raw")) == len(set(st.files("p-raw")))
 
 
 def test_dup_winners_matches_pandas(ray_session):
@@ -513,20 +555,27 @@ def test_dup_winners_string_schema_survives_empty_buckets(ray_session):
         {"phash": "k00001", "__min": 1, "__n": 2}]
 
 
-def test_read_sharded_backcompat_rows_listing(tmp_path):
-    """Stores written before the meta-only listing change kept the shard
-    list as data rows; read_sharded must still resolve them."""
+def test_full_614400_byte_row_through_pipeline(ray_session):
+    """The reference's exact raw-image record size (640*480*2 = 614,400 B,
+    02_combine_logs.py:24-27) flows through fetch-shape decode + stats +
+    phash and round-trips the store."""
     import pyarrow as pa
+    import ray.data as rd
 
-    from logcrawler_ray.pipelines.ingest import read_sharded
-    from logcrawler_ray.sources.objstore import open_store
+    from logcrawler_ray.codecs import yuv422
+    from logcrawler_ray.sources.corpus import _pixels
+    from logcrawler_ray.stages.decode import DecodeStats
 
-    store = open_store(str(tmp_path / "s"))
-    store.append_table("sh-shard-00000",
-                       pa.table({"image_id": ["a", "b"], "phash": [1, 2]}))
-    store.commit_delete_view("sh-view-00000", "sh-shard-00000", ["b"],
-                             key_col="image_id")
-    store.append_table("sh", pa.table({"shards": ["sh-view-00000"]}),
-                       meta={"pipeline": "ingest", "rows_total": 1})
-    out = read_sharded(store, "sh").to_pandas()
-    assert list(out["image_id"]) == ["a"]
+    rgb = _pixels(123, 640, 480)
+    blob = yuv422.encode(rgb)
+    assert len(blob) == 614_400
+    t = pa.table({
+        "image_id": ["big"], "bytes": [blob],
+        "w": pa.array([640], pa.int32()), "h": pa.array([480], pa.int32()),
+        "fmt": ["yuv422"],
+    })
+    out = rd.from_arrow(t).map_batches(
+        DecodeStats(), batch_format="pyarrow", batch_size=1).to_pandas()
+    assert out["decode_ok"].iloc[0]
+    assert out["resolution"].iloc[0] == "640x480"
+    assert out["phash"].iloc[0] != 0

@@ -72,6 +72,67 @@ def test_commit_external_footer_counts_and_gc_of_stale_stage():
     assert sorted(st.read_table("p")["image_id"].to_pylist()) == ["a", "b", "c"]
 
 
+def test_commit_external_extend_adds_a_stage():
+    """extend=True commits a second stage beside the first in one manifest:
+    files and per-file row counts are appended, rows summed, the caller's
+    meta replaces the old, and the post-commit gc keeps both stages."""
+    st = _st()
+    first = st.external_tmp("p")
+    write_fragment(pa.table({"image_id": ["a", "b"]}),
+                   posixpath.join(first, "part-0.parquet"))
+    assert st.commit_external("p", first, {"groups": [1]}, extend=True) == 2
+    stale = st.external_tmp("p")  # a crashed attempt at the second group
+    write_fragment(pa.table({"image_id": ["x"]}),
+                   posixpath.join(stale, "part-0.parquet"))
+    second = st.external_tmp("p")
+    write_fragment(pa.table({"image_id": ["c"]}),
+                   posixpath.join(second, "part-0.parquet"))
+    assert st.commit_external("p", second, {"groups": [1, 2]}, extend=True) == 3
+    m = st.manifest("p")
+    assert m["rows"] == 3 and m["file_rows"] == [2, 1]
+    assert m["meta"] == {"groups": [1, 2]}
+    assert {k for k in st.fs.find(st._key("data", "p"))
+            if k.endswith(".parquet")} == set(m["files"])
+    assert sorted(st.read_table("p")["image_id"].to_pylist()) == ["a", "b", "c"]
+
+
+def test_base_read_count_comes_from_the_manifest(ray_session, tmp_path):
+    """Every base-partition writer records per-file row counts, so a base
+    read's count() is answered from metadata (meta_count, which never
+    executes) and equals rows(pid); a view read still counts by running,
+    and a manifest without counts still reads."""
+    import json
+
+    import ray.data as rd
+
+    st = ObjectStore(str(tmp_path / "s"))
+    t = pa.table({"image_id": [f"i{k:02d}" for k in range(12)],
+                  "v": list(range(12))})
+    st.append_table("p", t.slice(0, 5))
+    for lo, hi in ((5, 9), (9, 12)):
+        stage = st.external_tmp("p")
+        write_fragment(t.slice(lo, hi - lo), posixpath.join(stage, "x.parquet"))
+        st.commit_external("p", stage, extend=True)
+    st.append_table("q", t)
+    st.merge_insert("q", t.slice(0, 2), key="image_id")
+    st.rewrite_partition("q", lambda f: f.slice(1))
+    st.append_dataset("r", rd.from_arrow(t))
+    st.compact_partition("r", target_rows=5)
+    for pid in ("p", "q", "r"):
+        ds = st.read_dataset(pid)
+        assert ds._plan.meta_count() == st.rows(pid) == ds.count(), pid
+    assert st.read_dataset()._plan.meta_count() == st.rows()
+    st.commit_delete_view("v", "p", ["i00", "i07"], key_col="image_id")
+    view = st.read_dataset("v")
+    assert view._plan.meta_count() is None and view.count() == 10
+    m = st.manifest("r")
+    del m["file_rows"]  # a manifest written before per-file counts
+    with open(st._manifest_key("r"), "w") as f:
+        json.dump(m, f)
+    old = st.read_dataset("r")
+    assert old._plan.meta_count() is None and old.count() == 12
+
+
 def test_delete_view_and_empty_view():
     st = _st()
     st.append_table("base", pa.table({"image_id": ["a", "b", "c"], "v": [1, 2, 3]}))
