@@ -89,7 +89,7 @@ def bench_crawl() -> dict:
 
     cfg = CrawlConfig(seed=SEED, n_hosts=384, pages_per_host=400, n_shards=8,
                       wave_size=16384, max_depth=20, max_waves=8,
-                      batch_size=64, wave_blocks=max(32, NUM_CPUS * 4))
+                      batch_size=64)
     root = f"/tmp/graft_bench/crawl_{NUM_CPUS}_{time.time_ns()}"
     eng = CrawlEngine(cfg, root + "/store", root + "/ckpt")
     seeds = cfg.web().seed_urls(8192)

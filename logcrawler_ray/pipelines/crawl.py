@@ -69,7 +69,6 @@ class CrawlConfig:
     # synthetic backend) stateless tasks win ~5x; set True when fetch state
     # is expensive (real HTTP sessions, models) and size waves accordingly.
     use_actors: bool = False
-    wave_blocks: int = 64  # blocks per wave Dataset (intra-wave parallelism)
     priority_mode: str = "hash"  # hash | fifo | reverse (the --reverse analog)
     web_params: dict = field(default_factory=dict)
 
@@ -92,13 +91,27 @@ def url_priority(url: str, seed: int, mode: str = "hash") -> int:
     return 9 - p if mode == "reverse" else p
 
 
+def _cluster_cpus() -> int:
+    import ray
+
+    return int(ray.cluster_resources().get("CPU", 1))
+
+
 def _shard_group_count(n_shards: int) -> int:
     """Shard groups to run: one per cluster CPU, at most one per shard.
     Shards never coordinate, so this is placement only — any count gives
     the same crawl. At 1 the group is hosted in the driver (CrawlState)."""
-    import ray
+    return max(1, min(n_shards, _cluster_cpus()))
 
-    return max(1, min(n_shards, int(ray.cluster_resources().get("CPU", 1))))
+
+def _wave_block_count(rows: int, batch_size: int) -> int:
+    """Blocks of a wave's Dataset: two per cluster CPU, so every CPU has a
+    task and one more queued, but none smaller than ``batch_size`` rows —
+    a wave's Ray execution costs per task, and on a small cluster fewer,
+    larger tasks win. Placement only: WaveStage slices each block into
+    ``batch_size``-row batches itself, so the crawl is the same at any
+    count."""
+    return max(1, min(2 * _cluster_cpus(), rows // batch_size))
 
 
 class CrawlState:
@@ -334,11 +347,14 @@ class WaveStage:
 
     Works as a plain callable (task mode, cheap state) or an actor class
     (``map_batches(WaveStage, fn_constructor_kwargs=...)``) when fetch
-    state is expensive.
+    state is expensive. Ray hands it whole blocks (no Ray ``batch_size``:
+    the ``IngestStage`` recipe); it cuts each into batches of at most
+    ``batch_size`` rows itself.
     """
 
     def __init__(self, web_params: dict, tmp_dir: str, *, seed: int, mode: str,
-                 n_shards: int, max_depth: int, compression: str = "none",
+                 n_shards: int, max_depth: int, batch_size: int = 64,
+                 compression: str = "none",
                  storage_options: dict | None = None):
         self.fetch = FetchWorker(web_params=web_params)
         self.decode = DecodeStats(keep_bytes=True)
@@ -347,10 +363,18 @@ class WaveStage:
         self.mode = mode
         self.n_shards = n_shards
         self.max_depth = max_depth
+        self.batch_size = batch_size
         self.compression = compression
         self.storage_options = storage_options
 
-    def __call__(self, t: pa.Table) -> pa.Table:
+    def __call__(self, block: pa.Table) -> pa.Table:
+        step = self.batch_size
+        # an empty block still runs once, so it returns the typed empty output
+        outs = [self._batch(block.slice(s, step))
+                for s in range(0, max(block.num_rows, 1), step)]
+        return outs[0] if len(outs) == 1 else pa.concat_tables(outs)
+
+    def _batch(self, t: pa.Table) -> pa.Table:
         import os
 
         fetched = self.fetch(t)
@@ -501,12 +525,10 @@ class CrawlEngine:
             "seq": pa.array([r["seq"] for r in emitted], pa.int64()),
             "fetch_time": pa.array([r["fetch_time"] for r in emitted], pa.int64()),
         })
-        # split the wave into blocks so fetch/decode parallelize within it;
-        # keep blocks >= ~64 rows so small waves don't drown in task overhead
-        nb = max(1, min(self.cfg.wave_blocks, in_table.num_rows // 64 or 1))
-        step = -(-in_table.num_rows // nb)
-        chunks = [in_table.slice(i * step, step) for i in range(nb)
-                  if i * step < in_table.num_rows]
+        # split the wave into blocks so fetch/decode parallelize within it
+        nb = _wave_block_count(in_table.num_rows, self.cfg.batch_size)
+        cut = [i * in_table.num_rows // nb for i in range(nb + 1)]
+        chunks = [in_table.slice(a, b - a) for a, b in zip(cut, cut[1:])]
         ds = rd.from_arrow(chunks)
         web_params = {"seed": self.cfg.seed, "n_hosts": self.cfg.n_hosts,
                       "pages_per_host": self.cfg.pages_per_host, **self.cfg.web_params}
@@ -522,19 +544,18 @@ class CrawlEngine:
                             seed=self.cfg.seed, mode=self.cfg.priority_mode,
                             n_shards=self.cfg.n_shards,
                             max_depth=self.cfg.max_depth,
+                            batch_size=self.cfg.batch_size,
                             compression=self.store.compression,
                             storage_options=self.store.storage_options)
         if self.cfg.use_actors:
             routed = ds.map_batches(
                 WaveStage, fn_constructor_kwargs=stage_kwargs,
-                batch_format="pyarrow", batch_size=self.cfg.batch_size,
+                batch_format="pyarrow", batch_size=None,
                 concurrency=self.cfg.fetch_concurrency,
             )
         else:
-            routed = ds.map_batches(
-                WaveStage(**stage_kwargs), batch_format="pyarrow",
-                batch_size=self.cfg.batch_size,
-            )
+            routed = ds.map_batches(WaveStage(**stage_kwargs),
+                                    batch_format="pyarrow", batch_size=None)
         # drive the fused stage; the routed link blocks STAY in the object
         # store — the driver only ever holds their refs
         mat = routed.materialize()
@@ -545,6 +566,7 @@ class CrawlEngine:
         # both atomic, idempotent on wave re-run, bounded by wave_size
         n_written = self.store.commit_external(pid, tmp_dir, meta={
             "wave": wave_no, "fetched": len(emitted), "virtual_now": st.now,
+            "blocks": len(chunks),
         })
         self.log_store.append_table(pid, pa.table({
             "wave": pa.array([wave_no] * len(emitted), pa.int64()),

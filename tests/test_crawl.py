@@ -476,3 +476,29 @@ def test_fetch_log_bounded_forms_agree(ray_session, tmp_path):
     rows = sorted((r["wave"], r["seq"], r["url"], r["fetch_time"])
                   for r in ds.iter_rows())
     assert rows == sorted(full)
+
+
+def test_wave_block_count_is_placement_only(ray_session, tmp_path,
+                                            monkeypatch):
+    """A wave cut into 1 block and into 8 blocks commits the same fetch log
+    and the same image rows (WaveStage slices its own batches, so Ray's
+    block boundaries never reach the crawl)."""
+    from logcrawler_ray.pipelines import crawl as crawl_mod
+
+    cfg = CrawlConfig(**{**CFG, "batch_size": 4, "max_waves": 3})
+    seeds = cfg.web().seed_urls(cfg.wave_size)
+    runs = {}
+    for cpus, blocks in [(0, 1), (4, 8)]:
+        monkeypatch.setattr(crawl_mod, "_cluster_cpus", lambda: cpus)
+        root = tmp_path / f"b{blocks}"
+        eng = CrawlEngine(cfg, str(root / "store"), str(root / "ckpt"))
+        eng.run(seeds=seeds)
+        metas = [eng.store.manifest(p)["meta"] for p in eng.store.partitions()]
+        assert len(metas) == cfg.max_waves
+        assert metas[0]["blocks"] == blocks
+        assert [m["blocks"] for m in metas] == [
+            min(blocks, m["fetched"] // cfg.batch_size) for m in metas]
+        runs[blocks] = (eng.fetch_log(),
+                        eng.store.read_table().sort_by("seq").to_pylist())
+    assert runs[1] == runs[8]
+    assert runs[1][0] and runs[1][1]

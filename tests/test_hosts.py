@@ -205,9 +205,9 @@ _POOL = (_default_urls()[::37] + ["http://example.com/p/1", "HTTP://host-0002.te
 @settings(max_examples=25, deadline=None)
 def test_fetch_batch_split_invariant(urls, cuts):
     """fetch_batch over a URL list == the concatenation of fetch_batch over
-    any split of it (Ray Data moves batch boundaries with wave_blocks and
-    batch_size); repeated cuts give empty parts, adjacent ones one-row
-    parts."""
+    any split of it (Ray Data moves batch boundaries with the wave's block
+    count and batch_size); repeated cuts give empty parts, adjacent ones
+    one-row parts."""
     web = SyntheticWeb()
     whole = web.fetch_batch(pa.array(urls, pa.string()))
     bounds = [0] + sorted(min(c, len(urls)) for c in cuts) + [len(urls)]
