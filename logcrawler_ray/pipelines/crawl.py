@@ -91,10 +91,29 @@ def url_priority(url: str, seed: int, mode: str = "hash") -> int:
     return 9 - p if mode == "reverse" else p
 
 
+_ENQUEUE_TYPES = {"url": pa.string(), "host": pa.string(), "path": pa.string(),
+                  "depth": pa.int32(), "priority": pa.int32()}
+
+
+_CPUS_TTL_S = 10.0
+_cpus_seen: dict = {}  # "node", "at", "cpus": the last cluster CPU read
+
+
 def _cluster_cpus() -> int:
+    """The cluster's CPU count, read from Ray at most every
+    ``_CPUS_TTL_S`` seconds per Ray session. Every use is placement only,
+    and ``ray.cluster_resources()`` is a GCS round trip that would
+    otherwise sit on every wave and every resume."""
+    import time
+
     import ray
 
-    return int(ray.cluster_resources().get("CPU", 1))
+    node = ray.get_runtime_context().get_node_id()
+    now = time.monotonic()
+    if _cpus_seen.get("node") != node or now - _cpus_seen["at"] > _CPUS_TTL_S:
+        _cpus_seen.update(node=node, at=now,
+                          cpus=int(ray.cluster_resources().get("CPU", 1)))
+    return _cpus_seen["cpus"]
 
 
 def _shard_group_count(n_shards: int) -> int:
@@ -129,9 +148,13 @@ class CrawlState:
       shard call, so the one group stays in the driver as a plain object:
       no actor spawn on start or resume, no copy of the shard state per
       call. ``use_actors`` then reads False.
+
+    ``snapshots`` (one ``CrawlShard.snapshot`` per shard) builds each group
+    straight from its shards' snapshots.
     """
 
-    def __init__(self, cfg: CrawlConfig, use_actors: bool = False):
+    def __init__(self, cfg: CrawlConfig, use_actors: bool = False,
+                 snapshots: list[bytes] | None = None):
         from ..state.shard import ShardGroup, make_shard_actor_cls
 
         self.cfg = cfg
@@ -139,11 +162,10 @@ class CrawlState:
         n = cfg.n_shards
         k = _shard_group_count(n) if use_actors else 1
         self.use_actors = k > 1
-        # the engine's in-driver group: see state()
-        self._actor_form = use_actors and not self.use_actors
         new_group = make_shard_actor_cls().remote if self.use_actors else ShardGroup
         self.shards = [new_group(list(range(g, n, k)), n, cfg.seen_capacity,
-                                 cfg.seed, web.robots_txt)
+                                 cfg.seed, web.robots_txt,
+                                 snapshots[g::k] if snapshots else None)
                        for g in range(k)]
         self.now = 0
         self.wave = -1
@@ -176,15 +198,18 @@ class CrawlState:
         """Canonicalize + route to shards (per-shard relative order
         preserved — that order is the engine contract), then the shards
         apply robots -> seen -> push, in parallel in actor mode."""
-        per_shard: list[list[tuple]] = [[] for _ in range(self.cfg.n_shards)]
+        cols = ("url", "host", "path", "depth", "priority")
+        per_shard = [{c: [] for c in cols} for _ in range(self.cfg.n_shards)]
         for url, depth in zip(raw_urls, depths):
             cu = canonicalize(url)
             host = host_of(cu)
-            path = path_of(cu)
-            per_shard[self.shard_of(host)].append(
-                (cu, host, path, depth,
-                 url_priority(cu, self.cfg.seed, self.cfg.priority_mode)))
-        counts = self._call("enqueue_batch", [(b,) for b in per_shard])
+            b = per_shard[self.shard_of(host)]
+            for c, v in zip(cols, (cu, host, path_of(cu), depth, url_priority(
+                    cu, self.cfg.seed, self.cfg.priority_mode))):
+                b[c].append(v)
+        counts = self._call("enqueue_batch", [
+            (pa.table({c: pa.array(b[c], _ENQUEUE_TYPES[c]) for c in cols}),)
+            for b in per_shard])
         return sum(counts)
 
     def enqueue_routed_blocks(self, block_refs: list) -> int:
@@ -202,16 +227,15 @@ class CrawlState:
 
     # -- drain ------------------------------------------------------------
     def drain_wave(self) -> list[dict]:
+        """The wave's rows in (priority, fetch_time, seq) order: each shard
+        drains an ordered table, and one Arrow sort merges them."""
         per_shard = max(1, self.cfg.wave_size // self.cfg.n_shards)
         results = self._each("drain", self.now, per_shard, self.cfg.horizon)
-        emitted: list[dict] = []
-        new_now = self.now
-        for rows, t in results:
-            emitted.extend(rows)
-            new_now = max(new_now, t)
-        self.now = new_now
-        emitted.sort(key=lambda r: (r["priority"], r["fetch_time"], r["seq"]))
-        return emitted
+        self.now = max([self.now] + [t for _, t in results])
+        merged = pa.concat_tables([rows for rows, _ in results])
+        return merged.sort_by([("priority", "ascending"),
+                               ("fetch_time", "ascending"),
+                               ("seq", "ascending")]).to_pylist()
 
     def frontier_size(self) -> int:
         return sum(self._each("size"))
@@ -228,26 +252,20 @@ class CrawlState:
         verdict: appending every fetched URL into each checkpoint made
         checkpoint bytes O(waves^2); the log now streams to a store
         partition per wave (CrawlEngine.run_wave step 3b), and the
-        checkpoint carries only the wave watermark + shard states."""
-        shards = self._each("state")
-        if self._actor_form:
-            # An actor group's states reach the driver through Ray's
-            # serializer: arrays come back read-only and strings unshared
-            # across shards, which changes their pickle bytes. Passing the
-            # in-driver states through the same serializer keeps the
-            # checkpoint byte-equal at any group count.
-            import ray
+        checkpoint carries only the wave watermark + shard states.
 
-            shards = ray.get([ray.put(s) for s in shards])
-        return {"now": self.now, "wave": self.wave, "shards": shards}
+        Each shard pickles its own state where it lives
+        (``CrawlShard.snapshot``), so the checkpoint is byte-equal at any
+        group count, in-driver or not, with no copy through Ray."""
+        return {"now": self.now, "wave": self.wave,
+                "shards": self._each("snapshot")}
 
     @classmethod
     def from_state(cls, cfg: CrawlConfig, st: dict,
                    use_actors: bool = False) -> "CrawlState":
-        obj = cls(cfg, use_actors=use_actors)
+        obj = cls(cfg, use_actors=use_actors, snapshots=st["shards"])
         obj.now = st["now"]
         obj.wave = st["wave"]
-        obj._call("restore", [(s,) for s in st["shards"]])
         return obj
 
 

@@ -1,8 +1,8 @@
 """Serial reference executor — the oracle for crawl-equivalence tests.
 
 A deliberately simple, single-process, no-Ray implementation of the SAME
-BSP wave semantics as CrawlEngine (shared CrawlState: identical frontier
-heaps, politeness budgets, seen shards, robots cache, clock). It fetches
+BSP wave semantics as CrawlEngine (shared CrawlState: identical frontiers,
+politeness budgets, seen shards, robots cache, clock). It fetches
 and decodes inline, row by row, in drain order.
 
 This mirrors the reference repo's own oracle pattern — the brute-force

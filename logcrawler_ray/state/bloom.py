@@ -57,7 +57,9 @@ class BloomFilter:
         obj = cls.__new__(cls)
         obj.n_bits = st["n_bits"]
         obj.k = st["k"]
-        obj.bits = np.array(st["bits"], dtype=np.uint64)
+        # owns the state's array (state() hands out a copy); copies only a
+        # read-only one
+        obj.bits = np.require(st["bits"], np.uint64, "CW")
         obj.capacity = st["capacity"]
         obj.fp_rate = st["fp_rate"]
         return obj

@@ -146,7 +146,9 @@ class CuckooFilter:
     def from_state(cls, st: dict) -> "CuckooFilter":
         obj = cls.__new__(cls)
         obj.n_buckets = st["n_buckets"]
-        obj.table = np.array(st["table"], dtype=np.uint16)
+        # owns the state's array (state() hands out a copy); copies only a
+        # read-only one
+        obj.table = np.require(st["table"], np.uint16, "CW")
         obj.size = st["size"]
         obj.seed = st["seed"]
         obj._kick_state = np.uint64(st["kick_state"])

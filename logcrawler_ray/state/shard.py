@@ -1,4 +1,4 @@
-"""CrawlShard — one self-contained control-plane shard: frontier heap +
+"""CrawlShard — one self-contained control-plane shard: frontier +
 politeness budget + URL-seen (bloom+cuckoo) + robots rules for the hosts
 that hash to it.
 
@@ -24,22 +24,29 @@ therefore identical to the serial executor's.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions.hashing import hash64_str_array
 from .frontier import FrontierShard
-from .politeness import HostBudget, RobotsCache
+from .politeness import HostBudget, RobotsCache, RobotsRules
 from .urlseen import GrowableSeen
 
 
 class CrawlShard:
     def __init__(self, shard_id: int, n_shards: int, seen_capacity: int,
                  seed: int, robots_fetcher):
-        self.shard_id = shard_id
         self.frontier = FrontierShard(shard_id, n_shards)
         self.budget = HostBudget()
         self.seen = GrowableSeen(seen_capacity, seed=seed + shard_id)
         self.robots = RobotsCache(robots_fetcher)
+
+    @property
+    def shard_id(self) -> int:
+        return self.frontier.shard_id
 
     def enqueue_routed_blocks(self, tables) -> int:
         """Shard-side ordered enqueue: ``tables`` are the wave's ROUTED link
@@ -47,9 +54,6 @@ class CrawlShard:
         shared by every shard. The shard filters ITS rows, sorts them by
         (seq, idx) — the per-shard relative order IS the engine contract —
         and enqueues them, so the driver never touches a wave's links."""
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
         mine = [b.filter(pc.equal(b["shard"], self.shard_id))
                 for b in tables if b.num_rows]
         mine = [m for m in mine if m.num_rows]
@@ -57,37 +61,43 @@ class CrawlShard:
             return 0
         t = pa.concat_tables(mine)
         order = np.lexsort((t["idx"].to_numpy(), t["seq"].to_numpy()))
-        t = t.take(pa.array(order))
-        return self.enqueue_batch(list(zip(
-            t["url"].to_pylist(), t["host"].to_pylist(),
-            t["path"].to_pylist(), t["depth"].to_pylist(),
-            t["priority"].to_pylist())))
+        return self.enqueue_batch(t.take(pa.array(order)))
 
-    def enqueue_batch(self, items: list[tuple[str, str, str, int, int]]) -> int:
-        """Items: (canonical_url, host, path, depth, priority), in order.
+    def enqueue_batch(self, items: pa.Table) -> int:
+        """``items``: columns url (canonical), host, path, depth, priority,
+        in order.
 
         robots filter -> crawl-delay registration -> seen add_if_new
-        (batched over the whole item list) -> frontier push. Returns count
-        admitted."""
-        allowed: list[tuple[str, str, int, int]] = []
-        for url, host, path, depth, priority in items:
-            rules = self.robots.rules(host)
-            if not rules.allowed(path):
-                continue
-            if rules.crawl_delay_ms and host not in self.budget.delays:
-                self.budget.delays[host] = rules.crawl_delay_ms
-            allowed.append((url, host, depth, priority))
-        if not allowed:
+        (batched over the whole item list) -> frontier push. Robots rules
+        are looked up once per distinct host. Returns count admitted."""
+        if not items.num_rows:
             return 0
-        keys = hash64_str_array([u for u, _, _, _ in allowed], seed=0x5EED)
-        new = self.seen.add_if_new(keys)
-        rows = [
-            {"url": u, "host": h, "priority": p, "depth": d}
-            for (u, h, d, p), is_new in zip(allowed, new) if is_new
-        ]
-        if rows:
-            self.frontier.push(rows)
-        return len(rows)
+        items = items.combine_chunks()
+        enc = pc.dictionary_encode(items["host"]).chunk(0)
+        codes = enc.indices.to_numpy()
+        hosts = enc.dictionary.to_pylist()  # in order of first appearance
+        rules = [self.robots.rules(h) for h in hosts]
+        allowed = np.ones(len(codes), bool)
+        by_prefix: dict[str, list[int]] = {}
+        for k, r in enumerate(rules):
+            for p in r.disallow:
+                by_prefix.setdefault(p, []).append(k)
+        for p, ks in by_prefix.items():
+            hit = pc.starts_with(items["path"], p).to_numpy(zero_copy_only=False)
+            allowed &= ~(hit & np.isin(codes, ks))
+        # crawl delays register in order of each host's first allowed item
+        _, first = np.unique(codes[allowed], return_index=True)
+        for k in codes[allowed][np.sort(first)]:
+            h = hosts[k]
+            if rules[k].crawl_delay_ms and h not in self.budget.delays:
+                self.budget.delays[h] = rules[k].crawl_delay_ms
+        items = items.filter(pa.array(allowed))
+        if not items.num_rows:
+            return 0
+        new = self.seen.add_if_new(hash64_str_array(items["url"], seed=0x5EED))
+        admitted = items.filter(pa.array(new))
+        self.frontier.push(admitted.select(["url", "host", "priority", "depth"]))
+        return admitted.num_rows
 
     def drain(self, now: int, max_n: int, horizon: int):
         return self.frontier.drain(self.budget, now, max_n, horizon)
@@ -112,14 +122,29 @@ class CrawlShard:
                        for h, r in self.robots.cache.items()},
         }
 
-    def restore(self, st: dict) -> None:
-        from .politeness import RobotsRules
+    def snapshot(self) -> bytes:
+        """The shard's state, pickled by the process that owns the shard.
 
-        self.frontier = FrontierShard.from_state(st["frontier"])
-        self.budget = HostBudget.from_state(st["budget"])
-        self.seen = GrowableSeen.from_state(st["seen"])
-        self.robots.cache = {h: RobotsRules(d, dis)
-                             for h, (d, dis) in st["robots"].items()}
+        The bytes are the canonical snapshot: a shard's state pickles the
+        same in any process (flat column bytes and writable arrays, no
+        object shared with another shard), so a checkpoint is byte-equal
+        whichever process hosted each shard and however the shards were
+        grouped."""
+        return pickle.dumps(self.state(), protocol=pickle.HIGHEST_PROTOCOL)
+
+    @classmethod
+    def from_snapshot(cls, snap: bytes, robots_fetcher) -> "CrawlShard":
+        """A shard built straight from :meth:`snapshot` bytes: no empty
+        seen filter is allocated first."""
+        st = pickle.loads(snap)
+        obj = cls.__new__(cls)
+        obj.frontier = FrontierShard.from_state(st["frontier"])
+        obj.budget = HostBudget.from_state(st["budget"])
+        obj.seen = GrowableSeen.from_state(st["seen"])
+        obj.robots = RobotsCache(robots_fetcher)
+        obj.robots.cache = {h: RobotsRules(d, dis)
+                            for h, (d, dis) in st["robots"].items()}
+        return obj
 
 
 class ShardGroup:
@@ -132,9 +157,16 @@ class ShardGroup:
     shard on every start and resume."""
 
     def __init__(self, shard_ids: list[int], n_shards: int,
-                 seen_capacity: int, seed: int, robots_fetcher):
-        self.shards = [CrawlShard(i, n_shards, seen_capacity, seed,
-                                  robots_fetcher) for i in shard_ids]
+                 seen_capacity: int, seed: int, robots_fetcher,
+                 snapshots: list[bytes] | None = None):
+        """Fresh shards, or (``snapshots``) the shards those
+        :meth:`CrawlShard.snapshot` bytes hold, in ``shard_ids`` order."""
+        if snapshots is not None:
+            self.shards = [CrawlShard.from_snapshot(b, robots_fetcher)
+                           for b in snapshots]
+        else:
+            self.shards = [CrawlShard(i, n_shards, seen_capacity, seed,
+                                      robots_fetcher) for i in shard_ids]
 
     def each(self, method: str, args_per_shard: list[tuple]) -> list:
         """``method`` on each of this group's shards, in group order."""
@@ -142,14 +174,8 @@ class ShardGroup:
                 for s, a in zip(self.shards, args_per_shard)]
 
     def call(self, method: str, args_per_shard: list[tuple]):
-        """:meth:`each` as an actor method.
-
-        The caller asks for one return object per shard, so each shard's
-        result is serialized on its own, exactly as with one actor per
-        shard. Shards of one process share objects (numpy dtypes); sent
-        as one object they would stay shared on the driver, and the
-        checkpoint's pickle memo — so its bytes — would depend on the
-        grouping."""
+        """:meth:`each` as an actor method; the caller asks for one return
+        object per shard (a snapshot is each shard's own bytes)."""
         out = self.each(method, args_per_shard)
         return out if len(out) > 1 else out[0]
 

@@ -502,3 +502,31 @@ def test_wave_block_count_is_placement_only(ray_session, tmp_path,
                         eng.store.read_table().sort_by("seq").to_pylist())
     assert runs[1] == runs[8]
     assert runs[1][0] and runs[1][1]
+
+
+def test_in_driver_state_makes_no_ray_round_trip(monkeypatch):
+    """The in-driver shard group's checkpoint state is the shards' own
+    snapshot bytes: no ray.put/ray.get, and a state restored from it
+    snapshots to the same bytes."""
+    import pickle
+
+    import ray
+
+    from logcrawler_ray.pipelines import crawl as crawl_mod
+    from logcrawler_ray.pipelines.crawl import CrawlState
+
+    cfg = CrawlConfig(**CFG)
+    monkeypatch.setattr(crawl_mod, "_shard_group_count", lambda n: 1)
+    st = CrawlState(cfg, use_actors=True)
+    st.enqueue([s["url"] for s in cfg.web().seed_urls(24)], [0] * 24)
+    st.drain_wave()
+
+    def no_ray(*a, **k):
+        raise AssertionError("state() went through Ray")
+
+    monkeypatch.setattr(ray, "put", no_ray)
+    monkeypatch.setattr(ray, "get", no_ray)
+    snap = st.state()
+    assert all(isinstance(b, bytes) for b in snap["shards"])
+    again = CrawlState.from_state(cfg, snap, use_actors=True).state()
+    assert pickle.dumps(again) == pickle.dumps(snap)

@@ -14,9 +14,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
+import numpy as np
+import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logcrawler_ray.state import frontier as frontier_mod
 from logcrawler_ray.state.frontier import FrontierShard
 from logcrawler_ray.state.politeness import HostBudget
 
@@ -77,12 +80,12 @@ class HeapFrontier:
 
 
 def _push(f: FrontierShard, rows: list[dict]) -> None:
-    f.push(rows)
+    f.push(pa.Table.from_pylist(rows))
 
 
 def _drain(f: FrontierShard, budget, now, max_n, horizon):
     rows, t = f.drain(budget, now, max_n, horizon)
-    return (rows.to_pylist() if hasattr(rows, "to_pylist") else rows), t
+    return rows.to_pylist(), t
 
 
 def _entries(f: FrontierShard) -> list[tuple]:
@@ -117,8 +120,20 @@ _op = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(shard=st.sampled_from([(0, 1), (1, 4), (2, 3)]),
+       chunk=st.sampled_from([1, 3, frontier_mod.CHUNK]),
        ops=st.lists(_op, min_size=1, max_size=25))
-def test_frontier_matches_heap_model(shard, ops):
+def test_frontier_matches_heap_model(shard, chunk, ops):
+    """``chunk`` sets the first chunk of a drain's walk, so small values
+    carry the budget across many chunks."""
+    default = frontier_mod.CHUNK
+    frontier_mod.CHUNK = chunk
+    try:
+        _run_against_model(shard, ops)
+    finally:
+        frontier_mod.CHUNK = default
+
+
+def _run_against_model(shard, ops):
     f, model = FrontierShard(*shard), HeapFrontier(*shard)
     fb, mb = HostBudget(), HostBudget()
     now = n_urls = 0
@@ -144,3 +159,21 @@ def test_frontier_matches_heap_model(shard, ops):
         assert f.next_seq == model.next_seq
         assert fb.state() == mb.state()
     assert _entries(f) == model.entries()
+
+
+@settings(max_examples=100, deadline=None)
+@given(runs=st.lists(st.lists(st.integers(-2**40, 2**40), min_size=1,
+                              max_size=6), min_size=1, max_size=6),
+       huge=st.booleans())
+def test_segmented_running_max(runs, huge):
+    """The one-pass lifted running max equals a per-segment loop, and so
+    does its fallback when the lift would overflow int64."""
+    v = np.array([x for r in runs for x in r], np.int64)
+    if huge:
+        v[0] = -2**62
+    seg = np.repeat(np.arange(len(runs)), [len(r) for r in runs])
+    want = np.concatenate([np.maximum.accumulate(np.array(r, np.int64))
+                           for r in runs])
+    if huge:
+        want[:len(runs[0])] = np.maximum.accumulate(v[:len(runs[0])])
+    assert (frontier_mod._seg_cummax(v, seg) == want).all()

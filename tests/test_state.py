@@ -1,6 +1,7 @@
 """Unit tests: bloom, cuckoo, URL-seen shards, frontier heap, politeness."""
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from logcrawler_ray.state.bloom import BloomFilter
@@ -120,54 +121,61 @@ def test_seen_shard_first_wins_and_snapshot():
 # ---------------------------------------------------------------- frontier
 def test_frontier_total_order():
     f = FrontierShard()
-    f.push([{"url": "u1", "host": "h", "priority": 5},
-            {"url": "u2", "host": "h", "priority": 1},
-            {"url": "u3", "host": "h", "priority": 1}])
+    f.push(pa.Table.from_pylist([{"url": "u1", "host": "h", "priority": 5},
+                                 {"url": "u2", "host": "h", "priority": 1},
+                                 {"url": "u3", "host": "h", "priority": 1}]))
     rows, now = f.drain(HostBudget(), now=0, max_n=10, horizon=1000)
+    rows = rows.to_pylist()
     assert [r["url"] for r in rows] == ["u2", "u3", "u1"]  # prio, then seq
     assert now == 0
 
 
 def test_frontier_politeness_spacing():
     f = FrontierShard()
-    f.push([{"url": f"u{i}", "host": "slow.test", "priority": 0} for i in range(4)])
+    f.push(pa.Table.from_pylist(
+        [{"url": f"u{i}", "host": "slow.test", "priority": 0} for i in range(4)]))
     budget = HostBudget({"slow.test": 100})
     rows, now = f.drain(budget, now=0, max_n=10, horizon=10_000)
+    rows = rows.to_pylist()
     assert [r["fetch_time"] for r in rows] == [0, 100, 200, 300]
     assert now == 300
 
 
 def test_frontier_horizon_defers():
     f = FrontierShard()
-    f.push([{"url": f"u{i}", "host": "slow.test", "priority": 0} for i in range(5)])
+    f.push(pa.Table.from_pylist(
+        [{"url": f"u{i}", "host": "slow.test", "priority": 0} for i in range(5)]))
     budget = HostBudget({"slow.test": 100})
     rows, _ = f.drain(budget, now=0, max_n=10, horizon=150)
+    rows = rows.to_pylist()
     assert len(rows) == 2  # t=0,100 fit; t=200 beyond horizon
     assert len(f) == 3
     # deferred entries keep their recomputed next_fetch_time
     rows2, _ = f.drain(budget, now=200, max_n=10, horizon=150)
+    rows2 = rows2.to_pylist()
     assert [r["fetch_time"] for r in rows2] == [200, 300]
 
 
 def test_frontier_two_hosts_interleave():
     f = FrontierShard()
-    f.push([{"url": "a1", "host": "a", "priority": 0},
-            {"url": "a2", "host": "a", "priority": 0},
-            {"url": "b1", "host": "b", "priority": 0}])
+    f.push(pa.Table.from_pylist([{"url": "a1", "host": "a", "priority": 0},
+                                 {"url": "a2", "host": "a", "priority": 0},
+                                 {"url": "b1", "host": "b", "priority": 0}]))
     budget = HostBudget({"a": 500})
     rows, _ = f.drain(budget, now=0, max_n=10, horizon=10_000)
+    rows = rows.to_pylist()
     by_url = {r["url"]: r["fetch_time"] for r in rows}
     assert by_url == {"a1": 0, "a2": 500, "b1": 0}
 
 
 def test_frontier_snapshot_roundtrip():
     f = FrontierShard(1, 4)
-    f.push([{"url": "x", "host": "h", "priority": 3},
-            {"url": "y", "host": "h", "priority": 1}])
+    f.push(pa.Table.from_pylist([{"url": "x", "host": "h", "priority": 3},
+                                 {"url": "y", "host": "h", "priority": 1}]))
     f2 = FrontierShard.from_state(f.state())
     r1, _ = f.drain(HostBudget(), 0, 10, 100)
     r2, _ = f2.drain(HostBudget(), 0, 10, 100)
-    assert r1 == r2
+    assert r1.to_pylist() == r2.to_pylist()
     assert f2.next_seq == f.next_seq
 
 
@@ -247,3 +255,32 @@ def test_growable_seen_snapshot_deterministic():
     assert len(g1.gens) == len(g2.gens)
     for a, b in zip(g1.gens, g2.gens):
         assert (a.cuckoo.table == b.cuckoo.table).all()
+
+
+def test_frontier_restore_allocates_no_object_per_entry():
+    """A frontier snapshot restores as columns: the Python blocks alive
+    after from_state (and after a whole shard's from_snapshot) do not grow
+    with the entry count."""
+    import sys
+
+    from logcrawler_ray.state.shard import CrawlShard
+
+    def restored_blocks(n: int) -> tuple[int, int]:
+        shard = CrawlShard(0, 1, 1 << 10, 7, lambda host: None)
+        shard.frontier.push(pa.table({
+            "url": [f"http://h{i % 50}.test/p/{i}" for i in range(n)],
+            "host": [f"h{i % 50}.test" for i in range(n)],
+            "priority": pa.array(np.arange(n) % 10, pa.int32()),
+            "depth": pa.array(np.zeros(n), pa.int32())}))
+        st, snap = shard.frontier.state(), shard.snapshot()
+        b0 = sys.getallocatedblocks()
+        f = FrontierShard.from_state(st)
+        b1 = sys.getallocatedblocks()
+        s = CrawlShard.from_snapshot(snap, lambda host: None)
+        b2 = sys.getallocatedblocks()
+        assert len(f) == len(s.frontier) == n
+        return b1 - b0, b2 - b1
+
+    small, large = restored_blocks(100), restored_blocks(20_000)
+    assert large[0] < small[0] + 50 < 200
+    assert large[1] < small[1] + 50 < 400
