@@ -157,9 +157,10 @@ def _fused_sink(source_ds, store: ObjectStore, pid: str, concurrency,
     for this one execution: Ray's floor of 2x cluster CPUs and its
     max-block-size bound then size the read, with no split as long as the
     source has that many files (with fewer, Ray still splits blocks and
-    the read and the stage run as two operators). Unfused, every source
-    block, payloads included, crossed the object store between a read
-    task and a map task."""
+    the read and the stage run as two operators, so :func:`ingest` reads a
+    path group with one task per file). Unfused, every source block,
+    payloads included, crossed the object store between a read task and a
+    map task."""
     from ray.data import DataContext
 
     store._assert_sink_visible()  # fused-sink tasks write from workers
@@ -256,9 +257,12 @@ def ingest(source, store: ObjectStore, pid: str = "ingest", *,
         if group in done:
             continue
         done = [*done, group]
+        # one read task per file: fewer files than Ray's read floor would
+        # otherwise get SplitBlocks, and the read would not fuse
         partials.append(_fused_sink(
-            source if group is None else rd.read_parquet(group), store,
-            raw_pid, concurrency,
+            source if group is None
+            else rd.read_parquet(group, override_num_blocks=len(group)),
+            store, raw_pid, concurrency,
             {"pipeline": "ingest", "stage": "raw", "groups": done},
             batch_size=batch_size))
 

@@ -579,3 +579,31 @@ def test_full_614400_byte_row_through_pipeline(ray_session):
     assert out["decode_ok"].iloc[0]
     assert out["resolution"].iloc[0] == "640x480"
     assert out["phash"].iloc[0] != 0
+
+
+@pytest.mark.parametrize("files_per_group", [1, 2])
+def test_ingest_small_groups_run_fused(corpus_files, tmp_path, monkeypatch,
+                                       files_per_group):
+    """A path group smaller than Ray's read floor (2 files per CPU) is
+    still read and decoded by ONE fused operator per group."""
+    import ray.data as rd
+
+    executed = []
+    materialize = rd.Dataset.materialize
+
+    def recording(self):
+        out = materialize(self)
+        executed.append(out)
+        return out
+
+    monkeypatch.setattr(rd.Dataset, "materialize", recording)
+    files = corpus_files[:4]
+    store = open_store(str(tmp_path / "store"))
+    ingest(files, store, pid="g", files_per_group=files_per_group)
+    stage_ops = [line for d in executed for line in d.stats().splitlines()
+                 if "MapBatches(IngestStage)" in line]
+    assert len(stage_ops) == len(files) // files_per_group
+    assert all(line.startswith(
+        "Operator 1 ReadParquet->MapBatches(IngestStage):")
+        for line in stage_ops), stage_ops
+    assert store.rows("g-raw") > 0
