@@ -91,9 +91,10 @@ def url_priority(url: str, seed: int, mode: str = "hash") -> int:
     return 9 - p if mode == "reverse" else p
 
 
-_ENQUEUE_TYPES = {"url": pa.string(), "host": pa.string(), "path": pa.string(),
-                  "depth": pa.int32(), "priority": pa.int32()}
-
+# the columns of CrawlShard.enqueue_batch, as CrawlState.enqueue builds them
+_ITEMS = pa.schema([("url", pa.string()), ("host", pa.string()),
+                    ("path", pa.string()), ("depth", pa.int32()),
+                    ("priority", pa.int32())])
 
 _CPUS_TTL_S = 10.0
 _cpus_seen: dict = {}  # "node", "at", "cpus": the last cluster CPU read
@@ -198,17 +199,19 @@ class CrawlState:
         """Canonicalize + route to shards (per-shard relative order
         preserved — that order is the engine contract), then the shards
         apply robots -> seen -> push, in parallel in actor mode."""
-        cols = ("url", "host", "path", "depth", "priority")
-        per_shard = [{c: [] for c in cols} for _ in range(self.cfg.n_shards)]
+        per_shard: list[list[tuple]] = [[] for _ in range(self.cfg.n_shards)]
         for url, depth in zip(raw_urls, depths):
             cu = canonicalize(url)
             host = host_of(cu)
-            b = per_shard[self.shard_of(host)]
-            for c, v in zip(cols, (cu, host, path_of(cu), depth, url_priority(
-                    cu, self.cfg.seed, self.cfg.priority_mode))):
-                b[c].append(v)
+            path = path_of(cu)
+            per_shard[self.shard_of(host)].append(
+                (cu, host, path, depth,
+                 url_priority(cu, self.cfg.seed, self.cfg.priority_mode)))
         counts = self._call("enqueue_batch", [
-            (pa.table({c: pa.array(b[c], _ENQUEUE_TYPES[c]) for c in cols}),)
+            (pa.Table.from_arrays(
+                [pa.array(c, f.type) for c, f in
+                 zip(list(zip(*b)) or [()] * len(_ITEMS), _ITEMS)],
+                schema=_ITEMS),)
             for b in per_shard])
         return sum(counts)
 

@@ -34,8 +34,7 @@ SCHEMA = pa.schema([("priority", pa.int64()), ("next_fetch_time", pa.int64()),
                     ("seq", pa.int64()), ("depth", pa.int64()),
                     ("url", pa.string()), ("host", pa.string())])
 _INTS = ("priority", "next_fetch_time", "seq", "depth")
-_ORDER = [("priority", "ascending"), ("next_fetch_time", "ascending"),
-          ("seq", "ascending")]
+_ORDER = ("priority", "next_fetch_time", "seq")
 CHUNK = 256  # first chunk of a drain's walk (doubles per chunk)
 # the rows a drain emits, in total order
 DRAINED = pa.schema([("url", pa.string()), ("host", pa.string()),
@@ -48,7 +47,7 @@ def _ints(t: pa.Table, name: str) -> np.ndarray:
 
 
 def _sorted(t: pa.Table) -> pa.Table:
-    order = np.lexsort([_ints(t, k) for k, _ in reversed(_ORDER)])
+    order = np.lexsort([_ints(t, k) for k in reversed(_ORDER)])
     return t.take(pa.array(order)).combine_chunks()
 
 
@@ -172,16 +171,16 @@ class FrontierShard:
             return
         seq = self.next_seq + self.n_shards * np.arange(n, dtype=np.int64)
         self.next_seq += n * self.n_shards
-        names = rows.column_names
-        cols = {k: (pc.cast(rows[k], pa.int64()) if k in names
-                    else pa.array(np.zeros(n, np.int64)))
-                for k in ("priority", "next_fetch_time")}
-        cols["seq"] = pa.array(seq)
-        cols["depth"] = (pc.cast(rows["depth"], pa.int64()) if "depth" in names
-                         else pa.array(np.zeros(n, np.int64)))
-        cols["url"] = pc.cast(rows["url"], pa.string())
-        cols["host"] = pc.cast(rows["host"], pa.string())
-        self.runs.append(_sorted(pa.table(cols, schema=SCHEMA)))
+
+        def col(name: str, typ=pa.int64()):
+            if name in rows.column_names:
+                return pc.cast(rows[name], typ)
+            return pa.array(np.zeros(n, np.int64))
+
+        run = pa.table([col("priority"), col("next_fetch_time"), pa.array(seq),
+                        col("depth"), col("url", pa.string()),
+                        col("host", pa.string())], schema=SCHEMA)
+        self.runs.append(_sorted(run))
 
     def __len__(self) -> int:
         return sum(r.num_rows for r in self.runs)

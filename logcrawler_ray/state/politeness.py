@@ -10,7 +10,10 @@ fetches are synthetic anyway.
 
 ``peek(host, t)`` answers "when could host h next be fetched, not earlier
 than t" without mutating; ``commit`` reserves it. Both are pure functions
-of (delays, last committed time per host) -> snapshot-friendly.
+of (delays, last committed time per host) -> snapshot-friendly. They are
+the one-entry form of the rule: ``FrontierShard.drain`` applies it to a
+whole run of entries at once (state/frontier.py::_budget_pass), reading
+and writing ``delays`` and ``next_ok`` directly.
 
 RobotsRules parses the subset of robots.txt the engine honors:
 ``Disallow:`` path prefixes and ``Crawl-delay:`` (seconds, may be
