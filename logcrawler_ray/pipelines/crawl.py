@@ -235,10 +235,14 @@ class CrawlState:
         per_shard = max(1, self.cfg.wave_size // self.cfg.n_shards)
         results = self._each("drain", self.now, per_shard, self.cfg.horizon)
         self.now = max([self.now] + [t for _, t in results])
-        merged = pa.concat_tables([rows for rows, _ in results])
-        return merged.sort_by([("priority", "ascending"),
-                               ("fetch_time", "ascending"),
-                               ("seq", "ascending")]).to_pylist()
+        merged = pa.concat_tables([rows for rows, _ in results]).sort_by(
+            [("priority", "ascending"), ("fetch_time", "ascending"),
+             ("seq", "ascending")])
+        # Table.to_pylist boxes every value as an Arrow scalar (~7x slower)
+        cols = [merged[k].to_numpy(zero_copy_only=False).tolist() for k in
+                ("url", "host", "priority", "depth", "seq", "fetch_time")]
+        return [{"url": u, "host": h, "priority": p, "depth": d, "seq": s,
+                 "fetch_time": t} for u, h, p, d, s, t in zip(*cols)]
 
     def frontier_size(self) -> int:
         return sum(self._each("size"))

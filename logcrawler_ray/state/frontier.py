@@ -36,10 +36,9 @@ SCHEMA = pa.schema([("priority", pa.int64()), ("next_fetch_time", pa.int64()),
 _INTS = ("priority", "next_fetch_time", "seq", "depth")
 _ORDER = ("priority", "next_fetch_time", "seq")
 CHUNK = 256  # first chunk of a drain's walk (doubles per chunk)
-# the rows a drain emits, in total order
-DRAINED = pa.schema([("url", pa.string()), ("host", pa.string()),
-                     ("priority", pa.int64()), ("depth", pa.int64()),
-                     ("seq", pa.int64()), ("fetch_time", pa.int64())])
+# the rows a drain emits, in total order: SCHEMA with each entry's
+# assigned fetch time in place of its next_fetch_time
+DRAINED = SCHEMA.set(1, pa.field("fetch_time", pa.int64()))
 
 
 def _ints(t: pa.Table, name: str) -> np.ndarray:
@@ -89,15 +88,18 @@ def _budget_pass(nft: np.ndarray, host: pa.Array, budget, now: int,
     c = np.maximum(nft, now)
     enc = pc.dictionary_encode(host)
     codes = enc.indices.to_numpy()
-    hosts = enc.dictionary.to_pylist()
+    hosts = enc.dictionary.to_numpy(zero_copy_only=False).tolist()
     base = np.array([budget.next_ok.get(h, 0) for h in hosts], np.int64)
     delay = np.array([budget.delay(h) for h in hosts], np.int64)
 
     # host segments, total order kept inside each
     order = np.argsort(codes, kind="stable")
     cs = codes[order]
-    seg = np.cumsum(np.r_[False, cs[1:] != cs[:-1]])
-    first = np.r_[0, np.flatnonzero(np.diff(seg)) + 1]
+    starts = np.empty(n, bool)
+    starts[0] = True
+    np.not_equal(cs[1:], cs[:-1], out=starts[1:])
+    seg = np.cumsum(starts) - 1
+    first = np.flatnonzero(starts)
     c_s, d_s, l0_s = c[order], delay[cs], base[cs]
     elig = c_s <= limit
     ranks = np.cumsum(elig)
@@ -109,17 +111,18 @@ def _budget_pass(nft: np.ndarray, host: pa.Array, budget, now: int,
         a[~elig] = a[elig].min() - 1  # below every real value
         t = j * d_s + np.maximum(l0_s, _seg_cummax(a, seg))
         emit = elig & (t <= limit)
-    # deferred entries wait for the host's slot after its last emission
-    # before them (or its slot at drain start)
-    slot = l0_s.copy()
-    if emit.any():
-        b = np.where(emit, t + d_s, l0_s.min())  # masked by has_prev
-        prev = np.empty(n, np.int64)
-        prev[1:] = _seg_cummax(b, seg)[:-1]
-        n_before = np.cumsum(emit) - emit
-        has_prev = (n_before - n_before[first][seg]) > 0
-        slot = np.where(has_prev, prev, l0_s)
-    t = np.where(emit, t, np.maximum(c_s, slot))
+    if not emit.all():
+        # deferred entries wait for the host's slot after its last
+        # emission before them (or its slot at drain start)
+        slot = l0_s
+        if emit.any():
+            b = np.where(emit, t + d_s, l0_s.min())  # masked by has_prev
+            prev = np.empty(n, np.int64)
+            prev[1:] = _seg_cummax(b, seg)[:-1]
+            n_before = np.cumsum(emit) - emit
+            has_prev = (n_before - n_before[first][seg]) > 0
+            slot = np.where(has_prev, prev, l0_s)
+        t = np.where(emit, t, np.maximum(c_s, slot))
 
     emit_o = np.empty(n, bool)
     emit_o[order] = emit
@@ -135,7 +138,7 @@ def _budget_pass(nft: np.ndarray, host: pa.Array, budget, now: int,
         last = np.zeros(len(hosts), np.int64)
         np.maximum.at(last, hc, t_o[hit])
         _, first_hit = np.unique(hc, return_index=True)
-        for k in hc[np.sort(first_hit)]:
+        for k in hc[np.sort(first_hit)].tolist():
             budget.next_ok[hosts[k]] = int(last[k] + delay[k])
     return used, emit_o[:used], t_o[:used]
 
@@ -206,32 +209,31 @@ class FrontierShard:
         nft = _ints(f, "next_fetch_time")
         host = f.column("host").chunk(0) if n else None
         pos, quota, step = 0, max_n, max(CHUNK, 2 * max_n)
-        taken, emit_parts, t_parts = [], [], []
+        emit_parts, t_parts = [], []
         while pos < n and quota > 0:
             end = min(n, pos + step)
             used, emit, t = _budget_pass(nft[pos:end], host[pos:end], budget,
                                          now, now + horizon, quota)
-            taken.append(np.arange(pos, pos + used))
             emit_parts.append(emit)
             t_parts.append(t)
             quota -= int(emit.sum())
             pos += used
             step *= 2
-        if not taken:
+        if not pos:
             return DRAINED.empty_table(), now
-        idx = np.concatenate(taken)
+        # the walk consumed the first ``pos`` entries: emitted or deferred
         emit = np.concatenate(emit_parts)
         t = np.concatenate(t_parts)
-        out = f.take(pa.array(idx[emit]))
-        fetch_time = t[emit]
-        deferred = f.take(pa.array(idx[~emit]))
-        deferred = deferred.set_column(1, "next_fetch_time",
-                                       pa.array(t[~emit]))
-        self.runs = [r for r in (f.slice(pos), _sorted(deferred)) if r.num_rows]
-        new_now = max(now, int(fetch_time.max())) if len(fetch_time) else now
-        return pa.table([out["url"], out["host"], out["priority"], out["depth"],
-                         out["seq"], pa.array(fetch_time)],
-                        schema=DRAINED), new_now
+        out = f.slice(0, pos)
+        self.runs = [f.slice(pos)]
+        if not emit.all():
+            deferred = out.filter(pa.array(~emit)).set_column(
+                1, "next_fetch_time", pa.array(t[~emit]))
+            self.runs.append(_sorted(deferred))
+            out = out.filter(pa.array(emit))
+            t = t[emit]
+        new_now = max(now, int(t.max())) if len(t) else now
+        return out.set_column(1, DRAINED.field(1), pa.array(t)), new_now
 
     # -- snapshot ----------------------------------------------------------
     def state(self) -> dict:
