@@ -113,15 +113,6 @@ class CrawlShard:
         return np.concatenate([g.cuckoo.table.reshape(-1) for g in self.seen.gens])
 
     # -- snapshot ----------------------------------------------------------
-    def state(self) -> dict:
-        return {
-            "frontier": self.frontier.state(),
-            "budget": self.budget.state(),
-            "seen": self.seen.state(),
-            "robots": {h: (r.crawl_delay_ms, list(r.disallow))
-                       for h, r in self.robots.cache.items()},
-        }
-
     def snapshot(self) -> bytes:
         """The shard's state, pickled by the process that owns the shard.
 
@@ -130,7 +121,13 @@ class CrawlShard:
         object shared with another shard), so a checkpoint is byte-equal
         whichever process hosted each shard and however the shards were
         grouped."""
-        return pickle.dumps(self.state(), protocol=pickle.HIGHEST_PROTOCOL)
+        return pickle.dumps({
+            "frontier": self.frontier.state(),
+            "budget": self.budget.state(),
+            "seen": self.seen.state(),
+            "robots": {h: (r.crawl_delay_ms, list(r.disallow))
+                       for h, r in self.robots.cache.items()},
+        }, protocol=pickle.HIGHEST_PROTOCOL)
 
     @classmethod
     def from_snapshot(cls, snap: bytes, robots_fetcher) -> "CrawlShard":
