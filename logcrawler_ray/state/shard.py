@@ -86,8 +86,9 @@ class CrawlShard:
             hit = pc.starts_with(items["path"], p).to_numpy(zero_copy_only=False)
             allowed &= ~(hit & np.isin(codes, ks))
         # crawl delays register in order of each host's first allowed item
-        _, first = np.unique(codes[allowed], return_index=True)
-        for k in codes[allowed][np.sort(first)]:
+        ok = codes[allowed]
+        _, first = np.unique(ok, return_index=True)
+        for k in ok[np.sort(first)].tolist():
             h = hosts[k]
             if rules[k].crawl_delay_ms and h not in self.budget.delays:
                 self.budget.delays[h] = rules[k].crawl_delay_ms

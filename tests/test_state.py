@@ -281,6 +281,9 @@ def test_frontier_restore_allocates_no_object_per_entry():
         assert len(f) == len(s.frontier) == n
         return b1 - b0, b2 - b1
 
-    small, large = restored_blocks(100), restored_blocks(20_000)
+    # least of three: other threads of the process (a Ray session) may
+    # allocate inside a window
+    small = [min(v) for v in zip(*(restored_blocks(100) for _ in range(3)))]
+    large = [min(v) for v in zip(*(restored_blocks(20_000) for _ in range(3)))]
     assert large[0] < small[0] + 50 < 200
     assert large[1] < small[1] + 50 < 400
