@@ -96,25 +96,15 @@ _ITEMS = pa.schema([("url", pa.string()), ("host", pa.string()),
                     ("path", pa.string()), ("depth", pa.int32()),
                     ("priority", pa.int32())])
 
-_CPUS_TTL_S = 10.0
-_cpus_seen: dict = {}  # "node", "at", "cpus": the last cluster CPU read
+# the CrawlState.state() layout: one CrawlShard.snapshot bytes per shard
+STATE_FORMAT = "shard-snapshots-1"
 
 
 def _cluster_cpus() -> int:
-    """The cluster's CPU count, read from Ray at most every
-    ``_CPUS_TTL_S`` seconds per Ray session. Every use is placement only,
-    and ``ray.cluster_resources()`` is a GCS round trip that would
-    otherwise sit on every wave and every resume."""
-    import time
-
+    """The cluster's CPU count (placement only)."""
     import ray
 
-    node = ray.get_runtime_context().get_node_id()
-    now = time.monotonic()
-    if _cpus_seen.get("node") != node or now - _cpus_seen["at"] > _CPUS_TTL_S:
-        _cpus_seen.update(node=node, at=now,
-                          cpus=int(ray.cluster_resources().get("CPU", 1)))
-    return _cpus_seen["cpus"]
+    return int(ray.cluster_resources().get("CPU", 1))
 
 
 def _shard_group_count(n_shards: int) -> int:
@@ -264,12 +254,18 @@ class CrawlState:
         Each shard pickles its own state where it lives
         (``CrawlShard.snapshot``), so the checkpoint is byte-equal at any
         group count, in-driver or not, with no copy through Ray."""
-        return {"now": self.now, "wave": self.wave,
+        return {"format": STATE_FORMAT, "now": self.now, "wave": self.wave,
                 "shards": self._each("snapshot")}
 
     @classmethod
     def from_state(cls, cfg: CrawlConfig, st: dict,
                    use_actors: bool = False) -> "CrawlState":
+        if st.get("format") != STATE_FORMAT:
+            raise ValueError(
+                f"crawl checkpoint format {st.get('format')!r} is not "
+                f"{STATE_FORMAT!r}: it was written by an older version "
+                "(per-entry frontier state), which this version cannot "
+                "resume; start the crawl afresh")
         obj = cls(cfg, use_actors=use_actors, snapshots=st["shards"])
         obj.now = st["now"]
         obj.wave = st["wave"]

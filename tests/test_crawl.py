@@ -530,3 +530,15 @@ def test_in_driver_state_makes_no_ray_round_trip(monkeypatch):
     assert all(isinstance(b, bytes) for b in snap["shards"])
     again = CrawlState.from_state(cfg, snap, use_actors=True).state()
     assert pickle.dumps(again) == pickle.dumps(snap)
+
+
+def test_resume_refuses_an_older_checkpoint_format(tmp_path):
+    """A checkpoint whose state lacks the current format tag (one written
+    before shards snapshotted themselves) is refused with a clear error,
+    not an opaque failure inside a shard restore."""
+    from logcrawler_ray.pipelines.crawl import CrawlState
+
+    cfg = CrawlConfig(**CFG)
+    old = {"now": 0, "wave": 0, "shards": [{"frontier": {}}] * cfg.n_shards}
+    with pytest.raises(ValueError, match="older version"):
+        CrawlState.from_state(cfg, old)
