@@ -36,6 +36,46 @@ from .politeness import HostBudget, RobotsCache, RobotsRules
 from .urlseen import GrowableSeen
 
 
+def _disallowed(path: pa.Array, codes: np.ndarray, rules) -> np.ndarray:
+    """Rows whose ``path`` starts with a Disallow prefix of the row's own
+    host (``rules[codes[i]]``), as ``RobotsRules.allowed`` decides it. One
+    byte compare per (row, prefix of its host) pair and prefix byte: no
+    Python work per row or per prefix, and a prefix never meets another
+    host's rows."""
+    out = np.zeros(len(codes), bool)
+    n_pre = np.array([len(r.disallow) for r in rules], np.int64)
+    if not n_pre.any():
+        return out
+    pre = [p.encode() for r in rules for p in r.disallow]
+    plen_all = np.array([len(p) for p in pre], np.int64)
+    pstart = np.cumsum(plen_all) - plen_all  # each prefix's first byte
+    pbytes = np.frombuffer(b"".join(pre), np.uint8)
+    # (row, k) pairs: each row with each prefix k of its host
+    reps = n_pre[codes]
+    row = np.repeat(np.arange(len(codes)), reps)
+    first_k = np.cumsum(n_pre) - n_pre  # each host's first prefix
+    k = np.arange(len(row)) + np.repeat(first_k[codes] - (np.cumsum(reps) - reps),
+                                        reps)
+    wide = pa.types.is_large_string(path.type)
+    off_buf, data_buf = path.buffers()[1:]
+    off = np.frombuffer(off_buf, np.int64 if wide else np.int32,
+                        len(path) + 1, path.offset * (8 if wide else 4))
+    data = np.frombuffer(data_buf, np.uint8) if data_buf else np.zeros(0, np.uint8)
+    start, plen = off[row].astype(np.int64), plen_all[k]
+    fits = off[row + 1] - start >= plen
+    row, k, start, plen = row[fits], k[fits], start[fits], plen[fits]
+    out[row[plen == 0]] = True  # an empty prefix disallows every path
+    row, k, start, plen = (v[plen > 0] for v in (row, k, start, plen))
+    if len(row):
+        # pair i spans bytes pos[i] .. pos[i] + plen[i] - 1 of ``eq``
+        pos = np.cumsum(plen) - plen
+        within = np.arange(int(plen.sum())) - np.repeat(pos, plen)
+        eq = (data[np.repeat(start, plen) + within]
+              == pbytes[np.repeat(pstart[k], plen) + within])
+        out[row[np.logical_and.reduceat(eq, pos)]] = True
+    return out
+
+
 class CrawlShard:
     def __init__(self, shard_id: int, n_shards: int, seen_capacity: int,
                  seed: int, robots_fetcher):
@@ -69,7 +109,8 @@ class CrawlShard:
 
         robots filter -> crawl-delay registration -> seen add_if_new
         (batched over the whole item list) -> frontier push. Robots rules
-        are looked up once per distinct host. Returns count admitted."""
+        are looked up once per distinct host and matched in one vector
+        step (``_disallowed``). Returns count admitted."""
         if not items.num_rows:
             return 0
         items = items.combine_chunks()
@@ -77,14 +118,7 @@ class CrawlShard:
         codes = enc.indices.to_numpy()
         hosts = enc.dictionary.to_pylist()  # in order of first appearance
         rules = [self.robots.rules(h) for h in hosts]
-        allowed = np.ones(len(codes), bool)
-        by_prefix: dict[str, list[int]] = {}
-        for k, r in enumerate(rules):
-            for p in r.disallow:
-                by_prefix.setdefault(p, []).append(k)
-        for p, ks in by_prefix.items():
-            hit = pc.starts_with(items["path"], p).to_numpy(zero_copy_only=False)
-            allowed &= ~(hit & np.isin(codes, ks))
+        allowed = ~_disallowed(items["path"].chunk(0), codes, rules)
         # crawl delays register in order of each host's first allowed item
         ok = codes[allowed]
         _, first = np.unique(ok, return_index=True)

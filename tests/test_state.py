@@ -204,6 +204,58 @@ def test_robots_cache_fetches_once():
     assert calls == ["h1"]
 
 
+def test_shard_robots_filter_host_specific_prefixes():
+    """CrawlShard.enqueue_batch admits exactly the URLs that their own
+    host's rules allow, when hosts carry different, overlapping and shared
+    Disallow prefixes (and some none)."""
+    from logcrawler_ray.state.shard import CrawlShard
+
+    rng = np.random.default_rng(3)
+    prefixes = ["/a", "/ab", "/b/c", "/c", "/private"]
+
+    def robots(host: str) -> str:
+        k = int(host[1:].split(".")[0])
+        lines = ["User-agent: *"]
+        lines += [f"Disallow: {p}" for i, p in enumerate(prefixes)
+                  if (k >> i) & 1]
+        return "\n".join(lines)
+
+    hosts = [f"h{k}.test" for k in rng.integers(0, 40, 600)]
+    paths = [rng.choice(["/a", "/abc", "/b", "/b/c/d", "/c", "/x", "/private/1"])
+             + f"/{i}" for i in range(len(hosts))]
+    urls = [f"http://{h}{p}" for h, p in zip(hosts, paths)]
+    shard = CrawlShard(0, 1, 1 << 12, 7, robots)
+    n = shard.enqueue_batch(pa.table({
+        "url": urls, "host": hosts, "path": paths,
+        "depth": pa.array(np.zeros(len(urls)), pa.int32()),
+        "priority": pa.array(np.zeros(len(urls)), pa.int32())}))
+    want = [u for u, h, p in zip(urls, hosts, paths)
+            if RobotsRules.parse(robots(h)).allowed(p)]
+    got = shard.drain(0, len(urls), 1 << 60)[0].column("url").to_pylist()
+    assert n == len(got) == len(want)
+    assert sorted(got) == sorted(want)
+    assert 0 < len(want) < len(urls)
+
+
+def test_disallowed_matches_robots_rules():
+    """The vector prefix match equals RobotsRules.allowed on a sliced
+    array, non-ASCII paths, prefixes longer than the path and an empty
+    prefix (which disallows every path)."""
+    from logcrawler_ray.state.shard import _disallowed
+
+    rules = [RobotsRules(0, ["/é", "/ab"]), RobotsRules(0, []),
+             RobotsRules(0, [""]), RobotsRules(0, ["/abcdefgh", "/x"])]
+    paths = ["/skip", "/é/1", "/ab", "/a", "/éé", "/abc", "", "/x/y",
+             "/abcdefg", "/abcdefghi", "/", "/xé"]
+    codes = np.array([0, 0, 0, 3, 0, 1, 2, 3, 3, 3, 1, 3])
+    arr = pa.array(paths).slice(1)
+    for typ in (pa.string(), pa.large_string()):
+        got = _disallowed(arr.cast(typ), codes[1:], rules)
+        want = [not rules[c].allowed(p) for c, p in zip(codes[1:], paths[1:])]
+        assert got.tolist() == want
+    assert 0 < sum(want) < len(want)
+
+
 # ---------------------------------------------------------------- checkpoint
 def test_checkpoint_prune_keeps_latest(tmp_path):
     from logcrawler_ray.state.checkpoint import CheckpointDir
