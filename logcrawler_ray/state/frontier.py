@@ -35,7 +35,7 @@ SCHEMA = pa.schema([("priority", pa.int64()), ("next_fetch_time", pa.int64()),
                     ("url", pa.string()), ("host", pa.string())])
 _INTS = ("priority", "next_fetch_time", "seq", "depth")
 _ORDER = ("priority", "next_fetch_time", "seq")
-CHUNK = 256  # first chunk of a drain's walk (doubles per chunk)
+CHUNK = 256  # least first chunk of a drain's walk (doubles per chunk)
 # the rows a drain emits, in total order: SCHEMA with each entry's
 # assigned fetch time in place of its next_fetch_time
 DRAINED = SCHEMA.set(1, pa.field("fetch_time", pa.int64()))
@@ -68,6 +68,12 @@ def _seg_cummax(v: np.ndarray, seg: np.ndarray) -> np.ndarray:
     for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(v)]):
         out[a:b] = np.maximum.accumulate(v[a:b])
     return out
+
+
+def _first_step(max_n: int) -> int:
+    """The first chunk of a drain's walk: room for ``max_n`` emissions
+    and as many deferrals, so a wave's drain is one pass."""
+    return max(CHUNK, 2 * max_n)
 
 
 def _budget_pass(nft: np.ndarray, host: pa.Array, budget, now: int,
@@ -208,7 +214,7 @@ class FrontierShard:
         n = f.num_rows
         nft = _ints(f, "next_fetch_time")
         host = f.column("host").chunk(0) if n else None
-        pos, quota, step = 0, max_n, max(CHUNK, 2 * max_n)
+        pos, quota, step = 0, max_n, _first_step(max_n)
         emit_parts, t_parts = [], []
         while pos < n and quota > 0:
             end = min(n, pos + step)

@@ -12,6 +12,7 @@ lengths, seq counters and queued entries must stay equal.
 from __future__ import annotations
 
 import heapq
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,20 +121,59 @@ _op = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(shard=st.sampled_from([(0, 1), (1, 4), (2, 3)]),
-       chunk=st.sampled_from([1, 3, frontier_mod.CHUNK]),
+       chunk=st.sampled_from([1, 3, None]),
        ops=st.lists(_op, min_size=1, max_size=25))
 def test_frontier_matches_heap_model(shard, chunk, ops):
-    """``chunk`` sets the first chunk of a drain's walk, so small values
-    carry the budget across many chunks."""
-    default = frontier_mod.CHUNK
-    frontier_mod.CHUNK = chunk
+    """``chunk`` (None: the real first step) forces the first chunk of
+    each drain's walk, so small values carry the budget across many
+    chunks."""
+    with _walk(chunk) as passes:
+        _run_against_model(shard, ops, passes)
+
+
+@contextmanager
+def _walk(chunk: int | None):
+    """Force each drain's first chunk to ``chunk`` entries; yields the
+    list of entries each ``_budget_pass`` consumed, in call order."""
+    first_step, budget_pass = frontier_mod._first_step, frontier_mod._budget_pass
+    passes: list[int] = []
+
+    def counted(*a, **k):
+        out = budget_pass(*a, **k)
+        passes.append(out[0])
+        return out
+
+    frontier_mod._budget_pass = counted
+    if chunk is not None:
+        frontier_mod._first_step = lambda max_n: chunk
     try:
-        _run_against_model(shard, ops)
+        yield passes
     finally:
-        frontier_mod.CHUNK = default
+        frontier_mod._first_step = first_step
+        frontier_mod._budget_pass = budget_pass
 
 
-def _run_against_model(shard, ops):
+def test_budget_carries_across_chunks():
+    """A throttled host's entries drained in chunks of 1, 2, 4 entries get
+    the same spaced fetch times as the model's one-at-a-time pass."""
+    rows = [{"url": f"http://a.test/{i}", "host": "a.test"} for i in range(6)]
+    rows.insert(3, {"url": "http://b.test/0", "host": "b.test"})
+    f, model = FrontierShard(), HeapFrontier()
+    _push(f, rows)
+    model.push(rows)
+    fb, mb = HostBudget(), HostBudget()
+    fb.delays["a.test"] = mb.delays["a.test"] = 100
+    with _walk(1) as passes:
+        got, t = _drain(f, fb, 0, 7, 350)
+    want, t_model = model.drain(mb, 0, 7, 350)
+    assert passes == [1, 2, 4]
+    assert [r["fetch_time"] for r in got] == [0, 100, 200, 0, 300]
+    assert (got, t) == (want, t_model)
+    assert fb.state() == mb.state()
+    assert _entries(f) == model.entries()
+
+
+def _run_against_model(shard, ops, passes: list[int]):
     f, model = FrontierShard(*shard), HeapFrontier(*shard)
     fb, mb = HostBudget(), HostBudget()
     now = n_urls = 0
@@ -147,7 +187,13 @@ def _run_against_model(shard, ops):
             model.push(rows)
         elif op[0] == "drain":
             now += op[1]
+            passes.clear()
             got, t = _drain(f, fb, now, op[2], op[3])
+            if passes:  # the walk doubles from the first step
+                step = frontier_mod._first_step(op[2])
+                assert passes[0] <= step
+                assert all(u <= step << i for i, u in enumerate(passes))
+                assert len(passes) == 1 or passes[0] == step
             want, t_model = model.drain(mb, now, op[2], op[3])
             assert got == want
             assert t == t_model
