@@ -38,18 +38,20 @@ def _q(name: str, sql: str | None = None):
 
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None, **kw):
+    """One test table as a Dataset whose blocks carry no schema metadata.
+    The tables were written by pandas, and a schema with metadata cannot
+    be hashed: Ray logs "Failed to hash the schemas" wherever it unifies
+    such blocks (a read task splitting its blocks, the reduce tasks of a
+    sort or repartition). The read's metadata-free ``schema=`` drops it
+    inside the read task."""
+    import pyarrow.parquet as pq
     import ray.data as rd
 
-    return rd.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns, **kw)
-
-
-def _no_schema_meta(ds):
-    """``ds`` with its blocks' schema metadata dropped. The test tables
-    carry pandas metadata, and a schema with metadata cannot be hashed:
-    every reduce task of a Ray sort or repartition over such blocks logs
-    "Failed to hash the schemas" when it concatenates them."""
-    return ds.map_batches(lambda t: t.replace_schema_metadata(None),
-                          batch_format="pyarrow")
+    path = f"{sf_dir}/{table}.parquet"
+    sch = pq.read_schema(path).remove_metadata()
+    if columns is not None:
+        sch = pa.schema([sch.field(c) for c in columns])
+    return rd.read_parquet(path, columns=columns, schema=sch, **kw)
 
 
 # Staged-oracle pattern: for pipelines whose INPUT the driver's ten SQL views
@@ -174,8 +176,7 @@ def q02_parts_filter(sf_dir: str):
 )
 def q03_top_customers(sf_dir: str):
     """Sort + limit (O1/O2 ordering). Deterministic tie-break on key."""
-    ds = _no_schema_meta(
-        _read(sf_dir, "customer", columns=["c_custkey", "c_name", "c_acctbal"]))
+    ds = _read(sf_dir, "customer", columns=["c_custkey", "c_name", "c_acctbal"])
     out = ds.sort(["c_acctbal", "c_custkey"], descending=[True, False]).limit(10).to_pandas()
     out["acctbal"] = out.pop("c_acctbal").round(2)
     return out
@@ -731,8 +732,7 @@ def q21_minhash_simhash_dups(sf_dir: str):
     # repartition: the documents table is ONE parquet file -> one read
     # block -> a serial sketch pass; 32 blocks parallelize the explode
     # (the text payload is tiny, the shuffle is noise)
-    ds = _no_schema_meta(
-        _read(sf_dir, "documents", columns=["doc_id", "text"])).repartition(32)
+    ds = _read(sf_dir, "documents", columns=["doc_id", "text"]).repartition(32)
     # ONE corpus pass feeds both sketch paths AND the Jaccard verify
     # (round-4 verdict #8 fusion — was ~6 executions re-reading the corpus)
     mh, sh = fused_sketch_neardup(ds, k=64, bands=16, jaccard_threshold=0.2,
@@ -879,10 +879,12 @@ def q27_closest_event(sf_dir: str):
     Oracle: correlated DuckDB subquery with the same ORDER BY."""
     from .stages.asof import closest_rows
 
+    sch = pa.schema([("log_id", pa.int64()), ("frame_id", pa.int64()),
+                     ("frame_time", pa.int64())])
+
     def prep(t: pa.Table, keep_id: bool) -> pa.Table:
         us = pc.cast(t["ts"], pa.int64())
-        cols = {"log_id": t["user_id"], "frame_id": t["event_id"], "frame_time": us}
-        return pa.table(cols)
+        return pa.table([t["user_id"], t["event_id"], us], schema=sch)
 
     clicks = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "event_type"],
                    filter=(pc.field("event_type") == "click")).map_batches(
@@ -891,7 +893,8 @@ def q27_closest_event(sf_dir: str):
                       filter=(pc.field("event_type") == "purchase")).map_batches(
         lambda t: prep(t, False), batch_format="pyarrow")
     out = closest_rows(clicks, purchases, by="log_id", time_col="frame_time",
-                       id_col="frame_id", out_col="closest_purchase_id").to_pandas()
+                       id_col="frame_id", out_col="closest_purchase_id",
+                       schema=sch).to_pandas()
     out = out.rename(columns={"log_id": "user_id", "frame_id": "event_id"})
     return out[["event_id", "user_id", "closest_purchase_id"]].astype(np.int64)
 
@@ -1403,17 +1406,20 @@ def q36_salted_user_totals(sf_dir: str):
     hot key over n_salts reducers, phase 2 merges the partials."""
     from .stages.skew import salted_aggregate
 
+    sch = pa.schema([("user_id", pa.int64()), ("value_e2", pa.int64()),
+                     ("one", pa.int64())])
+
     def cents(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "user_id": t["user_id"],
-            "value_e2": np.round(t["value"].to_numpy() * 100).astype(np.int64),
-            "one": np.ones(t.num_rows, dtype=np.int64),
-        })
+        return pa.table([
+            t["user_id"],
+            np.round(t["value"].to_numpy() * 100).astype(np.int64),
+            np.ones(t.num_rows, dtype=np.int64),
+        ], schema=sch)
 
     ds = _read(sf_dir, "events", columns=["user_id", "value"]).map_batches(
         cents, batch_format="pyarrow")
     out = salted_aggregate(ds, "user_id", {"one": "count", "value_e2": "sum"},
-                           n_salts=8).to_pandas()
+                           n_salts=8, schema=sch).to_pandas()
     out = out.rename(columns={"one": "n"})
     out["total"] = out.pop("value_e2") / 100.0
     return out

@@ -55,6 +55,44 @@ import pyarrow.parquet as pq
 
 from .store import write_fragment
 
+# drop_keys slices (zero copy) when kept runs average at least this many
+# bytes and at most this share of rows is dropped; otherwise it copies
+_SLICE_MIN_RUN_BYTES = 64 << 10
+_SLICE_MAX_DROPPED = 0.25
+
+
+def drop_keys(t: pa.Table, key_col: str, drop: pa.Array) -> pa.Table:
+    """``t`` without the rows whose ``key_col`` is in ``drop``: the store's
+    one delete-vector kernel (view reads, view materialization, upserts and
+    the broadcast dedup filter all run it).
+
+    One ``pc.is_in`` gives the keep mask. When the kept rows form few,
+    long runs and few rows are dropped, the result is zero-copy slices of
+    those runs joined by ``concat_tables``: ``filter`` would copy every
+    kept payload byte, and the copy stays resident in Arrow's pool after
+    the input is freed. The slices keep the dropped rows' bytes alive with
+    the result, which the dropped-share bound caps at a third of the kept
+    bytes; and each run becomes a chunk, whose fixed cost the run-bytes
+    bound keeps small against the copy it saves. Otherwise ``filter``."""
+    import numpy as np
+    import pyarrow.compute as pc
+
+    n = t.num_rows
+    if not n or len(drop) == 0 or pa.types.is_null(drop.type):
+        return t  # nothing to drop (an empty delete vector is written untyped)
+    keep = pc.invert(pc.is_in(t[key_col], value_set=drop))
+    k = keep.to_numpy()
+    kept = int(np.count_nonzero(k))
+    if kept == n:
+        return t
+    edges = np.flatnonzero(np.diff(k, prepend=False, append=False))
+    runs = len(edges) // 2
+    if (1 - kept / n <= _SLICE_MAX_DROPPED
+            and t.nbytes * kept / n >= _SLICE_MIN_RUN_BYTES * runs):
+        return pa.concat_tables([t.slice(a, b - a)
+                                 for a, b in zip(edges[::2], edges[1::2])])
+    return t.filter(keep)
+
 
 def _merge_one_fragment(fs_or_url, frag_key: str, dst_key: str, key: str,
                         upd_keys, compression: str,
@@ -83,7 +121,7 @@ def _merge_one_fragment(fs_or_url, frag_key: str, dst_key: str, key: str,
         return frag_key, keys_only.num_rows
     with fs.open(frag_key, "rb") as fh:
         frag = pq.read_table(fh)
-    kept = frag.filter(pc.invert(pc.is_in(frag[key], value_set=upd_keys)))
+    kept = drop_keys(frag, key, upd_keys)
     if not kept.num_rows:
         return None, 0
     proto = fs.protocol if isinstance(fs.protocol, str) else fs.protocol[0]
@@ -354,12 +392,10 @@ class ObjectStore:
         between them leaves a correct store that simply lacks the
         upsert, the same observable state as crashing before a
         single-commit upsert."""
-        import pyarrow.compute as pc
-
         upd_keys = pa.array(sorted(set(updates[key].to_pylist())))
 
         def drop_updated(t: pa.Table) -> pa.Table:
-            return t.filter(pc.invert(pc.is_in(t[key], value_set=upd_keys)))
+            return drop_keys(t, key, upd_keys)
 
         self.rewrite_partition(pid, drop_updated)
         self.merge_insert(pid, updates, key=key)
@@ -786,14 +822,9 @@ class ObjectStore:
     @staticmethod
     def _anti_view(t: pa.Table, key_col: str, drop: pa.Array,
                    columns: list[str] | None) -> pa.Table:
-        """Vectorized delete-vector probe shared by every view reader: one
-        ``pc.is_in`` + invert per batch, no per-row Python."""
-        import pyarrow.compute as pc
-
-        if len(drop) == 0 or pa.types.is_null(drop.type):
-            out = t  # empty delete vector (written untyped)
-        else:
-            out = t.filter(pc.invert(pc.is_in(t[key_col], value_set=drop)))
+        """A view's rows of ``t`` (:func:`drop_keys`), projected to
+        ``columns``: shared by every view reader."""
+        out = drop_keys(t, key_col, drop)
         if columns is not None and key_col not in columns:
             out = out.select(columns)
         return out
@@ -873,10 +904,13 @@ class ObjectStore:
             cols = columns
             if cols is not None and key_col not in cols:
                 cols = [*cols, key_col]
-            tab = self.read_table(base, columns=cols)
-            if not tab.num_columns:  # fileless base: nothing to anti-join
-                return tab
-            return self._anti_view(tab, key_col, dropped, columns)
+            if self._view_of(base):  # chained views: the base view's rows
+                tabs = [self.read_table(base, columns=cols)]
+            else:  # one base file at a time, never the whole partition
+                tabs = _read_keys(self._pafs(), self.files(base), cols)
+            out = [self._anti_view(t, key_col, dropped, columns)
+                   for t in tabs if t.num_columns]  # fileless base: none
+            return pa.concat_tables(out) if out else pa.table({})
         files = self.files(pid)
         if not files:
             return pa.table({})

@@ -123,12 +123,15 @@ def closest_join_arrays(l_time: np.ndarray, l_id: np.ndarray,
 
 
 def closest_rows(left_ds, right_ds, *, by: str = "log_id", time_col: str = "frame_time",
-                 id_col: str = "frame_id", out_col: str = "closest_id"):
+                 id_col: str = "frame_id", out_col: str = "closest_id",
+                 schema: pa.Schema | None = None):
     """Bidirectional-capable nearest join (run twice with sides swapped for
     the reference's two update passes, 14:102-165). Returns left rows +
-    ``out_col`` of the nearest right id (-1 when the right group is empty)."""
+    ``out_col`` of the nearest right id (-1 when the right group is empty).
+    ``schema``: ``left_ds``'s column types, when the caller knows them
+    (otherwise read from the plan, which may cost an execution)."""
 
-    lsch = arrow_schema(left_ds)
+    lsch = schema or arrow_schema(left_ds)
     rside = pa.schema([lsch.field(c) for c in (by, time_col, id_col)])
 
     def per_bucket(left: pa.Table, right: pa.Table) -> pa.Table:

@@ -35,6 +35,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.cogroup import _bucket_of, _runs, arrow_schema, cogroup, per_key
+from ..sources.objstore import drop_keys
 from . import broadcast
 
 
@@ -303,17 +304,12 @@ def write_loser_files(losers, id_col: str, out_dir: str, num_files: int = 16,
 
 
 def anti_filter_fn(loser_ref, order_col: str):
-    """map_batches fn dropping rows whose order_col is in the broadcast set."""
+    """map_batches fn dropping rows whose order_col is in the broadcast
+    loser array (the store's delete-vector kernel, ``drop_keys``)."""
     import ray
 
     def anti_filter(batch: pa.Table) -> pa.Table:
-        drop = ray.get(loser_ref)
-        if isinstance(drop, (set, frozenset)):
-            if not drop:
-                return batch
-            drop = pa.array(sorted(drop))
-        return batch.filter(
-            pc.invert(pc.is_in(batch[order_col], value_set=drop)))
+        return drop_keys(batch, order_col, ray.get(loser_ref))
 
     return anti_filter
 
@@ -342,7 +338,7 @@ def dedup_exact(ds, key: str = "phash", order_col: str = "image_id",
                           order_col,
                           max_collect=broadcast.DEFAULT_MAX_BROADCAST_ROWS)
     if losers is not None:
-        ref = ray.put(pa.array(sorted(losers)) if losers else frozenset())
+        ref = ray.put(pa.array(sorted(losers)))  # empty: untyped, drops none
         return ds.map_batches(anti_filter_fn(ref, order_col), batch_format="pyarrow")
 
     # fallback: full-row co-group on the key; inside a bucket every key's

@@ -24,11 +24,14 @@ from ..functions.cogroup import arrow_schema, cogroup
 
 
 def salted_aggregate(ds, key: str, agg_cols: dict[str, str],
-                     n_salts: int = 16, num_buckets: int = 64):
+                     n_salts: int = 16, num_buckets: int = 64,
+                     schema: pa.Schema | None = None):
     """Two-phase skew-safe aggregation.
 
     agg_cols: {column: "sum"|"count"|"min"|"max"}. Returns a Dataset with
-    one row per key and the same output column names.
+    one row per key and the same output column names. ``schema``: ``ds``'s
+    column types, when the caller knows them (otherwise read from the
+    plan, which may cost an execution).
 
     Phase 1 is a map-side COMBINER: each batch reduces to one row per key
     it sees (C-level Arrow group_by), so a hot key contributes O(blocks)
@@ -59,7 +62,7 @@ def salted_aggregate(ds, key: str, agg_cols: dict[str, str],
     def merge(t: pa.Table) -> pa.Table:
         return combine(t, {o: _MERGE[h] for o, h in agg_cols.items()})
 
-    sch = partials(arrow_schema(ds).empty_table()).schema
+    sch = partials((schema or arrow_schema(ds)).empty_table()).schema
     return cogroup([(ds.map_batches(partials, batch_format="pyarrow"), sch)],
                    key, merge, schema=sch, n_buckets=num_buckets)
 

@@ -64,14 +64,20 @@ class CuckooFilter:
         in2 = (self.table[b2] == fp[:, None]).any(axis=1)
         return in1 | in2
 
+    def _put(self, b: int, fp: np.uint16) -> bool:
+        """Store ``fp`` in bucket ``b``'s first empty slot, if it has one
+        (``argmin``: an empty slot is 0, the least value)."""
+        row = self.table[b]
+        s = row.argmin()
+        if row[s] != _EMPTY:
+            return False
+        row[s] = fp
+        self.size += 1
+        return True
+
     def _insert_one(self, b1: int, fp: np.uint16, b2: int) -> bool:
-        for b in (b1, b2):
-            row = self.table[b]
-            empty = np.nonzero(row == _EMPTY)[0]
-            if len(empty):
-                row[empty[0]] = fp
-                self.size += 1
-                return True
+        if self._put(b1, fp) or self._put(b2, fp):
+            return True
         # eviction walk, deterministic slot choice
         b = b1
         cur = fp
@@ -80,11 +86,7 @@ class CuckooFilter:
             slot = int(self._kick_state % np.uint64(self.SLOTS))
             cur, self.table[b, slot] = self.table[b, slot], cur
             b = int(self._alt_bucket(np.array([b]), np.array([cur]))[0])
-            row = self.table[b]
-            empty = np.nonzero(row == _EMPTY)[0]
-            if len(empty):
-                row[empty[0]] = cur
-                self.size += 1
+            if self._put(b, cur):
                 return True
         raise RuntimeError("cuckoo filter full (resize shard count)")
 
@@ -101,18 +103,30 @@ class CuckooFilter:
 
         Duplicate keys inside one call: only the first occurrence is new
         (sequential semantics — matches the serial reference executor).
+
+        Same result as probing and inserting one key at a time, without a
+        per-key probe. ``alt`` is an involution, so a key's fingerprint
+        only ever sits in its own two buckets, and an eviction moves it to
+        the other one: it is in the pair at a key's turn iff it was there
+        before the batch (one vector probe) or an earlier key of the batch
+        with the same fingerprint and bucket pair inserted it. So the new
+        keys are the first of each (fingerprint, pair) among the misses;
+        only they run the sequential ``_insert_one``.
         """
         keys = np.asarray(keys, dtype=np.uint64)
         out = np.zeros(len(keys), dtype=bool)
         fp = self._fingerprint(keys)
         b1 = self._bucket1(keys)
         b2 = self._alt_bucket(b1, fp)
-        for i in range(len(keys)):
-            row1, row2 = self.table[b1[i]], self.table[b2[i]]
-            if (row1 == fp[i]).any() or (row2 == fp[i]).any():
-                continue
+        hit = ((self.table[b1] == fp[:, None]).any(axis=1)
+               | (self.table[b2] == fp[:, None]).any(axis=1))
+        miss = np.flatnonzero(~hit)
+        pair = np.minimum(b1[miss], b2[miss]) * 65536 + fp[miss]
+        _, first = np.unique(pair, return_index=True)
+        new = miss[np.sort(first)]
+        for i in new.tolist():
             self._insert_one(int(b1[i]), fp[i], int(b2[i]))
-            out[i] = True
+        out[new] = True
         return out
 
     def remove(self, keys: np.ndarray) -> np.ndarray:

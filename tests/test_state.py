@@ -3,7 +3,10 @@
 import numpy as np
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from logcrawler_ray.functions.hashing import splitmix64
 from logcrawler_ray.state.bloom import BloomFilter
 from logcrawler_ray.state.cuckoo import CuckooFilter
 from logcrawler_ray.state.frontier import FrontierShard
@@ -75,6 +78,43 @@ def test_cuckoo_batch_insert_matches_one_key_at_a_time():
     for k in keys[:1500]:
         d.add(np.array([k]))
     assert (c.table == d.table).all() and c._kick_state == d._kick_state
+
+
+class _TinyFingerprints(CuckooFilter):
+    """Fingerprints 1-3 only: keys of one batch often share a fingerprint
+    and a bucket pair (the collisions add_if_new must treat as seen)."""
+
+    def _fingerprint(self, keys: np.ndarray) -> np.ndarray:
+        h = splitmix64(keys ^ np.uint64(0xC0FFEE)) % np.uint64(3)
+        return (h + np.uint64(1)).astype(np.uint16)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pre=hst.lists(hst.integers(0, 300), max_size=16, unique=True),
+       gone=hst.lists(hst.integers(0, 300), max_size=8),
+       batch=hst.lists(hst.integers(0, 300), max_size=48),
+       cls=hst.sampled_from([CuckooFilter, _TinyFingerprints]))
+def test_cuckoo_add_if_new_matches_sequential_probe(pre, gone, batch, cls):
+    """One batched add_if_new equals one-key calls (each probes the table
+    as the earlier keys left it): in-batch duplicates, fingerprint
+    collisions, keys present before the batch, removed slots and eviction
+    walks in a small table; a full table fails at the same key."""
+    a, b = cls(32, seed=3), cls(32, seed=3)
+    for f in (a, b):
+        f.add(np.array(pre, np.uint64))
+        f.remove(np.array(gone, np.uint64))
+    keys = np.array(batch, np.uint64)
+    one = []
+    try:
+        for i in range(len(keys)):
+            one.append(bool(b.add_if_new(keys[i:i + 1])[0]))
+    except RuntimeError:
+        with pytest.raises(RuntimeError):
+            a.add_if_new(keys)
+    else:
+        assert a.add_if_new(keys).tolist() == one
+    assert (a.table == b.table).all()
+    assert a.size == b.size and a._kick_state == b._kick_state
 
 
 def test_cuckoo_fp_rate_small():
