@@ -55,43 +55,18 @@ import pyarrow.parquet as pq
 
 from .store import write_fragment
 
-# drop_keys slices (zero copy) when kept runs average at least this many
-# bytes and at most this share of rows is dropped; otherwise it copies
-_SLICE_MIN_RUN_BYTES = 64 << 10
-_SLICE_MAX_DROPPED = 0.25
-
-
 def drop_keys(t: pa.Table, key_col: str, drop: pa.Array) -> pa.Table:
     """``t`` without the rows whose ``key_col`` is in ``drop``: the store's
     one delete-vector kernel (view reads, view materialization, upserts and
-    the broadcast dedup filter all run it).
-
-    One ``pc.is_in`` gives the keep mask. When the kept rows form few,
-    long runs and few rows are dropped, the result is zero-copy slices of
-    those runs joined by ``concat_tables``: ``filter`` would copy every
-    kept payload byte, and the copy stays resident in Arrow's pool after
-    the input is freed. The slices keep the dropped rows' bytes alive with
-    the result, which the dropped-share bound caps at a third of the kept
-    bytes; and each run becomes a chunk, whose fixed cost the run-bytes
-    bound keeps small against the copy it saves. Otherwise ``filter``."""
-    import numpy as np
+    the broadcast dedup filter all run it), one ``pc.is_in`` and a
+    ``filter``. The filter copies every kept payload byte, so a caller
+    holding many rows runs it per file or batch, never over a
+    concatenation (see ``read_table``)."""
     import pyarrow.compute as pc
 
-    n = t.num_rows
-    if not n or len(drop) == 0 or pa.types.is_null(drop.type):
+    if len(drop) == 0 or pa.types.is_null(drop.type):
         return t  # nothing to drop (an empty delete vector is written untyped)
-    keep = pc.invert(pc.is_in(t[key_col], value_set=drop))
-    k = keep.to_numpy()
-    kept = int(np.count_nonzero(k))
-    if kept == n:
-        return t
-    edges = np.flatnonzero(np.diff(k, prepend=False, append=False))
-    runs = len(edges) // 2
-    if (1 - kept / n <= _SLICE_MAX_DROPPED
-            and t.nbytes * kept / n >= _SLICE_MIN_RUN_BYTES * runs):
-        return pa.concat_tables([t.slice(a, b - a)
-                                 for a, b in zip(edges[::2], edges[1::2])])
-    return t.filter(keep)
+    return t.filter(pc.invert(pc.is_in(t[key_col], value_set=drop)))
 
 
 def _merge_one_fragment(fs_or_url, frag_key: str, dst_key: str, key: str,

@@ -128,8 +128,9 @@ def closest_rows(left_ds, right_ds, *, by: str = "log_id", time_col: str = "fram
     """Bidirectional-capable nearest join (run twice with sides swapped for
     the reference's two update passes, 14:102-165). Returns left rows +
     ``out_col`` of the nearest right id (-1 when the right group is empty).
-    ``schema``: ``left_ds``'s column types, when the caller knows them
-    (otherwise read from the plan, which may cost an execution)."""
+    ``schema``: ``left_ds``'s column types, when the caller knows them;
+    it must match the blocks' schema exactly (otherwise it is read from
+    the plan, which may cost an execution)."""
 
     lsch = schema or arrow_schema(left_ds)
     rside = pa.schema([lsch.field(c) for c in (by, time_col, id_col)])

@@ -30,8 +30,9 @@ def salted_aggregate(ds, key: str, agg_cols: dict[str, str],
 
     agg_cols: {column: "sum"|"count"|"min"|"max"}. Returns a Dataset with
     one row per key and the same output column names. ``schema``: ``ds``'s
-    column types, when the caller knows them (otherwise read from the
-    plan, which may cost an execution).
+    column types, when the caller knows them; it must match the blocks'
+    schema exactly (otherwise it is read from the plan, which may cost an
+    execution).
 
     Phase 1 is a map-side COMBINER: each batch reduces to one row per key
     it sees (C-level Arrow group_by), so a hot key contributes O(blocks)
