@@ -9,6 +9,10 @@ patch_exporter/PatchExecutor.py:82-108 reads them back).
 
 Lossless: encode->decode round-trips bit-exactly (the FIXTURES.md "exact for
 png" oracle).
+
+IDAT streams inflate into an exact-size buffer (``inflate.py``, libdeflate);
+``decode_luma`` is the stats/phash fast path, the luma straight from the
+inflated rows.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import struct
 import zlib
 
 import numpy as np
+
+from .inflate import inflate
 
 _SIG = b"\x89PNG\r\n\x1a\n"
 
@@ -50,8 +56,8 @@ def encode(rgb: np.ndarray, text: dict[str, str] | None = None) -> bytes:
     return b"".join(out)
 
 
-def _unfilter(raw: np.ndarray, h: int, stride: int, bpp: int) -> np.ndarray:
-    rows = raw.reshape(h, stride + 1)
+def _unfilter(rows: np.ndarray, h: int, stride: int, bpp: int) -> np.ndarray:
+    """Filtered rows (h, stride + 1) -> unfiltered (h, stride) uint8."""
     ftypes = rows[:, 0]
     if not ftypes.any():  # all filter 0 (our own encoder) -> zero work
         return np.ascontiguousarray(rows[:, 1:])
@@ -99,10 +105,14 @@ def _unfilter(raw: np.ndarray, h: int, stride: int, bpp: int) -> np.ndarray:
     return out
 
 
-def decode(data: bytes) -> tuple[np.ndarray, dict[str, str]]:
-    """PNG bytes -> (uint8 array (h, w, c) or (h, w), tEXt metadata dict)."""
+def _read(data: bytes) -> tuple[np.ndarray, int, int, int, dict[str, str]]:
+    """PNG bytes -> (filtered rows (h, w*c + 1) uint8, w, h, c, tEXt dict).
+
+    Chunk payloads are read through a memoryview, so a single-IDAT image
+    is inflated with no copy of its compressed bytes."""
     if data[:8] != _SIG:
         raise ValueError("not a PNG")
+    view = memoryview(data)
     pos = 8
     idat = []
     text: dict[str, str] = {}
@@ -110,7 +120,7 @@ def decode(data: bytes) -> tuple[np.ndarray, dict[str, str]]:
     while pos < len(data):
         (length,) = struct.unpack_from(">I", data, pos)
         tag = data[pos + 4 : pos + 8]
-        payload = data[pos + 8 : pos + 8 + length]
+        payload = view[pos + 8 : pos + 8 + length]
         pos += 12 + length
         if tag == b"IHDR":
             w, h, depth, color_type, comp, filt, interlace = struct.unpack(">IIBBBBB", payload)
@@ -119,14 +129,49 @@ def decode(data: bytes) -> tuple[np.ndarray, dict[str, str]]:
         elif tag == b"IDAT":
             idat.append(payload)
         elif tag == b"tEXt":
-            key, _, val = payload.partition(b"\x00")
+            key, _, val = bytes(payload).partition(b"\x00")
             text[key.decode("latin-1")] = val.decode("latin-1")
         elif tag == b"IEND":
             break
     if w is None:
         raise ValueError("missing IHDR")
     c = _CHANNELS[color_type]
-    raw = np.frombuffer(zlib.decompress(b"".join(idat)), dtype=np.uint8)
-    arr = _unfilter(raw, h, w * c, c)
-    img = arr.reshape(h, w, c)
+    stream = idat[0] if len(idat) == 1 else b"".join(idat)
+    raw = inflate(stream, h * (w * c + 1))
+    return raw.reshape(h, w * c + 1), w, h, c, text
+
+
+def decode(data: bytes) -> tuple[np.ndarray, dict[str, str]]:
+    """PNG bytes -> (uint8 array (h, w, c) or (h, w), tEXt metadata dict)."""
+    rows, w, h, c, text = _read(data)
+    img = _unfilter(rows, h, w * c, c).reshape(h, w, c)
     return (img[:, :, 0] if c == 1 else img), text
+
+
+# ITU-R 601 luma weights, the ones ``functions/phash.py::grayscale`` applies
+_LUMA = (0.299, 0.587, 0.114)
+
+
+def decode_luma(data: bytes, w: int | None = None, h: int | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """PNG bytes -> float32 luma at the IHDR dims, bit-identical to
+    ``grayscale(decode(data)[0][None])[0]`` for RGB/RGBA (a gray image is
+    read as R = G = B). ``w``/``h`` are ignored: the image's own header
+    gives its dims. ``out``, when it has those dims, receives the luma.
+
+    Rows that all carry filter 0 (every PNG this engine writes) are read
+    in place from the inflated buffer, with no unfiltered copy; the luma
+    is built per channel in ``grayscale``'s op order
+    ``(0.299*r + 0.587*g) + 0.114*b``, each product taken in float32."""
+    rows, pw, ph, c, _ = _read(data)
+    pix = rows[:, 1:] if not rows[:, 0].any() else _unfilter(rows, ph, pw * c, c)
+    img = pix.reshape(ph, pw, c)
+    chans = (0, 0, 0) if c == 1 else (0, 1, 2)
+    if out is None or out.shape != (ph, pw):
+        out = np.empty((ph, pw), dtype=np.float32)
+    term = np.empty_like(out)
+    np.multiply(img[:, :, chans[0]], _LUMA[0], dtype=np.float32, out=out)
+    for ch, k in zip(chans[1:], _LUMA[1:]):
+        np.multiply(img[:, :, ch], k, dtype=np.float32, out=term)
+        out += term
+    return out

@@ -17,7 +17,8 @@ Lossy step: YUV values are quantized to a step of 4 before inversion, which
 keeps decode(encode(x)) within PSNR >= 40 dB of x (the FIXTURES.md lossy
 oracle) while remaining fully deterministic.
 
-Wire format: b"QJP1" + u16le w + u16le h + zlib(255 - quantized_yuv422).
+Wire format: b"QJP1" + u16le w + u16le h + zlib(255 - quantized_yuv422);
+the stream inflates into an exact-size buffer (``inflate.py``, libdeflate).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import zlib
 import numpy as np
 
 from . import yuv422
+from .inflate import inflate
 
 MAGIC = b"QJP1"
 _Q = 4  # quantization step on YUV bytes
@@ -41,25 +43,30 @@ def encode(rgb: np.ndarray) -> bytes:
     return MAGIC + struct.pack("<HH", w, h) + zlib.compress(inverted.tobytes(), 6)
 
 
+def _inverted(data: bytes, w: int | None, h: int | None) -> tuple[np.ndarray, int, int]:
+    """Header check, then the inflated inverted YUYV bytes and their dims."""
+    if data[:4] != MAGIC:
+        raise ValueError("not a qjpeg payload")
+    pw, ph = struct.unpack_from("<HH", data, 4)
+    if w is not None and (pw != w or ph != h):
+        raise ValueError(f"qjpeg dims {(pw, ph)} != expected {(w, h)}")
+    return inflate(memoryview(data)[8:], pw * ph * 2), pw, ph
+
+
 def decode(data: bytes, w: int | None = None, h: int | None = None) -> np.ndarray:
-    if data[:4] != MAGIC:
-        raise ValueError("not a qjpeg payload")
-    pw, ph = struct.unpack_from("<HH", data, 4)
-    if w is not None and (pw != w or ph != h):
-        raise ValueError(f"qjpeg dims {(pw, ph)} != expected {(w, h)}")
-    inverted = np.frombuffer(zlib.decompress(data[8:]), dtype=np.uint8)
+    inverted, pw, ph = _inverted(data, w, h)
     # un-invert, then the reference's shared yuv422 path (06:243-267)
-    yuv = (255 - inverted).astype(np.uint8)
-    return yuv422.decode(yuv.tobytes(), pw, ph)
+    return yuv422.decode(255 - inverted, pw, ph)
 
 
-def decode_luma(data: bytes, w: int | None = None, h: int | None = None) -> np.ndarray:
-    """Stats/phash fast path: un-invert, take the Y plane only."""
-    if data[:4] != MAGIC:
-        raise ValueError("not a qjpeg payload")
-    pw, ph = struct.unpack_from("<HH", data, 4)
-    if w is not None and (pw != w or ph != h):
-        raise ValueError(f"qjpeg dims {(pw, ph)} != expected {(w, h)}")
-    inverted = np.frombuffer(zlib.decompress(data[8:]), dtype=np.uint8)
-    yuv = (255 - inverted).astype(np.uint8)
-    return yuv422.decode_luma(yuv, pw, ph)
+def decode_luma(data: bytes, w: int | None = None, h: int | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Stats/phash fast path: the un-inverted Y plane as float32 luma
+    (into ``out`` when it has the payload's dims), read straight from the
+    inflated bytes; chroma is never touched."""
+    inverted, pw, ph = _inverted(data, w, h)
+    if out is None or out.shape != (ph, pw):
+        out = np.empty((ph, pw), dtype=np.float32)
+    # 255 - y is exact in float32 and equals the uint8 un-inversion
+    return np.subtract(np.float32(255), inverted[0::2].reshape(ph, pw), out=out,
+                       dtype=np.float32)

@@ -38,11 +38,14 @@ _CODECS: dict[str, tuple[Callable, Callable]] = {
     "yuv422": (yuv422.encode, yuv422.decode),
 }
 
-# fmt -> decode_gray(bytes, w, h) -> float32 luma; formats without a fast
-# path fall back to grayscale(decode(...)). Y-plane formats skip the whole
-# RGB conversion in the stats/phash path (the engine's luma DEFINITION for
-# those formats — consistent across corpus, pipeline, oracles).
+# fmt -> decode_gray(bytes, w, h, out=None) -> float32 luma, written into
+# ``out`` when it fits; formats without a fast path fall back to
+# grayscale(decode(...)). Y-plane formats skip the whole RGB conversion in
+# the stats/phash path (the engine's luma DEFINITION for those formats —
+# consistent across corpus, pipeline, oracles); PNG builds its luma from
+# the inflated rows, bit-identical to grayscale(decode(...)).
 _GRAY_FAST: dict[str, Callable] = {
+    "png": png.decode_luma,
     "jpeg": qjpeg.decode_luma,
     "yuv422": yuv422.decode_luma,
 }
@@ -61,16 +64,20 @@ def register(fmt: str, encode: Callable, decode: Callable, lossless: bool = Fals
     else:
         LOSSLESS.discard(fmt)
     if decode_gray_fn is not None:
-        _GRAY_FAST[fmt] = decode_gray_fn
+        _GRAY_FAST[fmt] = lambda data, w, h, out=None: decode_gray_fn(data, w, h)
     else:
         _GRAY_FAST.pop(fmt, None)
 
 
-def decode_gray(fmt: str, data: bytes, w: int, h: int) -> np.ndarray:
-    """bytes -> float32 (h, w) luma — the stats/phash input."""
+def decode_gray(fmt: str, data: bytes, w: int, h: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """bytes -> float32 luma — the stats/phash input — at the dims the
+    payload decodes to, which a PNG's own header sets. A given ``out`` may
+    receive the luma: the result is ``out`` itself when it did, else a new
+    array (other dims, or a format whose decoder takes no buffer)."""
     fast = _GRAY_FAST.get(fmt)
     if fast is not None:
-        return fast(data, w, h)
+        return fast(data, w, h, out=out)
     from ..functions.phash import grayscale
 
     return grayscale(decode(fmt, data, w, h)[None])[0]

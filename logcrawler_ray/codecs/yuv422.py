@@ -170,8 +170,9 @@ def decode(data: bytes, w: int, h: int) -> np.ndarray:
     return ycbcr_to_rgb(yuv422_to_ycbcr(data, w, h))
 
 
-def decode_luma(data: bytes, w: int, h: int) -> np.ndarray:
-    """YUYV bytes -> float32 (h, w) luma, straight from the Y plane.
+def decode_luma(data: bytes, w: int, h: int, out: np.ndarray | None = None) -> np.ndarray:
+    """YUYV bytes -> float32 (h, w) luma, straight from the Y plane (into
+    ``out`` when given).
 
     The stats/phash fast path: Y of the stored stream IS the luma — no
     chroma upsample, no RGB conversion, no 601 re-projection. Within +-1
@@ -182,7 +183,10 @@ def decode_luma(data: bytes, w: int, h: int) -> np.ndarray:
     buf = np.frombuffer(data, dtype=np.uint8) if not isinstance(data, np.ndarray) else data
     if buf.size != w * h * 2:
         raise ValueError(f"yuv422 buffer size {buf.size} != w*h*2 = {w * h * 2}")
-    return buf[0::2].reshape(h, w).astype(np.float32)
+    if out is None or out.shape != (h, w):
+        return buf[0::2].reshape(h, w).astype(np.float32)
+    np.copyto(out, buf[0::2].reshape(h, w))
+    return out
 
 
 def encode(rgb: np.ndarray) -> bytes:

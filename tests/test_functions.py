@@ -52,6 +52,20 @@ def test_hamming():
     assert phash.hamming_batch(a, a)[0] == 0
 
 
+def test_phash_of_small_images_distinct_and_warning_free():
+    """Images under 32 px on a side (patch crops) pool by repeating pixels:
+    distinct ones get distinct phashes, with no divide-by-zero."""
+    import warnings
+
+    rng = np.random.default_rng(5)
+    for h, w in [(16, 16), (20, 48), (48, 9)]:
+        a, b = rng.integers(0, 256, size=(2, h, w, 3)).astype(np.uint8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hashes = phash.phash_batch(np.stack([a, b]))
+        assert hashes[0] != hashes[1]
+
+
 def test_area_resize_constant_preserved():
     g = np.full((1, 37, 53), 42.0)
     out = phash.area_resize(g, 32, 32)

@@ -68,6 +68,32 @@ def test_decode_error_channel(ray_session):
     assert not out[out["image_id"] == "x"]["decode_ok"].iloc[0]
 
 
+def test_decode_stacks_rows_by_decoded_dims():
+    """A PNG whose header dims (96x64) differ from its row's w/h (64x48),
+    next to a row that really is 64x48, decodes at its own dims instead
+    of failing the whole batch; ``resolution`` names the dims the stats
+    were computed on."""
+    import pyarrow as pa
+
+    from logcrawler_ray.codecs import png, yuv422
+    from logcrawler_ray.functions.phash import phash_from_gray
+    from logcrawler_ray.sources.corpus import _pixels
+    from logcrawler_ray.stages.decode import DecodeStats
+
+    blobs = [png.encode(_pixels(1, 96, 64)), yuv422.encode(_pixels(2, 64, 48))]
+    batch = pa.table({"image_id": ["png", "yuv"], "bytes": blobs,
+                      "w": pa.array([64, 64], pa.int32()),
+                      "h": pa.array([48, 48], pa.int32()),
+                      "fmt": ["png", "yuv422"]})
+    out = DecodeStats()(batch).to_pylist()
+    assert [r["decode_ok"] for r in out] == [True, True]
+    assert [r["resolution"] for r in out] == ["96x64", "64x48"]
+    for r, fmt, blob in zip(out, ["png", "yuv422"], blobs):
+        luma = registry.decode_gray(fmt, blob, 64, 48)
+        assert to_uint64(r["phash"]) == int(phash_from_gray(luma[None])[0])
+        assert r["brightness"] == pytest.approx(brightness_batch(luma[None])[0])
+
+
 def test_ingest_dedup_and_store(ray_session, source_ds, corpus_tab, tmp_path):
     store = open_store(str(tmp_path / "store"))
     result = ingest(source_ds, store, pid="t0", concurrency=2, batch_size=32)
