@@ -28,18 +28,10 @@ def entry() -> Any:
     host-hash bucket, materialized once -> exact phash dedup. Returns the
     resulting Dataset (bytes dropped so the smoke result stays light).
     """
-    import pyarrow.parquet as pq
-
-    from logcrawler_ray.pipelines.ingest import add_bucket, decode_pipeline
-    from logcrawler_ray.sources.corpus import corpus_dataset
+    from logcrawler_ray.queries import decoded_corpus
     from logcrawler_ray.stages.dedup import dedup_exact
 
-    n_docs = pq.read_metadata(f"{SF0001}/documents.parquet").num_rows
-    n = max(64, min(n_docs, 256))
-    src = corpus_dataset(n, seed=42, batch_size=64)
-    pre = add_bucket(decode_pipeline(src, concurrency=2, batch_size=64,
-                                     keep_bytes=False)).materialize()
-    return dedup_exact(pre, key="phash", order_col="image_id")
+    return dedup_exact(decoded_corpus(SF0001), key="phash", order_col="image_id")
 
 
 def queries() -> dict[str, Callable[[str], Any]]:

@@ -7,17 +7,23 @@ decodes and the as-of, range, frame and hash joins. It
 1. tags every row of every side with a coarse ``key`` bucket
    (:func:`_bucket_of`) and pads the other sides' columns with typed
    nulls, so every block of the union has ONE schema;
-2. bundles the tagged blocks to >= 4096 rows and runs ONE sort-based
-   ``groupby(bucket).map_groups`` exchange over the union (16-64 coarse
-   buckets: per-group Python costs ~1-2 ms, so groups are buckets, never
-   keys);
+2. bundles the tagged blocks to >= 4096 rows and runs ONE sort exchange
+   over the union (16-64 coarse buckets: per-group Python costs ~1-2 ms,
+   so groups are buckets, never keys). The sort's boundaries are fixed
+   bucket ranges, one per cluster CPU (at most ``n_buckets``), so it
+   needs no sampling pass, and one typed marker row per range keeps
+   every shuffle partition non-empty;
 3. calls ``fn(*tables)`` once per non-empty bucket with one ``pa.Table``
    per side. Each table holds exactly that side's declared columns and
    Arrow types, and has zero rows when the side has none in the bucket;
 4. casts every output block to ``schema`` (schema metadata dropped), so
-   Ray's schema unification keeps its hashable fast path. A shuffle
-   partition that receives no bucket at all still comes out of Ray's
-   sort as a column-less empty block.
+   Ray's schema unification keeps its hashable fast path. A partition
+   whose buckets are all empty returns ``schema``'s empty table: no
+   output block is column-less.
+
+Sides are ``(Dataset, pa.Schema)`` pairs, and that is the library's one
+convention for an operator input: column types come from the caller
+(parquet footers, literal schemas), never from executing a plan.
 
 ``fn`` never sees pandas or null-filled upcasts, so no call site carries
 tag columns, union null-fill undo code or empty-group guards. Per-key fns
@@ -39,9 +45,9 @@ from .hashing import hash64_str_array, splitmix64
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 
-# Ray's sort fans out to as many partitions as it receives blocks, and
-# every mapper writes one piece per partition: tiny blocks (from_items
-# makes one per row) make the exchange quadratic in tasks. Tagged blocks
+# Ray's sort runs one mapper task per block it receives, and every mapper
+# writes one piece per partition: tiny blocks (from_items makes one per
+# row) make the exchange one task per row. Tagged blocks
 # are bundled to at least this many rows before the sort; a larger block
 # keeps one task of its own.
 _MIN_SORT_BLOCK_ROWS = 4096
@@ -123,32 +129,18 @@ def per_key(key: str, fn, order: str | None = None):
     return per_bucket
 
 
-def arrow_schema(ds) -> pa.Schema:
-    """A Dataset's schema as a ``pa.Schema``, for callers whose input
-    column types are not known statically (generic operators). Costs a
-    ``limit(1)`` execution when the plan cannot infer the schema, so call
-    it on an operator's input, never on a shuffle output. Object columns
-    of pandas-backed blocks are strings."""
-    base = ds.schema().base_schema
-    if not isinstance(base, pa.Schema):  # pandas-backed blocks
-        import pandas as pd
-
-        base = pa.Schema.from_pandas(pd.DataFrame(
-            {n: pd.Series([], dtype=t) for n, t in zip(base.names, base.types)}),
-            preserve_index=False)
-    return pa.schema([pa.field(f.name, pa.string()) if pa.types.is_null(f.type)
-                      else f for f in base.remove_metadata()])
-
-
 def cogroup(sides, key, fn, *, schema: pa.Schema, n_buckets: int = 64):
     """Co-group ``sides`` — a list of ``(dataset, side_schema)`` pairs — on
     ``key`` (a column name, or a list of them, present in every side) and
     return the Dataset of ``fn(*tables)`` outputs cast to ``schema``.
 
     ``side_schema`` declares the columns a side contributes and their
-    Arrow types; input batches are projected and cast to it, so callers
-    need no ``Dataset.schema()`` execution. ``fn`` runs once per non-empty
-    bucket (``n_buckets`` of them), which may hold many keys."""
+    Arrow types; input batches are projected and cast to it. ``fn`` runs
+    once per non-empty bucket (``n_buckets`` of them), which may hold many
+    keys. Every output block carries ``schema``."""
+    import ray
+    import ray.data as rd
+
     keys = [key] if isinstance(key, str) else list(key)
     schema = schema.remove_metadata()
     decl = [s.remove_metadata() for _, s in sides]
@@ -170,13 +162,27 @@ def cogroup(sides, key, fn, *, schema: pa.Schema, n_buckets: int = 64):
 
         return fn_tag
 
-    def per_bucket(g: pa.Table) -> pa.Table:
-        tables = [g.select(ns) if len(decl) == 1 else
-                  g.select(ns).filter(pc.equal(g["__s"], i))
-                  for i, ns in enumerate(names)]
-        tables = [t.rename_columns(s.names).cast(s)
-                  for t, s in zip(tables, decl)]
-        return fn(*tables).select(schema.names).cast(schema)
+    def per_partition(g: pa.Table) -> pa.Table:
+        # rows sorted by (bucket, side); markers (side -1) lead their bucket
+        b, s = g["__b"].to_numpy(), g["__s"].to_numpy()
+        runs = [0, *(np.flatnonzero(b[1:] != b[:-1]) + 1).tolist(), len(b)]
+        out = [schema.empty_table()]
+        for lo, hi in zip(runs, runs[1:]):
+            cut = lo + np.searchsorted(s[lo:hi], np.arange(len(decl) + 1))
+            if cut[0] < cut[-1]:  # some side has rows, not just a marker
+                out.append(fn(*[g.slice(a, z - a).select(ns).rename_columns(d.names).cast(d)
+                                for a, z, ns, d in zip(cut, cut[1:], names, decl)])
+                           .select(schema.names).cast(schema))
+        return pa.concat_tables(out)
+
+    # one bucket range per cluster CPU, and at least two: Ray samples its
+    # own boundaries when given none (n_buckets=1 gets a sentinel range)
+    n_parts = min(n_buckets, max(2, int(ray.cluster_resources().get("CPU", 1))))
+    bounds = [n_buckets * p // n_parts for p in range(1, n_parts)] or [n_buckets]
+    lows = [0, *bounds]
+    markers = pa.Table.from_arrays(
+        [pa.array(lows, pa.int32()), pa.array(np.full(len(lows), -1, np.int8))]
+        + [pa.nulls(len(lows), f.type) for f in list(union)[2:]], schema=union)
 
     # bundle AFTER tagging: Ray concatenates the blocks it bundles, and
     # only tagged blocks are sure to carry a hashable (metadata-free)
@@ -188,8 +194,9 @@ def cogroup(sides, key, fn, *, schema: pa.Schema, n_buckets: int = 64):
                            batch_size=_MIN_SORT_BLOCK_ROWS,
                            max_retries=-1)
               for i, (ds, _) in enumerate(sides)]
-    both = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
-    return both.groupby("__b").map_groups(per_bucket, batch_format="pyarrow")
+    return (rd.from_arrow(markers).union(*tagged)
+            .sort(["__b", "__s"], boundaries=bounds)
+            .map_batches(per_partition, batch_format="pyarrow", batch_size=None))
 
 
 def _bundle(t: pa.Table) -> pa.Table:

@@ -52,6 +52,9 @@ from ..state.checkpoint import CheckpointDir
 
 @dataclass
 class CrawlConfig:
+    """One crawl's settings. Every wave runs the fused :class:`WaveStage`
+    as stateless tasks; shard-group placement is :class:`CrawlState`'s."""
+
     seed: int = 42
     n_hosts: int = 12
     pages_per_host: int = 200
@@ -61,14 +64,8 @@ class CrawlConfig:
     max_depth: int = 3
     max_waves: int = 50
     seen_capacity: int = 1 << 16  # per shard
-    # actor-pool size of the fused fetch+decode WaveStage
-    fetch_concurrency: int | tuple = 4
+    # rows per fetch+decode batch inside a WaveStage task
     batch_size: int = 64
-    # Actor pools are per-Dataset-execution in Ray Data, so a BSP loop pays
-    # pool startup (~2 s) EVERY wave. With cheap per-actor state (the
-    # synthetic backend) stateless tasks win ~5x; set True when fetch state
-    # is expensive (real HTTP sessions, models) and size waves accordingly.
-    use_actors: bool = False
     priority_mode: str = "hash"  # hash | fifo | reverse (the --reverse analog)
     web_params: dict = field(default_factory=dict)
 
@@ -366,9 +363,9 @@ class WaveStage:
     output file is named by the batch's min seq, so a retried task
     overwrites its own file (idempotent) instead of duplicating rows.
 
-    Works as a plain callable (task mode, cheap state) or an actor class
-    (``map_batches(WaveStage, fn_constructor_kwargs=...)``) when fetch
-    state is expensive. Ray hands it whole blocks (no Ray ``batch_size``:
+    It runs as a plain callable in stateless tasks: Ray Data actor pools
+    start per Dataset execution, so a BSP loop would pay pool startup
+    (~2 s) every wave. Ray hands it whole blocks (no Ray ``batch_size``:
     the ``IngestStage`` recipe); it cuts each into batches of at most
     ``batch_size`` rows itself.
     """
@@ -568,15 +565,8 @@ class CrawlEngine:
                             batch_size=self.cfg.batch_size,
                             compression=self.store.compression,
                             storage_options=self.store.storage_options)
-        if self.cfg.use_actors:
-            routed = ds.map_batches(
-                WaveStage, fn_constructor_kwargs=stage_kwargs,
-                batch_format="pyarrow", batch_size=None,
-                concurrency=self.cfg.fetch_concurrency,
-            )
-        else:
-            routed = ds.map_batches(WaveStage(**stage_kwargs),
-                                    batch_format="pyarrow", batch_size=None)
+        routed = ds.map_batches(WaveStage(**stage_kwargs),
+                                batch_format="pyarrow", batch_size=None)
         # drive the fused stage; the routed link blocks STAY in the object
         # store — the driver only ever holds their refs
         mat = routed.materialize()

@@ -282,7 +282,9 @@ def ingest(source, store: ObjectStore, pid: str = "ingest", *,
         # fileless raw (every row failed decode): nothing to re-read
         losers = frozenset()
     else:
-        skinny = store.read_dataset(raw_pid, columns=["phash", "image_id"])
+        cols = ["phash", "image_id"]
+        skinny = (store.read_dataset(raw_pid, columns=cols),
+                  store.file_schema(raw_pid, cols))
         winners: list = []
         losers = dedup.exact_losers(skinny, "phash", "image_id",
                                     max_collect=bound, winners=winners)

@@ -21,7 +21,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .functions.cogroup import _runs, arrow_schema, cogroup, per_key
+from .functions.cogroup import _runs, cogroup, per_key
 
 QUERIES: dict = {}
 ORACLE_SQL: dict = {}
@@ -37,8 +37,9 @@ def _q(name: str, sql: str | None = None):
     return deco
 
 
-def _read(sf_dir: str, table: str, columns: list[str] | None = None, **kw):
-    """One test table as a Dataset whose blocks carry no schema metadata.
+def _side(sf_dir: str, table: str, columns: list[str] | None = None, **kw):
+    """One test table as a ``(Dataset, schema)`` side: its column types
+    come from the parquet footer, and its blocks carry no schema metadata.
     The tables were written by pandas, and a schema with metadata cannot
     be hashed: Ray logs "Failed to hash the schemas" wherever it unifies
     such blocks (a read task splitting its blocks, the reduce tasks of a
@@ -51,7 +52,19 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None, **kw):
     sch = pq.read_schema(path).remove_metadata()
     if columns is not None:
         sch = pa.schema([sch.field(c) for c in columns])
-    return rd.read_parquet(path, columns=columns, schema=sch, **kw)
+    return rd.read_parquet(path, columns=columns, schema=sch, **kw), sch
+
+
+def _read(sf_dir: str, table: str, columns: list[str] | None = None, **kw):
+    """:func:`_side`'s Dataset alone."""
+    return _side(sf_dir, table, columns, **kw)[0]
+
+
+def _events_of_type(sf_dir: str, event_type: str, columns: list[str]):
+    """The ``columns`` of one ``event_type``'s events, as a side."""
+    ds, sch = _side(sf_dir, "events", [*columns, "event_type"],
+                    filter=(pc.field("event_type") == event_type))
+    return ds.drop_columns(["event_type"]), sch.remove(len(columns))
 
 
 # Staged-oracle pattern: for pipelines whose INPUT the driver's ten SQL views
@@ -196,7 +209,7 @@ def q05_nation_region(sf_dir: str):
 
     from .stages.broadcast import broadcast_map, probe_values
 
-    ref = broadcast_map(_read(sf_dir, "region"), "r_regionkey", "r_name")
+    ref = broadcast_map(_side(sf_dir, "region"), "r_regionkey", "r_name")
 
     def attach(t: pa.Table) -> pa.Table:
         keys, vals = ray.get(ref)
@@ -297,7 +310,7 @@ def q08_customers_no_orders(sf_dir: str):
 
     from .stages.broadcast import anti_mask, broadcast_key_set
 
-    ref = broadcast_key_set(_read(sf_dir, "orders", columns=["o_custkey"]), "o_custkey")
+    ref = broadcast_key_set(_side(sf_dir, "orders", columns=["o_custkey"]), "o_custkey")
 
     def anti(t: pa.Table) -> pa.Table:
         return t.filter(anti_mask(t["c_custkey"], ray.get(ref)))
@@ -351,16 +364,10 @@ def q12_asof_click_purchase(sf_dir: str):
     time is returned as epoch microseconds so NULLs and types hash identically."""
     from .stages.asof import asof_join
 
-    clicks = _read(sf_dir, "events", columns=["event_id", "user_id", "event_type", "ts"],
-                   filter=(pc.field("event_type") == "click")).drop_columns(["event_type"])
-    purchases = _read(sf_dir, "events", columns=["user_id", "event_type", "ts"],
-                      filter=(pc.field("event_type") == "purchase")).drop_columns(["event_type"])
+    clicks = _events_of_type(sf_dir, "click", ["event_id", "user_id", "ts"])
+    purchases = _events_of_type(sf_dir, "purchase", ["user_id", "ts"])
     joined = asof_join(clicks, purchases, on="ts", by="user_id").to_pandas()
-    out = joined[["event_id", "user_id"]].copy()
-    # asof_join preserves left dtypes, but belt-and-braces: the driver's
-    # value hash is type-sensitive (int64 vs float64 = red cell).
-    out["event_id"] = out["event_id"].astype(np.int64)
-    out["user_id"] = out["user_id"].astype(np.int64)
+    out = joined[["event_id", "user_id"]].copy()  # the left side's declared int64
     ts_r = pd.to_datetime(joined["ts_right"])
     us = ts_r.to_numpy().astype("datetime64[us]").astype(np.int64)  # NaT -> int64 min
     out["purchase_ts_us"] = np.where(ts_r.isna(), np.int64(-1), us).astype(np.int64)
@@ -407,8 +414,7 @@ def _user_sorted(t: pa.Table) -> pa.Table:
 def _by_user(sf_dir: str, columns: list[str], fn, schema: pa.Schema):
     """The events columns co-grouped on user_id in coarse buckets (the
     per-user window queries: q20, q31, q61)."""
-    ev = _read(sf_dir, "events", columns=columns)
-    return cogroup([(ev, arrow_schema(ev))], "user_id", fn, schema=schema)
+    return cogroup([_side(sf_dir, "events", columns)], "user_id", fn, schema=schema)
 
 
 # =====================================================================
@@ -819,6 +825,25 @@ def q23_doc_quality(sf_dir: str):
         score, batch_format="pyarrow")
 
 
+def decoded_corpus(sf_dir: str):
+    """The seed-42 image corpus sized from ``sf_dir``'s documents, decoded,
+    filtered and bucketed (bytes dropped), as a materialized side whose
+    types are :class:`DecodeStats` over the corpus schema's empty table."""
+    import pyarrow.parquet as pq
+
+    from .pipelines.ingest import add_bucket, decode_pipeline
+    from .sources.corpus import SCHEMA, corpus_dataset
+    from .stages.decode import DecodeStats
+
+    n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
+    n = max(64, min(n_docs, 256))
+    ds = add_bucket(decode_pipeline(
+        corpus_dataset(n, seed=42, batch_size=64), concurrency=2,
+        batch_size=64, keep_bytes=False)).materialize()
+    sch = DecodeStats(keep_bytes=False)(SCHEMA.empty_table()).schema
+    return ds, sch.append(pa.field("bucket", pa.int32()))
+
+
 @_q(
     "q25_corpus_ingest",
     f"""
@@ -841,22 +866,14 @@ def q25_corpus_ingest(sf_dir: str):
     phash) AND the host-hash bucket assignment (host_hash & 63 — the
     unsigned mod-64 rule over the two's-complement low bits). Decode stats
     themselves stay pinned by the cv2-kernel-equivalence pytests."""
-    import pyarrow.parquet as pq
-
-    from .pipelines.ingest import add_bucket, decode_pipeline
-    from .sources.corpus import corpus_dataset
     from .stages.dedup import dedup_exact
 
-    n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
-    n = max(64, min(n_docs, 256))
-    pre = add_bucket(decode_pipeline(
-        corpus_dataset(n, seed=42, batch_size=64), concurrency=2,
-        batch_size=64, keep_bytes=False)).materialize()
+    pre, sch = decoded_corpus(sf_dir)
     _stage("q25_predup", pa.concat_tables(
         b.select(["image_id", "host", "host_hash", "fmt", "w", "h", "phash",
                   "resolution"])
         for b in pre.iter_batches(batch_format="pyarrow")))
-    ds = dedup_exact(pre, key="phash", order_col="image_id")
+    ds = dedup_exact((pre, sch), key="phash", order_col="image_id")
     out = ds.to_pandas()
     out = out[["image_id", "host", "fmt", "w", "h", "phash", "resolution", "bucket"]]
     return out.sort_values("image_id").reset_index(drop=True)
@@ -882,19 +899,16 @@ def q27_closest_event(sf_dir: str):
     sch = pa.schema([("log_id", pa.int64()), ("frame_id", pa.int64()),
                      ("frame_time", pa.int64())])
 
-    def prep(t: pa.Table, keep_id: bool) -> pa.Table:
-        us = pc.cast(t["ts"], pa.int64())
-        return pa.table([t["user_id"], t["event_id"], us], schema=sch)
+    def prep(t: pa.Table) -> pa.Table:
+        return pa.table([t["user_id"], t["event_id"], pc.cast(t["ts"], pa.int64())],
+                        schema=sch)
 
-    clicks = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "event_type"],
-                   filter=(pc.field("event_type") == "click")).map_batches(
-        lambda t: prep(t, True), batch_format="pyarrow")
-    purchases = _read(sf_dir, "events", columns=["event_id", "user_id", "ts", "event_type"],
-                      filter=(pc.field("event_type") == "purchase")).map_batches(
-        lambda t: prep(t, False), batch_format="pyarrow")
+    clicks, purchases = (
+        (_events_of_type(sf_dir, kind, ["event_id", "user_id", "ts"])[0]
+         .map_batches(prep, batch_format="pyarrow"), sch)
+        for kind in ("click", "purchase"))
     out = closest_rows(clicks, purchases, by="log_id", time_col="frame_time",
-                       id_col="frame_id", out_col="closest_purchase_id",
-                       schema=sch).to_pandas()
+                       id_col="frame_id", out_col="closest_purchase_id").to_pandas()
     out = out.rename(columns={"log_id": "user_id", "frame_id": "event_id"})
     return out[["event_id", "user_id", "closest_purchase_id"]].astype(np.int64)
 
@@ -1268,11 +1282,12 @@ def q29_behavior_stream(sf_dir: str):
                              "ids": [int(i) for i in ids], "names": [],
                              "values": [round(float(v), 3) for v in
                                         rng.normal(size=len(ids))]})
-    _stage("q29_input", pa.Table.from_pylist(rows, schema=pa.schema([
+    tab = pa.Table.from_pylist(rows, schema=pa.schema([
         ("log_id", pa.int64()), ("seq", pa.int64()), ("kind", pa.string()),
         ("ids", pa.list_(pa.int64())), ("names", pa.list_(pa.string())),
-        ("values", pa.list_(pa.float64()))])))
-    out = decode_behavior(rd.from_items(rows)).to_pandas()
+        ("values", pa.list_(pa.float64()))]))
+    _stage("q29_input", tab)
+    out = decode_behavior(rd.from_arrow(tab)).to_pandas()
     return out.sort_values(["log_id", "seq", "symbol"]).reset_index(drop=True)
 
 
@@ -1418,8 +1433,8 @@ def q36_salted_user_totals(sf_dir: str):
 
     ds = _read(sf_dir, "events", columns=["user_id", "value"]).map_batches(
         cents, batch_format="pyarrow")
-    out = salted_aggregate(ds, "user_id", {"one": "count", "value_e2": "sum"},
-                           n_salts=8, schema=sch).to_pandas()
+    out = salted_aggregate((ds, sch), "user_id", {"one": "count", "value_e2": "sum"},
+                           n_salts=8).to_pandas()
     out = out.rename(columns={"one": "n"})
     out["total"] = out.pop("value_e2") / 100.0
     return out
@@ -1537,10 +1552,12 @@ def q47_frame_join_left(sf_dir: str):
                           for a, b, c in _FJ_GAME])
     img = rd.from_items([{"log_id": a, "frame_number": b, "camera": c}
                          for a, b, c in _FJ_IMG])
-    out = frame_join(game, img, how="left").to_pandas()
+    keys = [("log_id", pa.int64()), ("frame_number", pa.int64())]
+    out = frame_join((game, pa.schema(keys + [("state", pa.string())])),
+                     (img, pa.schema(keys + [("camera", pa.string())])),
+                     how="left").to_pandas()
     out["camera"] = out["camera"].fillna("none")
-    out = out[["log_id", "frame_number", "state", "camera"]].astype(
-        {"log_id": np.int64, "frame_number": np.int64})
+    out = out[["log_id", "frame_number", "state", "camera"]]
     return out.sort_values(["log_id", "frame_number", "camera"],
                            kind="mergesort").reset_index(drop=True)
 
@@ -1599,7 +1616,9 @@ def q48_bbox_overlap(sf_dir: str):
                          "b_id": [ids[j] for _, j, _ in pairs],
                          "inter": [int(v) for _, _, v in pairs]})
 
-    out = cogroup([(rows, arrow_schema(rows))], "img_id",
+    sch = pa.schema([(c, pa.int64()) for c in ("img_id", "box_id", "x0", "y0", "x1", "y1")]
+                    + [("label", pa.string())])
+    out = cogroup([(rows, sch)], "img_id",
                   per_key("img_id", per_img, order="box_id"),
                   schema=pa.schema([(c, pa.int64()) for c in
                                     ("img_id", "a_id", "b_id", "inter")])).to_pandas()
@@ -1671,8 +1690,9 @@ def q49_bbox_best_overlap(sf_dir: str):
                                 else -1, -1).astype(np.int64),
             "ratio": np.round(ratio, 6)})
 
-    rows = rd.from_items(items)
-    out = cogroup([(rows, arrow_schema(rows))], "img_id",
+    sch = pa.schema([(c, pa.int64()) for c in ("img_id", "row_id", "x0", "y0", "x1", "y1")]
+                    + [("kind", pa.string())])
+    out = cogroup([(rd.from_items(items), sch)], "img_id",
                   per_key("img_id", per_img, order="row_id"),
                   schema=pa.schema([("img_id", pa.int64()), ("patch_id", pa.int64()),
                                     ("best_gt", pa.int64()), ("ratio", pa.float64())])
@@ -1791,8 +1811,8 @@ def q41_median_order_value(sf_dir: str):
         return pa.table({"o_orderpriority": pri[order[starts]],
                          "median2_e2": cents[lo] + cents[starts + counts // 2]})
 
-    orders = _read(sf_dir, "orders", columns=["o_orderpriority", "o_totalprice"])
-    return cogroup([(orders, arrow_schema(orders))], "o_orderpriority", med,
+    orders = _side(sf_dir, "orders", ["o_orderpriority", "o_totalprice"])
+    return cogroup([orders], "o_orderpriority", med,
                    schema=pa.schema([("o_orderpriority", pa.string()),
                                      ("median2_e2", pa.int64())]))
 
@@ -1857,12 +1877,9 @@ def q58_range_join_clicks(sf_dir: str):
     bucket; output is bounded by the true pair count, never |L| x |R|."""
     from .stages.rangejoin import range_join
 
-    purchases = _read(
-        sf_dir, "events", columns=["event_id", "user_id", "event_type", "ts"],
-        filter=(pc.field("event_type") == "purchase")).drop_columns(["event_type"])
-    clicks = _read(
-        sf_dir, "events", columns=["event_id", "user_id", "event_type", "ts"],
-        filter=(pc.field("event_type") == "click")).drop_columns(["event_type"])
+    cols = ["event_id", "user_id", "ts"]
+    purchases = _events_of_type(sf_dir, "purchase", cols)
+    clicks = _events_of_type(sf_dir, "click", cols)
     pairs = range_join(purchases, clicks, by="user_id", on="ts",
                        lower=-4 * 3_600_000_000, upper=0,
                        right_cols=["event_id"])
@@ -1895,8 +1912,7 @@ def q59_top_orders_per_customer(sf_dir: str):
     from .stages.topk import topk_per_group
 
     return topk_per_group(
-        _read(sf_dir, "orders",
-              columns=["o_custkey", "o_orderkey", "o_totalprice"]),
+        _side(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"]),
         group_col="o_custkey", order_col="o_totalprice", k=3,
         descending=True, tiebreak_cols=("o_orderkey",))
 
@@ -1921,7 +1937,7 @@ def q60_stratified_doc_sample(sf_dir: str):
     from .stages.topk import stratified_sample_hash
 
     return stratified_sample_hash(
-        _read(sf_dir, "documents", columns=["doc_id", "lang"]),
+        _side(sf_dir, "documents", ["doc_id", "lang"]),
         stratum_col="lang", id_col="doc_id", k=20)
 
 
@@ -2181,13 +2197,12 @@ def q54_naoth_closest(sf_dir: str):
     ])
     parsed = parse_logs_dataset(logs).materialize()  # consumed twice below
 
+    fi_sch = pa.schema([(c, pa.int64()) for c in ("log_no", "frame_number", "frame_time")])
+
     def only_frameinfo(t: pa.Table) -> pa.Table:
         sel = t.filter(pc.equal(t["name"], "FrameInfo"))
-        return pa.table({
-            "log_no": pc.cast(sel["log_no"], pa.int64()),
-            "frame_number": pc.cast(sel["frame_number"], pa.int64()),
-            "frame_time": pc.cast(sel["frame_time"], pa.int64()),
-        })
+        return pa.table([pc.cast(sel[c], pa.int64()) for c in fi_sch.names],
+                        schema=fi_sch)
 
     fi = parsed.map_batches(only_frameinfo, batch_format="pyarrow")
 
@@ -2216,10 +2231,9 @@ def q54_naoth_closest(sf_dir: str):
         b for b in fi.iter_batches(batch_format="pyarrow")))
     _stage("q54_right", pa.concat_tables(
         b for b in right.iter_batches(batch_format="pyarrow")))
-    out = closest_rows(fi, right, by="log_no", time_col="frame_time",
+    out = closest_rows((fi, fi_sch), (right, fi_sch), by="log_no", time_col="frame_time",
                        id_col="frame_number",
                        out_col="closest_image_frame").to_pandas()
-    out["closest_image_frame"] = out["closest_image_frame"].astype(np.int64)
     return (out.sort_values(["log_no", "frame_number"])
             .reset_index(drop=True))
 
@@ -2246,8 +2260,8 @@ def q62_user_value_percentiles(sf_dir: str):
     vectorized picks — no per-group Python."""
     from .stages.quantiles import grouped_percentiles
 
-    ds = _read(sf_dir, "events", columns=["user_id", "value"])
-    out = grouped_percentiles(ds, "user_id", "value",
+    out = grouped_percentiles(_side(sf_dir, "events", ["user_id", "value"]),
+                              "user_id", "value",
                               {"p25": 0.25, "p50": 0.50, "p90": 0.90})
     return out.to_pandas().sort_values("user_id").reset_index(drop=True)
 

@@ -810,6 +810,13 @@ class ObjectStore:
         invisible; view partitions resolve to their base's files)."""
         return self._files_rows(pid)[0]
 
+    def file_schema(self, pid: str, columns: list[str] | None = None) -> pa.Schema:
+        """``pid``'s column types (projected to ``columns``) from its first
+        data file's parquet footer: a :meth:`read_dataset` side's schema."""
+        with self._pafs().open_input_file(self.files(pid)[0]) as f:
+            sch = pq.read_schema(f).remove_metadata()
+        return sch if columns is None else pa.schema([sch.field(c) for c in columns])
+
     def _files_rows(self, pid: str | None) -> tuple[list[str], list]:
         """:meth:`files` and each file's row count from the same manifests
         (``None`` where a manifest predates per-file counts)."""

@@ -22,7 +22,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.cogroup import _runs, arrow_schema, cogroup
+from ..functions.cogroup import _runs, cogroup
 
 
 def _asof_index(lk: np.ndarray, lt: np.ndarray, rk: np.ndarray,
@@ -51,9 +51,10 @@ def _asof_index(lk: np.ndarray, lt: np.ndarray, rk: np.ndarray,
     return out
 
 
-def asof_join(left_ds, right_ds, *, on: str, by: str, direction: str = "backward",
+def asof_join(left, right, *, on: str, by: str, direction: str = "backward",
               right_cols: list[str] | None = None, suffix: str = "_right"):
-    """Per-``by``-group as-of join of right onto left; returns a Dataset.
+    """Per-``by``-group as-of join of the ``right`` side onto the ``left``
+    one (``(Dataset, schema)`` pairs); returns a Dataset.
 
     ``direction='backward'``: latest right row with t_r <= t_l (SQL ASOF);
     ``'forward'``: earliest right row with t_r >= t_l. Left rows keep
@@ -64,7 +65,7 @@ def asof_join(left_ds, right_ds, *, on: str, by: str, direction: str = "backward
     if direction not in ("backward", "forward"):
         raise ValueError(direction)
     r_cols = right_cols or []
-    lsch, rsch = arrow_schema(left_ds), arrow_schema(right_ds)
+    (left_ds, lsch), (right_ds, rsch) = left, right
     rside = pa.schema([lsch.field(by), lsch.field(on)]
                       + [rsch.field(c) for c in r_cols])
     renamed = [c + suffix if c in lsch.names else c for c in r_cols]
@@ -122,18 +123,14 @@ def closest_join_arrays(l_time: np.ndarray, l_id: np.ndarray,
     return np.where(pick_lo, r_id[lo], r_id[hi])
 
 
-def closest_rows(left_ds, right_ds, *, by: str = "log_id", time_col: str = "frame_time",
-                 id_col: str = "frame_id", out_col: str = "closest_id",
-                 schema: pa.Schema | None = None):
+def closest_rows(left, right, *, by: str = "log_id", time_col: str = "frame_time",
+                 id_col: str = "frame_id", out_col: str = "closest_id"):
     """Bidirectional-capable nearest join (run twice with sides swapped for
-    the reference's two update passes, 14:102-165). Returns left rows +
-    ``out_col`` of the nearest right id (-1 when the right group is empty).
-    ``schema``: ``left_ds``'s column types, when the caller knows them;
-    it must match the blocks' schema exactly (otherwise it is read from
-    the plan, which may cost an execution)."""
-
-    lsch = schema or arrow_schema(left_ds)
-    rside = pa.schema([lsch.field(c) for c in (by, time_col, id_col)])
+    the reference's two update passes, 14:102-165) of two ``(Dataset,
+    schema)`` sides. Returns left rows + ``out_col`` of the nearest right
+    id (-1 when the right group is empty)."""
+    (left_ds, lsch), (right_ds, rsch) = left, right
+    rside = pa.schema([rsch.field(c) for c in (by, time_col, id_col)])
 
     def per_bucket(left: pa.Table, right: pa.Table) -> pa.Table:
         order, lstarts, lcounts = _runs(left[by].to_numpy(zero_copy_only=False))

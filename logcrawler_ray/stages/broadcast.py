@@ -34,14 +34,27 @@ def _guard(n: int, what: str, max_rows: int) -> None:
             "use a cogroup shuffle join instead")
 
 
-def distinct_keys_ds(ds, col: str, num_buckets: int = 64):
-    """Distributed distinct of one column: per-batch ``pc.unique``
-    partials -> ONE :func:`cogroup` -> ``pc.unique`` again per bucket. (A
-    native ``groupby(col).count`` pays per-GROUP cost at distinct-key
-    cardinality — the r3 CLAUDE.md lesson.)"""
-    from ..functions.cogroup import arrow_schema, cogroup
+def _collect(ds, sch: pa.Schema, what: str, max_rows: int) -> list[pa.Array]:
+    """``ds``'s ``sch`` columns as Arrow arrays on the driver, LIMIT-bounded
+    to ``max_rows + 1`` rows BEFORE the collect. No pandas round trip (it
+    made nullable int64 keys float64); an empty side is typed."""
+    blocks = ds.limit(max_rows + 1).iter_batches(batch_size=None, batch_format="pyarrow")
+    tbl = pa.concat_tables([sch.empty_table()] + [
+        b.select(sch.names).cast(sch) for b in blocks if b.num_rows])
+    _guard(tbl.num_rows, what, max_rows)
+    return [c.combine_chunks() for c in tbl.columns]
 
-    sch = pa.schema([arrow_schema(ds).field(col)])
+
+def distinct_keys_ds(side, col: str, num_buckets: int = 64):
+    """Distributed distinct of one column of ``side`` (a ``(Dataset,
+    schema)`` pair): per-batch ``pc.unique`` partials -> ONE
+    :func:`cogroup` -> ``pc.unique`` again per bucket. (A native
+    ``groupby(col).count`` pays per-GROUP cost at distinct-key
+    cardinality — the r3 CLAUDE.md lesson.)"""
+    from ..functions.cogroup import cogroup
+
+    ds, sch = side
+    sch = pa.schema([sch.field(col)])
 
     def distinct(t: pa.Table) -> pa.Table:
         return pa.table({col: pc.unique(t[col].combine_chunks())})
@@ -50,33 +63,31 @@ def distinct_keys_ds(ds, col: str, num_buckets: int = 64):
                    col, distinct, schema=sch, n_buckets=num_buckets)
 
 
-def broadcast_key_set(ds, col: str, *, max_rows: int = DEFAULT_MAX_BROADCAST_ROWS):
-    """Distinct keys of ``ds[col]`` as an ObjectRef[pa.Array] for semi/anti
-    probes. The distinct runs distributed (:func:`distinct_keys_ds`); the
-    driver-side collect is LIMIT-bounded to ``max_rows + 1`` BEFORE
-    materializing, so an oversized side raises without the driver ever
-    holding it (round-2 advice: the guard must fire before the OOM it
-    prevents)."""
+def broadcast_key_set(side, col: str, *, max_rows: int = DEFAULT_MAX_BROADCAST_ROWS):
+    """Distinct keys of ``side``'s ``col`` (a ``(Dataset, schema)`` pair) as
+    an ObjectRef[pa.Array] of the declared type, for semi/anti probes. The
+    distinct runs distributed (:func:`distinct_keys_ds`); the driver-side
+    collect is LIMIT-bounded to ``max_rows + 1`` BEFORE materializing, so
+    an oversized side raises without the driver ever holding it (round-2
+    advice: the guard must fire before the OOM it prevents)."""
     import ray
 
-    uniq = distinct_keys_ds(ds, col)
-    df = uniq.limit(max_rows + 1).to_pandas()
-    _guard(len(df), f"key set {col}", max_rows)
-    return ray.put(pa.Array.from_pandas(df[col]))
+    sch = pa.schema([side[1].field(col)])
+    return ray.put(_collect(distinct_keys_ds(side, col), sch, f"key set {col}", max_rows)[0])
 
 
-def broadcast_map(ds, key_col: str, val_col: str, *,
+def broadcast_map(side, key_col: str, val_col: str, *,
                   max_rows: int = DEFAULT_MAX_BROADCAST_ROWS):
-    """``key -> value`` lookup side as ObjectRef[(pa.Array, pa.Array)].
-    The collect is LIMIT-bounded to ``max_rows + 1`` rows — the cap check
-    happens before an unbounded side could land on the driver."""
+    """``key -> value`` lookup of ``side`` (a ``(Dataset, schema)`` pair) as
+    ObjectRef[(pa.Array, pa.Array)] of the declared types. The collect is
+    LIMIT-bounded to ``max_rows + 1`` rows — the cap check happens before
+    an unbounded side could land on the driver."""
     import ray
 
-    df = (ds.select_columns([key_col, val_col])
-          .limit(max_rows + 1).to_pandas())
-    _guard(len(df), f"map {key_col}->{val_col}", max_rows)
-    tbl = pa.Table.from_pandas(df, preserve_index=False)
-    return ray.put((tbl[key_col].combine_chunks(), tbl[val_col].combine_chunks()))
+    ds, sch = side
+    sch = pa.schema([sch.field(key_col), sch.field(val_col)])
+    return ray.put(tuple(_collect(ds.select_columns(sch.names), sch,
+                                  f"map {key_col}->{val_col}", max_rows)))
 
 
 def broadcast_map_from_dict(mapping: dict, *,

@@ -34,7 +34,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.cogroup import _bucket_of, _runs, arrow_schema, cogroup, per_key
+from ..functions.cogroup import _bucket_of, _runs, cogroup, per_key
 from ..sources.objstore import drop_keys
 from . import broadcast
 
@@ -138,10 +138,11 @@ def _collect_losers(skinny_ds, dups_ds, key: str, order_col: str,
     return skinny_ds.map_batches(find_losers, batch_format="pyarrow").take_all()
 
 
-def exact_losers(skinny_ds, key: str, order_col: str,
+def exact_losers(skinny, key: str, order_col: str,
                  max_collect: int | None = None,
                  winners: list | None = None) -> frozenset | None:
-    """Skinny (key, order) dataset -> set of order_col values to DROP.
+    """Skinny (key, order) side -> set of order_col values to DROP.
+    ``skinny`` is a ``(Dataset, schema)`` pair declaring both columns.
 
     ONE distributed pass: each block emits its :func:`loser_partials`; the
     driver merges only those. No second scan, no per-group Python, fully
@@ -168,6 +169,7 @@ def exact_losers(skinny_ds, key: str, order_col: str,
     cap = broadcast.DEFAULT_MAX_BROADCAST_ROWS
     if max_collect is not None:
         cap = min(cap, max_collect)
+    skinny_ds = skinny[0]
     partial = functools.partial(loser_partials, key=key, order_col=order_col)
     partial_df = (skinny_ds.map_batches(partial, batch_format="pyarrow")
                   .limit(cap + 1).to_pandas())
@@ -175,7 +177,7 @@ def exact_losers(skinny_ds, key: str, order_col: str,
         # scale path: distributed two-phase combine, DUPLICATES-ONLY
         # filtered distributed, then one broadcast-probe scan — the driver
         # collects O(duplicate keys), never the full distinct-key aggregate
-        dups_ds = dup_winners(skinny_ds, key, order_col)
+        dups_ds = dup_winners(skinny, key, order_col)
         if winners is not None:
             winners.append(dups_ds)
         if max_collect is not None:
@@ -199,7 +201,7 @@ def _winners_schema(sch: pa.Schema, key: str, order_col: str) -> pa.Schema:
                       pa.field("__n", pa.int64())])
 
 
-def dup_winners(skinny_ds, key: str, order_col: str, num_buckets: int = 64):
+def dup_winners(skinny, key: str, order_col: str, num_buckets: int = 64):
     """MATERIALIZED Dataset of ``(key, __min, __n)`` for duplicated keys
     only. The ``__n > 1`` filter runs distributed before anything reaches
     the driver; the materialized result is O(duplicate keys) in the object
@@ -213,7 +215,8 @@ def dup_winners(skinny_ds, key: str, order_col: str, num_buckets: int = 64):
     carries one row per distinct key per block) -> a C-level merge per
     bucket with the duplicates-only filter fused in."""
 
-    out = _winners_schema(arrow_schema(skinny_ds), key, order_col)
+    skinny_ds, sch = skinny
+    out = _winners_schema(sch, key, order_col)
 
     def batch_partials(t: pa.Table) -> pa.Table:
         p = loser_partials(t.select([key, order_col]), key, order_col)
@@ -232,7 +235,7 @@ def dup_winners(skinny_ds, key: str, order_col: str, num_buckets: int = 64):
                    n_buckets=num_buckets).materialize()
 
 
-def exact_losers_files(skinny_ds, key: str, order_col: str, out_dir: str,
+def exact_losers_files(skinny, key: str, order_col: str, out_dir: str,
                        dups=None, num_buckets: int = 64,
                        storage_options: dict | None = None) -> list[str]:
     """The bucketed 10^10 loser path (SCALE.md §4): losers are computed and
@@ -252,12 +255,11 @@ def exact_losers_files(skinny_ds, key: str, order_col: str, out_dir: str,
     count-ledger anti-join (07_input_cognition_data_rust.py:64-83) likewise
     never materializes row sets on the coordinator.
     """
-    dups_ds = dup_winners(skinny_ds, key, order_col) if dups is None else dups
+    dups_ds = dup_winners(skinny, key, order_col) if dups is None else dups
     if dups_ds.count() == 0:
         return []
 
-    sch = arrow_schema(skinny_ds)
-    skinny = pa.schema([sch.field(key), sch.field(order_col)])
+    skinny_ds, sch = skinny
     losers = pa.schema([sch.field(order_col)])
 
     def bucket_losers(s: pa.Table, w: pa.Table) -> pa.Table:
@@ -265,7 +267,8 @@ def exact_losers_files(skinny_ds, key: str, order_col: str, out_dir: str,
                                     w["__min"].combine_chunks()))
 
     winners = _winners_schema(sch, key, order_col)
-    losers_ds = cogroup([(skinny_ds, skinny), (dups_ds, winners)], key,
+    losers_ds = cogroup([(skinny_ds, pa.schema([sch.field(key), sch.field(order_col)])),
+                         (dups_ds, winners)], key,
                         bucket_losers, schema=losers, n_buckets=num_buckets)
     return write_loser_files((losers_ds, losers), order_col, out_dir,
                              storage_options=storage_options)
@@ -303,27 +306,13 @@ def write_loser_files(losers, id_col: str, out_dir: str, num_files: int = 16,
     return [r["path"] for r in rows]
 
 
-def anti_filter_fn(loser_ref, order_col: str):
-    """map_batches fn dropping rows whose order_col is in the broadcast
-    loser array (the store's delete-vector kernel, ``drop_keys``)."""
-    import ray
+def dedup_exact(side, key: str = "phash", order_col: str = "image_id"):
+    """First-wins exact dedup on ``key`` of ``side`` (a ``(Dataset,
+    schema)`` pair); returns the deduplicated Dataset.
 
-    def anti_filter(batch: pa.Table) -> pa.Table:
-        return drop_keys(batch, order_col, ray.get(loser_ref))
-
-    return anti_filter
-
-
-def dedup_exact(ds, key: str = "phash", order_col: str = "image_id",
-                skinny_ds=None):
-    """First-wins exact dedup on ``key``; returns the deduplicated Dataset.
-
-    IMPORTANT execution shape: the losers pass CONSUMES a dataset. If
-    ``ds`` is an expensive lazy pipeline (a decode stage), pass
-    ``skinny_ds`` — a cheap source of the same (key, order_col) pairs, e.g.
-    a column-pruned read of the just-written raw partition — or pass a
-    materialized ``ds``; otherwise the whole upstream pipeline executes
-    TWICE (once for losers, once for the filtered output).
+    IMPORTANT execution shape: the losers pass CONSUMES the Dataset, so
+    pass a materialized one; a lazy pipeline executes TWICE (once for
+    losers, once for the filtered output).
 
     Loser sets up to ``broadcast.DEFAULT_MAX_BROADCAST_ROWS`` are broadcast
     into an anti-filter; larger ones take a coarse-bucket full-row shuffle.
@@ -334,19 +323,18 @@ def dedup_exact(ds, key: str = "phash", order_col: str = "image_id",
     # returns None — without ever collecting the losers — when the set
     # would exceed it, and the shuffle fallback below never needed the set
     # in the first place
-    losers = exact_losers(skinny_ds if skinny_ds is not None else ds, key,
-                          order_col,
-                          max_collect=broadcast.DEFAULT_MAX_BROADCAST_ROWS)
+    losers = exact_losers(side, key, order_col, max_collect=broadcast.DEFAULT_MAX_BROADCAST_ROWS)
     if losers is not None:
+        # the losers broadcast once; the store's delete-vector kernel drops them
         ref = ray.put(pa.array(sorted(losers)))  # empty: untyped, drops none
-        return ds.map_batches(anti_filter_fn(ref, order_col), batch_format="pyarrow")
+        return side[0].map_batches(lambda t: drop_keys(t, order_col, ray.get(ref)),
+                                   batch_format="pyarrow")
 
     # fallback: full-row co-group on the key; inside a bucket every key's
     # rows are co-located, so the block combiner's first-of-run scan IS
     # the global first-wins
-    sch = arrow_schema(ds)
-    return cogroup([(ds, sch)], key,
-                   lambda t: dedup_within_batch(t, key, order_col), schema=sch)
+    return cogroup([side], key, lambda t: dedup_within_batch(t, key, order_col),
+                   schema=side[1])
 
 
 def dedup_within_batch(batch: pa.Table, key: str, order_col: str) -> pa.Table:

@@ -21,17 +21,18 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..functions.cogroup import arrow_schema, cogroup
+from ..functions.cogroup import cogroup
 
 
-def frame_join(game_ds, image_ds, how: str = "inner", by: str = "log_id",
+def frame_join(game, image, how: str = "inner", by: str = "log_id",
                on: str = "frame_number"):
-    """Join image-index rows onto game-frame rows per log. Image columns
-    arrive suffixed ``_img``; inner drops game frames with no image."""
+    """Join image-index rows onto game-frame rows per log; ``game`` and
+    ``image`` are ``(Dataset, schema)`` sides. Image columns arrive
+    suffixed ``_img``; inner drops game frames with no image."""
     if how not in ("inner", "left"):
         raise ValueError(how)
 
-    gsch, isch = arrow_schema(game_ds), arrow_schema(image_ds)
+    (game_ds, gsch), (image_ds, isch) = game, image
     iside = pa.schema([gsch.field(by), gsch.field(on)]
                       + [f for f in isch if f.name not in (by, on)])
     out = pa.schema(list(gsch) + [

@@ -200,8 +200,6 @@ def hamming_pairs_ds(ds, code_col: str = "code", id_col: str = "doc_id",
                 "marker channel and would be silently filtered)")
         return _chunk_rows(codes, ids, widths, offsets)
 
-    import pyarrow.compute as pc
-
     rows = pa.schema([("chunk", pa.int32()), ("value", pa.int64()),
                       ("__id", pa.int64()), ("__code", pa.int64())])
     raw = cogroup(
@@ -209,17 +207,26 @@ def hamming_pairs_ds(ds, code_col: str = "code", id_col: str = "doc_id",
         ["chunk", "value"],
         lambda t: _run_pairs(t, max_bucket, max_hamming),
         schema=_PAIRS_D).materialize()
-    n_dropped = raw.map_batches(
-        lambda t: pa.table({"n": [int(pc.sum(
-            pc.less(t["a"], 0)).as_py() or 0)]}),
-        batch_format="pyarrow").sum("n")
-    # distinct across chunks (a pair is found once per clean shared chunk);
-    # hamming is a function of (a, b), so min == the value
+    # hamming is a function of (a, b), so the min carried per pair == the value
+    return _pairs_and_dropped(raw, carry="hamming")
+
+
+def _pairs_and_dropped(raw, carry: str | None = None):
+    """``(pairs_ds, n_dropped)`` of a materialized raw pair Dataset: its
+    dropped-bucket marker rows (``a < 0``) are counted one block at a time
+    and summed on the driver (no shuffle), and the rest are made distinct
+    across chunks (a pair is found once per clean shared chunk)."""
+    import pyarrow.compute as pc
+
+    def count(t: pa.Table) -> pa.Table:
+        return pa.table({"n": [np.count_nonzero(t["a"].to_numpy() < 0)]})
+
+    n_dropped = sum(r["n"] for r in raw.map_batches(
+        count, batch_format="pyarrow", batch_size=None).take_all())
     pairs = distinct_pairs(
         raw.map_batches(lambda t: t.filter(pc.greater_equal(t["a"], 0)),
-                        batch_format="pyarrow"),
-        carry="hamming").materialize()
-    return pairs, int(n_dropped or 0)
+                        batch_format="pyarrow"), carry=carry).materialize()
+    return pairs, int(n_dropped)
 
 
 def hamming_pairs_local(codes, ids, *, max_hamming: int = 3, nbits: int = 64,
@@ -263,8 +270,6 @@ def band_pairs_ds(ds, band_fn, id_col: str = "doc_id",
     marker rows exactly like hamming_pairs_ds; returns
     ``(pairs_ds(a, b), n_dropped)``.
     """
-    import pyarrow.compute as pc
-
     def explode(batch: pa.Table) -> pa.Table:
         res = band_fn(batch)
         keep = None
@@ -293,14 +298,7 @@ def band_pairs_ds(ds, band_fn, id_col: str = "doc_id",
         [(ds.map_batches(explode, batch_format="pyarrow"), rows)],
         ["chunk", "value"], lambda t: _run_pairs(t, max_bucket),
         schema=_PAIRS).materialize()
-    n_dropped = raw.map_batches(
-        lambda t: pa.table({"n": [int(pc.sum(
-            pc.less(t["a"], 0)).as_py() or 0)]}),
-        batch_format="pyarrow").sum("n")
-    pairs = distinct_pairs(
-        raw.map_batches(lambda t: t.filter(pc.greater_equal(t["a"], 0)),
-                        batch_format="pyarrow")).materialize()
-    return pairs, int(n_dropped or 0)
+    return _pairs_and_dropped(raw)
 
 
 def hamming_near_dup_pairs(ds, code_col: str = "code", id_col: str = "doc_id",

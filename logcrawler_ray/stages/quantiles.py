@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..functions.cogroup import _runs, arrow_schema, cogroup
+from ..functions.cogroup import _runs, cogroup
 
 
 def _disc_index(q: float, n: np.ndarray) -> np.ndarray:
@@ -40,10 +40,11 @@ def _disc_index(q: float, n: np.ndarray) -> np.ndarray:
     return np.maximum(0, np.ceil(prod).astype(np.int64) - 1)
 
 
-def grouped_percentiles(ds, group_col: str, value_col: str,
+def grouped_percentiles(side, group_col: str, value_col: str,
                         qs: dict[str, float], num_buckets: int = 64):
-    """Exact per-group discrete percentiles, one output column per entry
-    of ``qs`` ({out_name: quantile in (0, 1]}).
+    """Exact per-group discrete percentiles of ``side`` (a ``(Dataset,
+    schema)`` pair), one output column per entry of ``qs`` ({out_name:
+    quantile in (0, 1]}).
 
     ONE coarse-bucket shuffle of the (group, value) projection; inside a
     bucket the whole computation is a sort + run-boundary index pick —
@@ -57,7 +58,7 @@ def grouped_percentiles(ds, group_col: str, value_col: str,
         if not 0 < q <= 1:
             raise ValueError(f"{name}: quantile {q} outside (0, 1]")
 
-    sch = arrow_schema(ds)
+    ds, sch = side
     rows = pa.schema([sch.field(group_col), sch.field(value_col)])
     val_type = rows.field(value_col).type
     out = rows.remove(1)

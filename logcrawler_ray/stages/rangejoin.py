@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..functions.cogroup import arrow_schema, cogroup
+from ..functions.cogroup import cogroup
 from .asof import _i64
 
 _I64_MAX = (1 << 63) - 1
@@ -99,10 +99,11 @@ def _expand(lo: np.ndarray, counts: np.ndarray):
     return l_take, np.repeat(lo, counts) + offs
 
 
-def range_join(left_ds, right_ds, *, by: str, on: str, lower: int, upper: int,
+def range_join(left, right, *, by: str, on: str, lower: int, upper: int,
                right_cols: list[str] | None = None, suffix: str = "_right",
                buckets: int = 64):
-    """Inner range join; returns a Dataset of pair rows.
+    """Inner range join of two ``(Dataset, schema)`` sides; returns a
+    Dataset of pair rows.
 
     ``lower``/``upper`` are integer offsets in the ``on`` column's unit
     (microseconds for timestamps). Output = all left columns + the right
@@ -112,7 +113,7 @@ def range_join(left_ds, right_ds, *, by: str, on: str, lower: int, upper: int,
     import pyarrow.compute as pc
 
     r_cols = [on] + [c for c in (right_cols or []) if c != on]
-    lsch, rsch = arrow_schema(left_ds), arrow_schema(right_ds)
+    (left_ds, lsch), (right_ds, rsch) = left, right
     rside = pa.schema([lsch.field(by), lsch.field(on)]
                       + [rsch.field(c) for c in r_cols[1:]])
     out_names = [c + suffix if c in lsch.names else c for c in r_cols]

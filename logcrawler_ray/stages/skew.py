@@ -20,19 +20,17 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from ..functions.cogroup import arrow_schema, cogroup
+from ..functions.cogroup import cogroup
 
 
-def salted_aggregate(ds, key: str, agg_cols: dict[str, str],
-                     n_salts: int = 16, num_buckets: int = 64,
-                     schema: pa.Schema | None = None):
-    """Two-phase skew-safe aggregation.
+def salted_aggregate(side, key: str, agg_cols: dict[str, str],
+                     n_salts: int = 16, num_buckets: int = 64):
+    """Two-phase skew-safe aggregation of ``side`` (a ``(Dataset, schema)``
+    pair).
 
     agg_cols: {column: "sum"|"count"|"min"|"max"}. Returns a Dataset with
-    one row per key and the same output column names. ``schema``: ``ds``'s
-    column types, when the caller knows them; it must match the blocks'
-    schema exactly (otherwise it is read from the plan, which may cost an
-    execution).
+    one row per key and the same output column names; their types follow
+    statically from the side's (partials of its empty table).
 
     Phase 1 is a map-side COMBINER: each batch reduces to one row per key
     it sees (C-level Arrow group_by), so a hot key contributes O(blocks)
@@ -63,18 +61,18 @@ def salted_aggregate(ds, key: str, agg_cols: dict[str, str],
     def merge(t: pa.Table) -> pa.Table:
         return combine(t, {o: _MERGE[h] for o, h in agg_cols.items()})
 
-    sch = partials((schema or arrow_schema(ds)).empty_table()).schema
+    ds, sch = side
+    sch = partials(sch.empty_table()).schema
     return cogroup([(ds.map_batches(partials, batch_format="pyarrow"), sch)],
                    key, merge, schema=sch, n_buckets=num_buckets)
 
 
-def repartition_by_key(ds, key_hash_col: str, n_buckets: int):
+def repartition_by_key(side, key_hash_col: str, n_buckets: int):
     """Co-locate rows by hash bucket: add bucket column, then one shuffle.
 
     All rows of a bucket land in the same output partition group, so a
     downstream ``map_batches`` sees hosts co-located (the §7.4 partition
     discipline); the salt trick above is for when ONE key exceeds a
-    partition."""
-    sch = arrow_schema(ds)
-    return cogroup([(ds, sch)], key_hash_col, lambda t: t, schema=sch,
+    partition. ``side`` is a ``(Dataset, schema)`` pair."""
+    return cogroup([side], key_hash_col, lambda t: t, schema=side[1],
                    n_buckets=n_buckets)

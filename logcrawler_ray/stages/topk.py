@@ -24,7 +24,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.cogroup import arrow_schema, cogroup
+from ..functions.cogroup import cogroup
 
 # Knuth's multiplicative constant: spreads sequential ids uniformly over
 # [0, 2^32). Kept as plain SQL-expressible arithmetic ((id * A) % 2^32) so
@@ -48,10 +48,11 @@ def _prune(t: pa.Table, group_col: str, sort_keys: list, k: int) -> pa.Table:
     return t.filter(pa.array(pos - np.maximum.accumulate(np.where(new, pos, 0)) < k))
 
 
-def topk_per_group(ds, *, group_col: str, order_col: str, k: int,
+def topk_per_group(side, *, group_col: str, order_col: str, k: int,
                    descending: bool = True,
                    tiebreak_cols: tuple[str, ...] = (), buckets: int = 64):
-    """Exact top-k rows per group; returns a Dataset with the input columns.
+    """Exact top-k rows per group of ``side`` (a ``(Dataset, schema)``
+    pair); returns a Dataset with the side's columns.
 
     Deterministic iff ``(order_col, *tiebreak_cols)`` is a total order
     within each group (pass the primary key as the last tiebreak).
@@ -59,7 +60,7 @@ def topk_per_group(ds, *, group_col: str, order_col: str, k: int,
     sort_keys = [(group_col, "ascending"),
                  (order_col, "descending" if descending else "ascending")] \
         + [(c, "ascending") for c in tiebreak_cols]
-    sch = arrow_schema(ds)
+    ds, sch = side
 
     def prune(t: pa.Table) -> pa.Table:
         return _prune(t, group_col, sort_keys, k)
@@ -68,21 +69,29 @@ def topk_per_group(ds, *, group_col: str, order_col: str, k: int,
                    group_col, prune, schema=sch, n_buckets=buckets)
 
 
-def stratified_sample_hash(ds, *, stratum_col: str, id_col: str, k: int,
+def stratified_sample_hash(side, *, stratum_col: str, id_col: str, k: int,
                            buckets: int = 64):
-    """Deterministic uniform sample of up to ``k`` rows per stratum.
+    """Deterministic uniform sample of up to ``k`` rows per stratum of
+    ``side`` (a ``(Dataset, schema)`` pair).
 
     Order = ``(id * HASH_MULT) % 2^32`` ascending (ties -> smaller id):
     a rate-free stratified sampler — every stratum contributes
     ``min(k, |stratum|)`` rows, stable under repartitioning and resume.
     """
-    def add_hash(t: pa.Table) -> pa.Table:
+    sort_keys = [(stratum_col, "ascending"), ("__h", "ascending"),
+                 (id_col, "ascending")]
+
+    def prune(t: pa.Table) -> pa.Table:
+        return _prune(t, stratum_col, sort_keys, k)
+
+    def hash_prune(t: pa.Table) -> pa.Table:
         ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         h = (ids * np.int64(HASH_MULT)) % np.int64(HASH_MOD)
-        return t.append_column("__h", pa.array(h, pa.int64()))
+        return prune(t.append_column("__h", pa.array(h, pa.int64())))
 
-    out = topk_per_group(
-        ds.map_batches(add_hash, batch_format="pyarrow"),
-        group_col=stratum_col, order_col="__h", k=k, descending=False,
-        tiebreak_cols=(id_col,), buckets=buckets)
-    return out.drop_columns(["__h"])
+    # the output schema leaves __h out: the co-group's own projection
+    # drops it, with no map step after the shuffle
+    ds, sch = side
+    return cogroup([(ds.map_batches(hash_prune, batch_format="pyarrow"),
+                     sch.append(pa.field("__h", pa.int64())))],
+                   stratum_col, prune, schema=sch, n_buckets=buckets)

@@ -4,9 +4,17 @@
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from logcrawler_ray.stages.asof import asof_join, closest_join_arrays, closest_rows
+
+
+def _side(df: pd.DataFrame, **kw):
+    """``df`` as a ``(Dataset, schema)`` side, with the types pandas gives it."""
+    import ray.data as rd
+
+    return rd.from_pandas(df, **kw), pa.Schema.from_pandas(df, preserve_index=False)
 
 
 def brute_force_closest(l_time, r_time, r_id):
@@ -65,8 +73,6 @@ def test_closest_join_empty_right():
 
 
 def test_closest_rows_dataset(ray_session):
-    import ray.data as rd
-
     l_time, l_id, r_time, r_id = make_fixture(seed=3)
     left = pd.DataFrame({"log_id": 1, "frame_id": l_id, "frame_time": l_time})
     right = pd.DataFrame({"log_id": 1, "frame_id": r_id, "frame_time": r_time})
@@ -74,8 +80,8 @@ def test_closest_rows_dataset(ray_session):
     left2 = left.assign(log_id=2, frame_time=l_time + 5)
     right2 = right.assign(log_id=2, frame_id=r_id + 9000)
     out = closest_rows(
-        rd.from_pandas(pd.concat([left, left2])),
-        rd.from_pandas(pd.concat([right, right2])),
+        _side(pd.concat([left, left2])),
+        _side(pd.concat([right, right2])),
     ).to_pandas()
     g1 = out[out["log_id"] == 1].sort_values("frame_id")
     expect1 = brute_force_closest(l_time, r_time, r_id)
@@ -86,11 +92,9 @@ def test_closest_rows_dataset(ray_session):
 
 
 def test_asof_join_backward(ray_session):
-    import ray.data as rd
-
     left = pd.DataFrame({"user_id": [1, 1, 1, 2], "ts": [10, 20, 5, 7], "event_id": [0, 1, 2, 3]})
     right = pd.DataFrame({"user_id": [1, 1, 2], "ts": [8, 15, 99]})
-    out = asof_join(rd.from_pandas(left), rd.from_pandas(right), on="ts", by="user_id").to_pandas()
+    out = asof_join(_side(left), _side(right), on="ts", by="user_id").to_pandas()
     got = dict(zip(out["event_id"], out["ts_right"]))
     assert got[0] == 8  # ts=10 -> latest right <= 10 is 8
     assert got[1] == 15
@@ -106,11 +110,9 @@ def test_asof_join_right_only_group(ray_session):
     """A by-group with only right-side rows must not crash (round-1 ADVICE:
     dropna(axis=1) on the empty left frame dropped every column and
     merge_asof raised KeyError). It contributes no output rows."""
-    import ray.data as rd
-
     left = pd.DataFrame({"user_id": [1, 1], "ts": [10, 20], "event_id": [0, 1]})
     right = pd.DataFrame({"user_id": [1, 3, 3], "ts": [8, 5, 6]})
-    out = asof_join(rd.from_pandas(left), rd.from_pandas(right), on="ts", by="user_id").to_pandas()
+    out = asof_join(_side(left), _side(right), on="ts", by="user_id").to_pandas()
     assert sorted(out["event_id"]) == [0, 1]
     assert set(out["user_id"]) == {1}
     assert out["event_id"].dtype == np.int64
@@ -118,11 +120,9 @@ def test_asof_join_right_only_group(ray_session):
 
 def test_asof_join_left_only_group_typed_nulls(ray_session):
     """Groups with no right rows keep typed left columns and NaN ts_right."""
-    import ray.data as rd
-
     left = pd.DataFrame({"user_id": [5, 5], "ts": [1, 2], "event_id": [7, 8]})
     right = pd.DataFrame({"user_id": [9], "ts": [100]})
-    out = asof_join(rd.from_pandas(left), rd.from_pandas(right), on="ts", by="user_id").to_pandas()
+    out = asof_join(_side(left), _side(right), on="ts", by="user_id").to_pandas()
     g5 = out[out["user_id"] == 5]
     assert len(g5) == 2 and g5["ts_right"].isna().all()
     assert g5["event_id"].dtype == np.int64
@@ -131,13 +131,11 @@ def test_asof_join_left_only_group_typed_nulls(ray_session):
 def test_asof_join_string_right_col_one_sided_groups(ray_session):
     """Review repro: non-float right_cols + a group with no right rows (and
     a right-only group) must emit one unified Arrow schema, not crash."""
-    import ray.data as rd
-
     left = pd.DataFrame({"user_id": [1, 1, 2], "ts": [10, 20, 5],
                          "event_id": [0, 1, 2]})
     right = pd.DataFrame({"user_id": [1, 3], "ts": [8, 9],
                           "tag": ["alpha", "zulu"]})
-    out = asof_join(rd.from_pandas(left), rd.from_pandas(right), on="ts",
+    out = asof_join(_side(left), _side(right), on="ts",
                     by="user_id", right_cols=["tag"]).to_pandas()
     got = dict(zip(out["event_id"], out["tag"]))
     assert got[0] == "alpha" and got[1] == "alpha"

@@ -17,6 +17,13 @@ from logcrawler_ray.stages.broadcast import (
 )
 
 
+def _side(df: pd.DataFrame):
+    """``df`` as a ``(Dataset, schema)`` side, with the types pandas gives it."""
+    import ray.data as rd
+
+    return rd.from_pandas(df), pa.Schema.from_pandas(df, preserve_index=False)
+
+
 def test_probe_values_and_masks(ray_session):
     keys = pa.array([10, 20, 30])
     vals = pa.array(["a", "b", "c"])
@@ -28,9 +35,7 @@ def test_probe_values_and_masks(ray_session):
 
 
 def test_broadcast_key_set_guard(ray_session):
-    import ray.data as rd
-
-    ds = rd.from_pandas(pd.DataFrame({"k": list(range(100)) * 2}))
+    ds = _side(pd.DataFrame({"k": list(range(100)) * 2}))
     ref = broadcast_key_set(ds, "k", max_rows=100)
     assert len(ray.get(ref)) == 100  # distinct before the cap check
     with pytest.raises(BroadcastTooLarge):
@@ -38,9 +43,7 @@ def test_broadcast_key_set_guard(ray_session):
 
 
 def test_broadcast_map_guard(ray_session):
-    import ray.data as rd
-
-    ds = rd.from_pandas(pd.DataFrame({"k": range(50), "v": range(50)}))
+    ds = _side(pd.DataFrame({"k": range(50), "v": range(50)}))
     keys, vals = ray.get(broadcast_map(ds, "k", "v", max_rows=50))
     assert probe_values(pa.array([7]), keys, vals).to_pylist() == [7]
     with pytest.raises(BroadcastTooLarge):
@@ -64,6 +67,47 @@ def test_distinct_keys_ds_matches_pandas(ray_session):
     strs = pd.Series(ints).map("host{:03d}".format)
     for col, vals in (("k", ints), ("k", strs)):
         df = pd.DataFrame({col: vals, "junk": np.arange(n)})
-        got = sorted(distinct_keys_ds(rd.from_pandas(df).repartition(8), col)
+        side = (rd.from_pandas(df).repartition(8),
+                pa.Schema.from_pandas(df, preserve_index=False))
+        got = sorted(distinct_keys_ds(side, col)
                      .to_pandas()[col].tolist())
         assert got == sorted(pd.unique(df[col]).tolist())
+
+
+def test_broadcast_key_set_keeps_int64(ray_session):
+    """A nullable int64 key set stays int64: through pandas it became
+    float64, 2**62 + 1 rounded to 2**62, and the probe found the wrong key."""
+    import ray.data as rd
+
+    big = 2**62 + 1
+    sch = pa.schema([("k", pa.int64())])
+    ds = rd.from_arrow(pa.table({"k": pa.array([big, None], pa.int64())}))
+    keys = ray.get(broadcast_key_set((ds, sch), "k"))
+    assert keys.type == pa.int64()
+    probe = pa.array([big, 2**62], pa.int64())
+    assert semi_mask(probe, keys).to_pylist() == [True, False]
+
+
+def test_broadcast_map_keeps_nullable_int64_values(ray_session):
+    import ray.data as rd
+
+    big = 2**62 + 1
+    sch = pa.schema([("k", pa.int64()), ("v", pa.int64())])
+    ds = rd.from_arrow(pa.table({"k": pa.array([1, 2], pa.int64()),
+                                 "v": pa.array([big, None], pa.int64())}))
+    keys, vals = ray.get(broadcast_map((ds, sch), "k", "v"))
+    assert (keys.type, vals.type) == (pa.int64(), pa.int64())
+    assert probe_values(pa.array([1, 2, 3]), keys, vals).to_pylist() == [big, None, None]
+
+
+def test_broadcast_sides_over_empty_typed_input(ray_session):
+    """An empty side collects to typed empty arrays (its pandas collect
+    had no columns to index)."""
+    import ray.data as rd
+
+    sch = pa.schema([("k", pa.int64()), ("v", pa.string())])
+    ds = rd.from_arrow(sch.empty_table())
+    keys = ray.get(broadcast_key_set((ds, sch), "k"))
+    assert (keys.type, len(keys)) == (pa.int64(), 0)
+    keys, vals = ray.get(broadcast_map((ds, sch), "k", "v"))
+    assert (keys.type, vals.type, len(keys)) == (pa.int64(), pa.string(), 0)

@@ -52,6 +52,29 @@ def test_all_unique_input_yields_typed_empty_result(ray_session):
     assert ds.schema().base_schema.equals(out)
 
 
+def test_every_block_carries_the_declared_schema(ray_session):
+    """More sort partitions than non-empty buckets (one key, three blocks
+    of more than 4096 rows): every output block has ``schema``, the
+    partitions that received no bucket included."""
+    import ray.data as rd
+
+    n = 5000
+    sch = pa.schema([("k", pa.int64()), ("v", pa.int64())])
+    src = rd.from_arrow([pa.table([pa.array(np.full(n, 7), pa.int64()),
+                                   pa.array(np.arange(n), pa.int64())], schema=sch)
+                         for _ in range(3)])
+    out = pa.schema([("k", pa.int64()), ("n", pa.int64())])
+
+    def count(t: pa.Table) -> pa.Table:
+        return pa.table({"k": [t["k"][0].as_py()], "n": [t.num_rows]})
+
+    blocks = _blocks(cogroup([(src, sch)], "k", count, schema=out, n_buckets=8))
+    assert len(blocks) > 1
+    for b in blocks:
+        assert b.schema.equals(out) and b.schema.metadata is None
+    assert [r for b in blocks for r in b.to_pylist()] == [{"k": 7, "n": 3 * n}]
+
+
 def test_one_sided_buckets_get_typed_zero_row_tables(ray_session):
     """Bucket 0 holds only left keys, bucket 1 only right keys, bucket 2
     both: the absent side arrives as a zero-row table with its declared
@@ -118,7 +141,7 @@ def test_exact_losers_files_independent_of_bucket_count(ray_session, tmp_path):
     rng = np.random.default_rng(3)
     tab = pa.table({"phash": rng.integers(0, 150, 600).tolist(),
                     "image_id": [f"i-{i:04d}" for i in range(600)]})
-    skinny = rd.from_arrow(tab).repartition(5)
+    skinny = (rd.from_arrow(tab).repartition(5), tab.schema)
     got = []
     for nb in (1, 64):
         out_dir = tmp_path / f"b{nb}"
@@ -147,8 +170,10 @@ def test_asof_join_independent_of_bucket_count(ray_session, monkeypatch):
     got = []
     for nb in (1, 64):
         monkeypatch.setattr(asof, "cogroup", functools.partial(cogroup, n_buckets=nb))
-        out = asof.asof_join(rd.from_pandas(left, override_num_blocks=3),
-                             rd.from_pandas(right, override_num_blocks=2),
+        out = asof.asof_join((rd.from_pandas(left, override_num_blocks=3),
+                              pa.Schema.from_pandas(left, preserve_index=False)),
+                             (rd.from_pandas(right, override_num_blocks=2),
+                              pa.Schema.from_pandas(right, preserve_index=False)),
                              on="ts", by="user_id", right_cols=["amount"]).to_pandas()
         got.append(out.sort_values("event_id").reset_index(drop=True))
     pd.testing.assert_frame_equal(got[0], got[1])
@@ -185,6 +210,41 @@ def test_every_keyed_shuffle_goes_through_cogroup():
         offenders += [f"{rel}: {w}" for w in ("map_groups(", "Dataset.join")
                       if w in src]
     assert not offenders, offenders
+
+
+def _schema_probes(tree: ast.AST) -> list[int]:
+    """Lines that call ``arrow_schema`` or a ``.schema()`` method (Ray's
+    ``Dataset.schema()``, which executes the plan when it cannot infer the
+    types). ``pa.schema(...)`` builds a schema and is not flagged."""
+    bad = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id == "arrow_schema":
+            bad.append(node.lineno)
+        elif isinstance(f, ast.Attribute) and f.attr in ("schema", "arrow_schema") \
+                and not (isinstance(f.value, ast.Name) and f.value.id == "pa"):
+            bad.append(node.lineno)
+    return bad
+
+
+def test_no_library_code_probes_a_dataset_schema():
+    """Column types are declared (parquet footers, literal schemas), never
+    discovered by executing a plan."""
+    offenders = []
+    for path in sorted(PKG.rglob("*.py")):
+        rel = path.relative_to(PKG.parent)
+        offenders += [f"{rel}:{n}" for n in _schema_probes(ast.parse(path.read_text()))]
+    assert not offenders, offenders
+
+
+def test_guard_flags_schema_probes_but_not_pa_schema():
+    assert _schema_probes(ast.parse(
+        "ds.schema()\narrow_schema(ds)\nds.schema(fetch_if_missing=False)\n"
+        "cogroup.arrow_schema(ds)\n")) == [1, 2, 3, 4]
+    assert _schema_probes(ast.parse(
+        "pa.schema([('k', pa.int64())])\nt.schema\npq.read_schema(p)\n")) == []
 
 
 def test_guard_flags_ray_join_but_not_table_join():

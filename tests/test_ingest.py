@@ -1,6 +1,7 @@
 """End-to-end flagship ingest pipeline tests (Ray)."""
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from logcrawler_ray.codecs import registry
@@ -12,6 +13,8 @@ from logcrawler_ray.sources import corpus
 from logcrawler_ray.sources.objstore import open_store
 
 N = 96
+# the (phash, image_id) side the loser passes take: int keys, string ids
+SKINNY = pa.schema([("phash", pa.int64()), ("image_id", pa.string())])
 
 
 @pytest.fixture(scope="module")
@@ -284,8 +287,8 @@ def test_loser_pass_driver_collects_only_duplicates(ray_session):
     # duplicate the first 7 keys once each
     keys += list(range(n_dup))
     ids += [f"zz-{i:05d}" for i in range(n_dup)]
-    skinny = rd.from_arrow(pa.table({"phash": keys, "image_id": ids})).map_batches(
-        lambda t: t, batch_size=500, batch_format="pyarrow")
+    skinny = (rd.from_arrow(pa.table({"phash": keys, "image_id": ids})).map_batches(
+        lambda t: t, batch_size=500, batch_format="pyarrow"), SKINNY)
 
     losers = sorted(dedup.exact_losers(skinny, "phash", "image_id"))
     assert losers == [f"zz-{i:05d}" for i in range(n_dup)]
@@ -314,14 +317,14 @@ def test_exact_losers_max_collect_bounds_partial_collection(ray_session,
 
     monkeypatch.setattr(dedup, "merge_loser_partials", counting_merge)
     n = 1000
-    skinny = rd.from_arrow(pa.table(
-        {"phash": list(range(n)), "image_id": [f"id-{i:04d}" for i in range(n)]}))
+    skinny = (rd.from_arrow(pa.table(
+        {"phash": list(range(n)), "image_id": [f"id-{i:04d}" for i in range(n)]})), SKINNY)
     assert dedup.exact_losers(skinny, "phash", "image_id",
                               max_collect=3) == frozenset()
     assert all(m <= 4 for m in merged), merged
     # under the bound the driver merge still runs and finds the loser
-    small = rd.from_arrow(pa.table({"phash": [1, 1, 2],
-                                    "image_id": ["b", "a", "c"]}))
+    small = (rd.from_arrow(pa.table({"phash": [1, 1, 2],
+                                     "image_id": ["b", "a", "c"]})), SKINNY)
     assert dedup.exact_losers(small, "phash", "image_id",
                               max_collect=3) == frozenset({"b"})
     assert merged and all(m <= 4 for m in merged), merged
@@ -340,8 +343,8 @@ def test_exact_losers_files_matches_broadcast(ray_session, tmp_path):
     rng = np.random.default_rng(7)
     keys = rng.integers(0, 400, size=1000).tolist()  # heavy duplication
     ids = [f"i-{i:04d}" for i in range(1000)]
-    skinny = rd.from_arrow(pa.table({"phash": keys, "image_id": ids})).map_batches(
-        lambda t: t, batch_size=100, batch_format="pyarrow")
+    skinny = (rd.from_arrow(pa.table({"phash": keys, "image_id": ids})).map_batches(
+        lambda t: t, batch_size=100, batch_format="pyarrow"), SKINNY)
 
     want = dedup.exact_losers(skinny, "phash", "image_id")
 
@@ -521,8 +524,9 @@ def test_dup_winners_matches_pandas(ray_session):
         df = pd.DataFrame({"phash": keys, "image_id": order})
         if as_str:
             df["phash"] = df["phash"].map("k{:06d}".format)
-        got = (dedup.dup_winners(rd.from_pandas(df).repartition(9),
-                                 "phash", "image_id")
+        side = (rd.from_pandas(df).repartition(9),
+                pa.Schema.from_pandas(df, preserve_index=False))
+        got = (dedup.dup_winners(side, "phash", "image_id")
                .to_pandas().sort_values("phash").reset_index(drop=True))
         want = (df.groupby("phash", as_index=False)
                 .agg(__min=("image_id", "min"), __n=("image_id", "size")))
@@ -547,7 +551,8 @@ def test_dedup_exact_fallback_matches_broadcast_path(ray_session, monkeypatch):
     df = pd.DataFrame({"phash": rng.integers(0, n // 3, n).astype(np.int64),
                        "image_id": rng.permutation(n).astype(np.int64),
                        "payload": [f"p{i}" for i in range(n)]})
-    ds = rd.from_pandas(df).repartition(8).materialize()
+    ds = (rd.from_pandas(df).repartition(8).materialize(),
+          pa.Schema.from_pandas(df, preserve_index=False))
     want = (dedup_exact(ds, "phash", "image_id").to_pandas()
             .sort_values("image_id").reset_index(drop=True))
     monkeypatch.setattr(broadcast, "DEFAULT_MAX_BROADCAST_ROWS", 0)
@@ -574,7 +579,9 @@ def test_dup_winners_string_schema_survives_empty_buckets(ray_session):
 
     df = pd.DataFrame({"phash": [f"k{i:05d}" for i in range(2000)] + ["k00001"],
                        "image_id": np.arange(2001, dtype=np.int64)})
-    out = dup_winners(rd.from_pandas(df).repartition(8), "phash", "image_id")
+    out = dup_winners((rd.from_pandas(df).repartition(8),
+                       pa.Schema.from_pandas(df, preserve_index=False)),
+                      "phash", "image_id")
     assert out.schema().base_schema.field("phash").type == pa.string()
     rows = out.to_pandas()
     assert rows.to_dict("records") == [

@@ -3,9 +3,17 @@
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from logcrawler_ray.sources import naoth
+
+
+def _side(df: pd.DataFrame, **kw):
+    """``df`` as a ``(Dataset, schema)`` side, with the types pandas gives it."""
+    import ray.data as rd
+
+    return rd.from_pandas(df, **kw), pa.Schema.from_pandas(df, preserve_index=False)
 
 
 def make_clean_log():
@@ -112,24 +120,20 @@ def join_fixture():
 
 
 def test_frame_join_inner(ray_session, join_fixture):
-    import ray.data as rd
-
     from logcrawler_ray.stages.framejoin import frame_join
 
     game, img = join_fixture
-    out = frame_join(rd.from_pandas(game), rd.from_pandas(img), how="inner").to_pandas()
+    out = frame_join(_side(game), _side(img), how="inner").to_pandas()
     # frames without images dropped (02_combine_logs.py:118-136)
     assert sorted(zip(out["log_id"], out["frame_number"])) == [(1, 10), (1, 30)]
     assert set(out["camera"]) == {"TOP", "BOTTOM"}
 
 
 def test_frame_join_left(ray_session, join_fixture):
-    import ray.data as rd
-
     from logcrawler_ray.stages.framejoin import frame_join
 
     game, img = join_fixture
-    out = frame_join(rd.from_pandas(game), rd.from_pandas(img), how="left").to_pandas()
+    out = frame_join(_side(game), _side(img), how="left").to_pandas()
     # all game frames kept (02_combine_logs.py:165-177); log 2 has no match
     assert sorted(zip(out["log_id"], out["frame_number"])) == [
         (1, 10), (1, 20), (1, 30), (1, 40), (2, 10)]
@@ -236,7 +240,6 @@ def test_frame_join_left_no_image_group_string_col(ray_session):
     """Review repro: a left-join group with zero image rows must unify with
     groups whose image side has string columns."""
     import pandas as pd
-    import ray.data as rd
 
     from logcrawler_ray.stages.framejoin import frame_join
 
@@ -244,14 +247,14 @@ def test_frame_join_left_no_image_group_string_col(ray_session):
                          "state": ["a", "b", "c"]})
     img = pd.DataFrame({"log_id": [1, 1], "frame_number": [5, 5],
                         "camera": ["TOP", "BOTTOM"], "offset": [0, 4]})
-    out = frame_join(rd.from_pandas(game), rd.from_pandas(img),
+    out = frame_join(_side(game), _side(img),
                      how="left").to_pandas()
     g1 = out[out["log_id"] == 1].sort_values(["frame_number", "camera"])
     assert g1["camera"].dropna().tolist() == ["BOTTOM", "TOP"]
     g2 = out[out["log_id"] == 2]
     assert len(g2) == 1 and g2["camera"].isna().all()
     # inner mode drops the no-image log entirely
-    out_i = frame_join(rd.from_pandas(game), rd.from_pandas(img),
+    out_i = frame_join(_side(game), _side(img),
                        how="inner").to_pandas()
     assert set(out_i["log_id"]) == {1}
     assert out_i["offset"].dtype == np.int64  # native dtype kept in inner

@@ -3,11 +3,19 @@ histogram-sketch error bound and determinism."""
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from logcrawler_ray.stages.quantiles import (grouped_percentiles,
                                              quantile_sketch,
                                              sketch_quantiles)
+
+
+def _side(df: pd.DataFrame, **kw):
+    """``df`` as a ``(Dataset, schema)`` side, with the types pandas gives it."""
+    import ray.data as rd
+
+    return rd.from_pandas(df, **kw), pa.Schema.from_pandas(df, preserve_index=False)
 
 
 def _disc(vals, q):
@@ -34,7 +42,9 @@ def test_grouped_percentiles_matches_bruteforce(ray_session, as_str):
     if as_str:
         df["g"] = df["g"].map("grp{:03d}".format)
     qs = {"p10": 0.10, "p50": 0.50, "p99": 0.99, "p07": 0.07}
-    got = (grouped_percentiles(rd.from_pandas(df).repartition(9), "g", "v", qs)
+    got = (grouped_percentiles((rd.from_pandas(df).repartition(9),
+                                pa.Schema.from_pandas(df, preserve_index=False)),
+                               "g", "v", qs)
            .to_pandas().sort_values("g").reset_index(drop=True))
     for _, row in got.iterrows():
         gv = df.loc[df["g"] == row["g"], "v"].to_numpy()
@@ -44,11 +54,9 @@ def test_grouped_percentiles_matches_bruteforce(ray_session, as_str):
 
 
 def test_grouped_percentiles_rejects_bad_q(ray_session):
-    import ray.data as rd
-
     df = pd.DataFrame({"g": [1], "v": [1.0]})
     with pytest.raises(ValueError):
-        grouped_percentiles(rd.from_pandas(df), "g", "v", {"bad": 0.0})
+        grouped_percentiles(_side(df), "g", "v", {"bad": 0.0})
 
 
 def test_quantile_sketch_error_bound_and_determinism(ray_session):
@@ -83,13 +91,11 @@ def test_quantile_sketch_constant_column(ray_session):
 def test_grouped_percentiles_ignores_null_values(ray_session):
     """quantile_disc ignores NULL/NaN values; null group keys form ONE
     output run, not per-row NaN runs (ADVICE r3)."""
-    import ray.data as rd
-
     df = pd.DataFrame({
         "g": pd.array([1, 1, 1, None, None, 2], dtype="Int64"),
         "v": [5.0, np.nan, 1.0, 3.0, 7.0, None],
     })
-    got = (grouped_percentiles(rd.from_pandas(df, override_num_blocks=3),
+    got = (grouped_percentiles(_side(df, override_num_blocks=3),
                                "g", "v", {"p50": 0.5}).to_pandas())
     by_key = {(None if pd.isna(r["g"]) else int(r["g"])): r["p50"]
               for _, r in got.iterrows()}
@@ -115,7 +121,7 @@ def test_grouped_percentiles_int_column_keeps_dtype(ray_session):
         "v": pa.array([None if i % 16 == 3 else i for i in range(64)],
                       pa.int64()),
     })
-    ds = rd.from_arrow(t)
+    ds = (rd.from_arrow(t), t.schema)
     out = grouped_percentiles(ds, "g", "v", {"p50": 0.5, "p90": 0.9})
     sch = dict(zip(out.schema().names, out.schema().types))
     assert sch["p50"] == pa.int64() and sch["p90"] == pa.int64()

@@ -4,11 +4,19 @@ oracles additionally gate them end-to-end via tools/check_oracle.py)."""
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from logcrawler_ray.stages.rangejoin import range_join, range_pairs_arrays
 from logcrawler_ray.stages.topk import (HASH_MOD, HASH_MULT,
                                         stratified_sample_hash, topk_per_group)
+
+
+def _side(df: pd.DataFrame, **kw):
+    """``df`` as a ``(Dataset, schema)`` side, with the types pandas gives it."""
+    import ray.data as rd
+
+    return rd.from_pandas(df, **kw), pa.Schema.from_pandas(df, preserve_index=False)
 
 
 # ---------------------------------------------------------------- range join
@@ -77,8 +85,6 @@ def test_range_pairs_blocked_fallback_matches():
 
 
 def test_range_join_dataset(ray_session):
-    import ray.data as rd
-
     rng = np.random.default_rng(11)
     n = 300
     left = pd.DataFrame({
@@ -92,8 +98,8 @@ def test_range_join_dataset(ray_session):
         "event_id": np.arange(1000, 1000 + n, dtype=np.int64),
     })
     lower, upper = -200_000_000, 0
-    out = range_join(rd.from_pandas(left, override_num_blocks=4),
-                     rd.from_pandas(right, override_num_blocks=3),
+    out = range_join(_side(left, override_num_blocks=4),
+                     _side(right, override_num_blocks=3),
                      by="user_id", on="ts", lower=lower, upper=upper,
                      right_cols=["event_id"]).to_pandas()
     expect = brute_force_pairs(
@@ -112,13 +118,11 @@ def test_range_join_dataset(ray_session):
 
 
 def test_range_join_one_sided_groups(ray_session):
-    import ray.data as rd
-
     left = pd.DataFrame({"k": [1, 2], "t": [10, 20],
                          "lid": np.array([0, 1], dtype=np.int64)})
     right = pd.DataFrame({"k": [2, 3], "t": [19, 5],
                           "rid": np.array([7, 8], dtype=np.int64)})
-    out = range_join(rd.from_pandas(left), rd.from_pandas(right),
+    out = range_join(_side(left), _side(right),
                      by="k", on="t", lower=-5, upper=0,
                      right_cols=["rid"]).to_pandas()
     assert len(out) == 1
@@ -136,8 +140,6 @@ def brute_topk(df, group, order, k, descending, tiebreaks):
 
 @pytest.mark.parametrize("k", [1, 3, 100])
 def test_topk_per_group_int_key(ray_session, k):
-    import ray.data as rd
-
     rng = np.random.default_rng(5)
     n = 500
     df = pd.DataFrame({
@@ -145,7 +147,7 @@ def test_topk_per_group_int_key(ray_session, k):
         "v": rng.integers(0, 40, n).astype(np.float64),  # many exact ties
         "id": np.arange(n, dtype=np.int64),
     })
-    out = topk_per_group(rd.from_pandas(df, override_num_blocks=5),
+    out = topk_per_group(_side(df, override_num_blocks=5),
                          group_col="g", order_col="v", k=k,
                          descending=True, tiebreak_cols=("id",)).to_pandas()
     expect = brute_topk(df, "g", "v", k, True, ["id"])
@@ -153,14 +155,12 @@ def test_topk_per_group_int_key(ray_session, k):
 
 
 def test_topk_per_group_string_key(ray_session):
-    import ray.data as rd
-
     df = pd.DataFrame({
         "lang": ["en", "de", "en", "fr", "en", "de"],
         "score": [5.0, 1.0, 3.0, 2.0, 4.0, 6.0],
         "id": np.arange(6, dtype=np.int64),
     })
-    out = topk_per_group(rd.from_pandas(df, override_num_blocks=3),
+    out = topk_per_group(_side(df, override_num_blocks=3),
                          group_col="lang", order_col="score", k=2,
                          descending=True, tiebreak_cols=("id",)).to_pandas()
     expect = brute_topk(df, "lang", "score", 2, True, ["id"])
@@ -168,8 +168,6 @@ def test_topk_per_group_string_key(ray_session):
 
 
 def test_stratified_sample_hash_deterministic(ray_session):
-    import ray.data as rd
-
     rng = np.random.default_rng(9)
     df = pd.DataFrame({
         "lang": rng.choice(["en", "de", "fr"], 200),
@@ -178,7 +176,7 @@ def test_stratified_sample_hash_deterministic(ray_session):
     runs = []
     for blocks in (2, 7):  # the sample must not depend on the block layout
         out = stratified_sample_hash(
-            rd.from_pandas(df, override_num_blocks=blocks),
+            _side(df, override_num_blocks=blocks),
             stratum_col="lang", id_col="doc_id", k=10).to_pandas()
         runs.append(sorted(out["doc_id"]))
     assert runs[0] == runs[1]
@@ -194,14 +192,12 @@ def test_stratified_sample_hash_deterministic(ray_session):
 def test_topk_per_group_null_key_kept(ray_session):
     """A NULL group key is a real partition under SQL ROW_NUMBER() — the
     prune must keep it (ADVICE r3: pandas groupby dropna default)."""
-    import ray.data as rd
-
     df = pd.DataFrame({
         "g": pd.array([1, 1, None, None, None, 2], dtype="Int64"),
         "v": [5.0, 1.0, 9.0, 8.0, 7.0, 2.0],
         "id": np.arange(6, dtype=np.int64),
     })
-    out = topk_per_group(rd.from_pandas(df, override_num_blocks=3),
+    out = topk_per_group(_side(df, override_num_blocks=3),
                          group_col="g", order_col="v", k=2,
                          descending=True, tiebreak_cols=("id",)).to_pandas()
     # null group contributes its top-2 (v=9,8 -> ids 2,3)

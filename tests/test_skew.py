@@ -2,6 +2,7 @@
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from logcrawler_ray.stages.skew import repartition_by_key, salted_aggregate
@@ -20,7 +21,8 @@ def skewed_df():
 def test_salted_aggregate_matches_plain(ray_session, skewed_df):
     import ray.data as rd
 
-    ds = rd.from_pandas(skewed_df).repartition(8)
+    ds = (rd.from_pandas(skewed_df).repartition(8),
+          pa.Schema.from_pandas(skewed_df, preserve_index=False))
     out = salted_aggregate(ds, "host", {"v": "sum"}, n_salts=8).to_pandas()
     expect = skewed_df.groupby("host", as_index=False)["v"].sum()
     got = out.sort_values("host").reset_index(drop=True)
@@ -33,7 +35,7 @@ def test_salted_aggregate_min_max_count(ray_session, skewed_df):
 
     df = skewed_df.rename(columns={"v": "x"})
     df["n"] = 1
-    ds = rd.from_pandas(df).repartition(4)
+    ds = (rd.from_pandas(df).repartition(4), pa.Schema.from_pandas(df, preserve_index=False))
     out = salted_aggregate(ds, "host", {"x": "min", "n": "count"}, n_salts=4).to_pandas()
     expect_min = df.groupby("host")["x"].min()
     expect_n = df.groupby("host").size()
@@ -53,7 +55,8 @@ def test_repartition_by_key_colocates(ray_session):
         "v": range(100),
     })
     df["host_hash"] = [to_int64(host_hash(h)) for h in df["host"]]
-    out = repartition_by_key(rd.from_pandas(df), "host_hash", 4).to_pandas()
+    side = (rd.from_pandas(df), pa.Schema.from_pandas(df, preserve_index=False))
+    out = repartition_by_key(side, "host_hash", 4).to_pandas()
     assert len(out) == 100
     assert sorted(out["v"]) == list(range(100))
 
@@ -66,7 +69,7 @@ def test_salted_aggregate_keeps_null_key_group(ray_session):
 
     tab = pa.table({"host": ["a", None, "a", None, None],
                     "v": pa.array([1, 2, 3, 4, 5], pa.int64())})
-    out = salted_aggregate(rd.from_arrow(tab), "host", {"v": "sum"}).to_pandas()
+    out = salted_aggregate((rd.from_arrow(tab), tab.schema), "host", {"v": "sum"}).to_pandas()
     got = {(None if pd.isna(k) else k): int(v)
            for k, v in zip(out["host"], out["v"])}
     assert got == {"a": 4, None: 11}
