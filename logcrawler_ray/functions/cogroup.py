@@ -10,9 +10,9 @@ decodes and the as-of, range, frame and hash joins. It
 2. bundles the tagged blocks to >= 4096 rows and runs ONE sort exchange
    over the union (16-64 coarse buckets: per-group Python costs ~1-2 ms,
    so groups are buckets, never keys). The sort's boundaries are fixed
-   bucket ranges, one per cluster CPU (at most ``n_buckets``), so it
-   needs no sampling pass, and one typed marker row per range keeps
-   every shuffle partition non-empty;
+   bucket ranges (see ``n_parts``), so it needs no sampling pass, and
+   one typed marker row per range keeps every shuffle partition
+   non-empty;
 3. calls ``fn(*tables)`` once per non-empty bucket with one ``pa.Table``
    per side. Each table holds exactly that side's declared columns and
    Arrow types, and has zero rows when the side has none in the bucket;
@@ -178,7 +178,7 @@ def cogroup(sides, key, fn, *, schema: pa.Schema, n_buckets: int = 64):
     # one bucket range per four cluster CPUs, and at least two (Ray samples
     # its own boundaries when given none; n_buckets=1 gets a sentinel
     # range). Every range costs a reduce task and a map task: one range
-    # per CPU made a full check_oracle.py run at 8 CPUs ~11 % slower than
+    # per CPU made a full check_oracle.py run at 8 CPUs ~10 % slower than
     # Ray's sampled sort, where a quarter matched it.
     n_parts = min(n_buckets, max(2, int(ray.cluster_resources().get("CPU", 1)) // 4))
     bounds = [n_buckets * p // n_parts for p in range(1, n_parts)] or [n_buckets]
