@@ -1,6 +1,6 @@
 """The one co-group shuffle of the library, and its bucket and run kernels.
 
-``cogroup(sides, key, fn, *, schema, n_buckets=64)`` is every keyed
+``cogroup(sides, key, fn, *, schema, n_buckets=N_BUCKETS)`` is every keyed
 shuffle in the engine: partial-aggregate merges, distinct, top-k, per-log
 decodes and the as-of, range, frame and hash joins. It
 
@@ -8,18 +8,18 @@ decodes and the as-of, range, frame and hash joins. It
    (:func:`_bucket_of`) and pads the other sides' columns with typed
    nulls, so every block of the union has ONE schema;
 2. bundles the tagged blocks to >= 4096 rows and runs ONE sort exchange
-   over the union (16-64 coarse buckets: per-group Python costs ~1-2 ms,
-   so groups are buckets, never keys). The sort's boundaries are fixed
-   bucket ranges (see ``n_parts``), so it needs no sampling pass, and
-   one typed marker row per range keeps every shuffle partition
-   non-empty;
+   over the union, with one shuffle partition per bucket (groups are
+   coarse buckets, never keys: a partition costs a reduce and a map
+   task, and per-group Python ~1-2 ms). The boundaries are the bucket
+   ids, so the sort needs no sampling pass, and one typed marker row per
+   bucket keeps every partition non-empty;
 3. calls ``fn(*tables)`` once per non-empty bucket with one ``pa.Table``
    per side. Each table holds exactly that side's declared columns and
    Arrow types, and has zero rows when the side has none in the bucket;
 4. casts every output block to ``schema`` (schema metadata dropped), so
-   Ray's schema unification keeps its hashable fast path. A partition
-   whose buckets are all empty returns ``schema``'s empty table: no
-   output block is column-less.
+   Ray's schema unification keeps its hashable fast path. A bucket with
+   no rows returns ``schema``'s empty table: no output block is
+   column-less.
 
 Sides are ``(Dataset, pa.Schema)`` pairs, and that is the library's one
 convention for an operator input: column types come from the caller
@@ -44,6 +44,12 @@ import pyarrow.compute as pc
 from .hashing import hash64_str_array, splitmix64
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
+
+# The default bucket count. Each bucket is one shuffle partition (a reduce
+# and a map task), so it caps how many reduce in parallel; callers with
+# large inputs pass more. A full check_oracle.py run summed ~59 s at 64
+# buckets and 31-37 s at 16 (8 Ray CPUs on 4 vCPUs).
+N_BUCKETS = 16
 
 # Ray's sort runs one mapper task per block it receives, and every mapper
 # writes one piece per partition: tiny blocks (from_items makes one per
@@ -129,16 +135,16 @@ def per_key(key: str, fn, order: str | None = None):
     return per_bucket
 
 
-def cogroup(sides, key, fn, *, schema: pa.Schema, n_buckets: int = 64):
+def cogroup(sides, key, fn, *, schema: pa.Schema, n_buckets: int = N_BUCKETS):
     """Co-group ``sides`` — a list of ``(dataset, side_schema)`` pairs — on
     ``key`` (a column name, or a list of them, present in every side) and
     return the Dataset of ``fn(*tables)`` outputs cast to ``schema``.
 
     ``side_schema`` declares the columns a side contributes and their
     Arrow types; input batches are projected and cast to it. ``fn`` runs
-    once per non-empty bucket (``n_buckets`` of them), which may hold many
-    keys. Every output block carries ``schema``."""
-    import ray
+    once per non-empty bucket (``n_buckets`` of them, one shuffle
+    partition each), which may hold many keys. Every output block carries
+    ``schema``."""
     import ray.data as rd
 
     keys = [key] if isinstance(key, str) else list(key)
@@ -162,27 +168,19 @@ def cogroup(sides, key, fn, *, schema: pa.Schema, n_buckets: int = 64):
 
         return fn_tag
 
-    def per_partition(g: pa.Table) -> pa.Table:
-        # rows sorted by (bucket, side); markers (side -1) lead their bucket
-        b, s = g["__b"].to_numpy(), g["__s"].to_numpy()
-        runs = [0, *(np.flatnonzero(b[1:] != b[:-1]) + 1).tolist(), len(b)]
-        out = [schema.empty_table()]
-        for lo, hi in zip(runs, runs[1:]):
-            cut = lo + np.searchsorted(s[lo:hi], np.arange(len(decl) + 1))
-            if cut[0] < cut[-1]:  # some side has rows, not just a marker
-                out.append(fn(*[g.slice(a, z - a).select(ns).rename_columns(d.names).cast(d)
-                                for a, z, ns, d in zip(cut, cut[1:], names, decl)])
-                           .select(schema.names).cast(schema))
-        return pa.concat_tables(out)
+    def per_bucket(g: pa.Table) -> pa.Table:
+        # one bucket, rows sorted by side; its marker (side -1) leads
+        cut = np.searchsorted(g["__s"].to_numpy(), np.arange(len(decl) + 1))
+        if cut[0] == cut[-1]:  # the marker alone: no side has rows here
+            return schema.empty_table()
+        return fn(*[g.slice(a, z - a).select(ns).rename_columns(d.names).cast(d)
+                    for a, z, ns, d in zip(cut, cut[1:], names, decl)]
+                  ).select(schema.names).cast(schema)
 
-    # one bucket range per four cluster CPUs, and at least two (Ray samples
-    # its own boundaries when given none; n_buckets=1 gets a sentinel
-    # range). Every range costs a reduce task and a map task: one range
-    # per CPU made a full check_oracle.py run at 8 CPUs ~10 % slower than
-    # Ray's sampled sort, where a quarter matched it.
-    n_parts = min(n_buckets, max(2, int(ray.cluster_resources().get("CPU", 1)) // 4))
-    bounds = [n_buckets * p // n_parts for p in range(1, n_parts)] or [n_buckets]
-    lows = [0, *bounds]
+    # one sort partition per bucket, each led by a typed marker row (Ray
+    # samples its own boundaries when given none: n_buckets=1 gets a
+    # sentinel partition)
+    lows = list(range(n_buckets)) if n_buckets > 1 else [0, 1]
     markers = pa.Table.from_arrays(
         [pa.array(lows, pa.int32()), pa.array(np.full(len(lows), -1, np.int8))]
         + [pa.nulls(len(lows), f.type) for f in list(union)[2:]], schema=union)
@@ -198,8 +196,8 @@ def cogroup(sides, key, fn, *, schema: pa.Schema, n_buckets: int = 64):
                            max_retries=-1)
               for i, (ds, _) in enumerate(sides)]
     return (rd.from_arrow(markers).union(*tagged)
-            .sort(["__b", "__s"], boundaries=bounds)
-            .map_batches(per_partition, batch_format="pyarrow", batch_size=None))
+            .sort(["__b", "__s"], boundaries=lows[1:])
+            .map_batches(per_bucket, batch_format="pyarrow", batch_size=None))
 
 
 def _bundle(t: pa.Table) -> pa.Table:

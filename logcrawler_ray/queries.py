@@ -55,11 +55,6 @@ def _side(sf_dir: str, table: str, columns: list[str] | None = None, **kw):
     return rd.read_parquet(path, columns=columns, schema=sch, **kw), sch
 
 
-def _read(sf_dir: str, table: str, columns: list[str] | None = None, **kw):
-    """:func:`_side`'s Dataset alone."""
-    return _side(sf_dir, table, columns, **kw)[0]
-
-
 def _events_of_type(sf_dir: str, event_type: str, columns: list[str]):
     """The ``columns`` of one ``event_type``'s events, as a side."""
     ds, sch = _side(sf_dir, "events", [*columns, "event_type"],
@@ -134,12 +129,12 @@ def q01_pricing_summary(sf_dir: str):
     noise in the value hash."""
     from ray.data.aggregate import Count, Sum
 
-    ds = _read(
+    ds = _side(
         sf_dir, "lineitem",
         columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice",
                  "l_discount", "l_shipdate"],
         filter=(pc.field("l_shipdate") <= pa.scalar(pd.Timestamp("1998-09-02"))),
-    )
+    )[0]
 
     def to_cents(t: pa.Table) -> pa.Table:
         qty_e2 = np.round(t["l_quantity"].to_numpy() * 100).astype(np.int64)
@@ -176,8 +171,8 @@ def q01_pricing_summary(sf_dir: str):
 )
 def q02_parts_filter(sf_dir: str):
     """Column-pruned read + vectorized predicate (M4-style filter)."""
-    return _read(sf_dir, "part", columns=["p_partkey", "p_name", "p_size"],
-                 filter=(pc.field("p_size") >= 40))
+    return _side(sf_dir, "part", columns=["p_partkey", "p_name", "p_size"],
+                 filter=(pc.field("p_size") >= 40))[0]
 
 
 @_q(
@@ -189,7 +184,7 @@ def q02_parts_filter(sf_dir: str):
 )
 def q03_top_customers(sf_dir: str):
     """Sort + limit (O1/O2 ordering). Deterministic tie-break on key."""
-    ds = _read(sf_dir, "customer", columns=["c_custkey", "c_name", "c_acctbal"])
+    ds = _side(sf_dir, "customer", columns=["c_custkey", "c_name", "c_acctbal"])[0]
     out = ds.sort(["c_acctbal", "c_custkey"], descending=[True, False]).limit(10).to_pandas()
     out["acctbal"] = out.pop("c_acctbal").round(2)
     return out
@@ -216,7 +211,7 @@ def q05_nation_region(sf_dir: str):
         return pa.table({"n_nationkey": t["n_nationkey"], "n_name": t["n_name"],
                          "r_name": probe_values(t["n_regionkey"], keys, vals)})
 
-    return _read(sf_dir, "nation").map_batches(attach, batch_format="pyarrow")
+    return _side(sf_dir, "nation")[0].map_batches(attach, batch_format="pyarrow")
 
 
 @_q(
@@ -245,7 +240,7 @@ def q06_revenue_by_nation(sf_dir: str):
 
     from .stages.broadcast import broadcast_map_from_dict, probe_values
 
-    n = _read(sf_dir, "nation", columns=["n_nationkey", "n_name"]).to_pandas()
+    n = _side(sf_dir, "nation", columns=["n_nationkey", "n_name"])[0].to_pandas()
     ref = broadcast_map_from_dict(dict(zip(n["n_nationkey"], n["n_name"])))
 
     def cents(t: pa.Table) -> pa.Table:
@@ -270,18 +265,18 @@ def q06_revenue_by_nation(sf_dir: str):
                 .rename_columns(["n_name", "rev_e4"]))
 
     i64 = pa.int64()
-    li = _read(sf_dir, "lineitem",
+    li = _side(sf_dir, "lineitem",
                columns=["l_orderkey", "l_extendedprice", "l_discount"]
-               ).map_batches(cents, batch_format="pyarrow")
-    orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"]
-                   ).rename_columns({"o_orderkey": "l_orderkey"})
+               )[0].map_batches(cents, batch_format="pyarrow")
+    orders = _side(sf_dir, "orders", columns=["o_orderkey", "o_custkey"]
+                   )[0].rename_columns({"o_orderkey": "l_orderkey"})
     rev = pa.schema([("o_custkey", i64), ("rev_e4", i64)])
     cust_rev = cogroup(
         [(li, pa.schema([("l_orderkey", i64), ("rev_e4", i64)])),
          (orders, pa.schema([("l_orderkey", i64), ("o_custkey", i64)]))],
         "l_orderkey", by_cust, schema=rev)
-    cust = _read(sf_dir, "customer", columns=["c_custkey", "c_nationkey"]
-                 ).rename_columns({"c_custkey": "o_custkey"})
+    cust = _side(sf_dir, "customer", columns=["c_custkey", "c_nationkey"]
+                 )[0].rename_columns({"c_custkey": "o_custkey"})
     out = (
         cogroup([(cust_rev, rev),
                  (cust, pa.schema([("o_custkey", i64),
@@ -315,7 +310,7 @@ def q08_customers_no_orders(sf_dir: str):
     def anti(t: pa.Table) -> pa.Table:
         return t.filter(anti_mask(t["c_custkey"], ray.get(ref)))
 
-    ds = _read(sf_dir, "customer", columns=["c_custkey", "c_name"]).map_batches(
+    ds = _side(sf_dir, "customer", columns=["c_custkey", "c_name"])[0].map_batches(
         anti, batch_format="pyarrow")
     # possibly-empty result: pin the schema explicitly so an empty Dataset
     # still compares schema-equal to the oracle
@@ -341,7 +336,7 @@ def q11_events_daily(sf_dir: str):
         return pa.table({"day": days})
 
     return (
-        _read(sf_dir, "events", columns=["ts"])
+        _side(sf_dir, "events", columns=["ts"])[0]
         .map_batches(add_day, batch_format="pyarrow")
         .groupby("day")
         .aggregate(Count(alias_name="n"))
@@ -429,7 +424,7 @@ def q13_distinct_flags(sf_dir: str):
     from ray.data.aggregate import Count
 
     return (
-        _read(sf_dir, "lineitem", columns=["l_returnflag", "l_linestatus"])
+        _side(sf_dir, "lineitem", columns=["l_returnflag", "l_linestatus"])[0]
         .groupby(["l_returnflag", "l_linestatus"])
         .aggregate(Count(alias_name="__n"))
         .drop_columns(["__n"])
@@ -448,7 +443,7 @@ def q14_doc_dedup_exact(sf_dir: str):
     from ray.data.aggregate import Count, Min
 
     return (
-        _read(sf_dir, "documents", columns=["doc_id", "text"])
+        _side(sf_dir, "documents", columns=["doc_id", "text"])[0]
         .groupby("text")
         .aggregate(Min("doc_id", alias_name="keeper_id"), Count(alias_name="n_copies"))
         .drop_columns(["text"])
@@ -471,7 +466,7 @@ def q16_token_counts(sf_dir: str):
         n = pc.add(pc.count_substring(t["text"], " "), 1)
         return pa.table({"doc_id": t["doc_id"], "n_tokens": pc.cast(n, pa.int64())})
 
-    return _read(sf_dir, "documents", columns=["doc_id", "text"]).map_batches(
+    return _side(sf_dir, "documents", columns=["doc_id", "text"])[0].map_batches(
         count_tokens, batch_format="pyarrow")
 
 
@@ -495,7 +490,7 @@ def q17_top_tokens(sf_dir: str):
         return pa.table({"word": vc.field("values"), "n": vc.field("counts")})
 
     out = (
-        _read(sf_dir, "documents", columns=["text"])
+        _side(sf_dir, "documents", columns=["text"])[0]
         .map_batches(partial_counts, batch_format="pyarrow")
         .groupby("word")
         .aggregate(Sum("n", alias_name="n"))
@@ -532,11 +527,11 @@ def q18_ann_topk(sf_dir: str):
     per-batch float64 matmul, local-topk -> global merge."""
     from .stages.ann import topk_cosine
 
-    ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    qrows = _read(
+    ds = _side(sf_dir, "embeddings", columns=["vec_id", "embedding"])[0]
+    qrows = _side(
         sf_dir, "embeddings",
         filter=pc.field("vec_id").isin(_ANN_QUERY_IDS),
-    ).take_all()
+    )[0].take_all()
     qrows.sort(key=lambda r: r["vec_id"])
     qm = np.stack([np.asarray(r["embedding"], dtype=np.float64) for r in qrows])
     qids = np.array([r["vec_id"] for r in qrows], dtype=np.int64)
@@ -556,7 +551,7 @@ def q19_embedding_neardup(sf_dir: str):
     """Embedding-cosine near-dup pairs at threshold 0.4 (stages/ann.py)."""
     from .stages.ann import cosine_neardup_pairs
 
-    ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
+    ds = _side(sf_dir, "embeddings", columns=["vec_id", "embedding"])[0]
     return cosine_neardup_pairs(ds, threshold=0.4)
 
 
@@ -587,7 +582,7 @@ def q55_signcode_neardup(sf_dir: str):
     + vectorized XOR-popcount verification end to end."""
     from .stages.hamming import embedding_sign_code_fn, hamming_near_dup_pairs
 
-    ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
+    ds = _side(sf_dir, "embeddings", columns=["vec_id", "embedding"])[0]
     return hamming_near_dup_pairs(
         ds, id_col="vec_id", max_hamming=2, nbits=16,
         code_fn=embedding_sign_code_fn(nbits=16), max_bucket=4096)
@@ -623,7 +618,7 @@ def q56_neardup_components(sf_dir: str):
     from .stages.cc import cc_labels_dataset
     from .stages.hamming import embedding_sign_code_fn, hamming_near_dup_pairs
 
-    ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
+    ds = _side(sf_dir, "embeddings", columns=["vec_id", "embedding"])[0]
     pairs = hamming_near_dup_pairs(
         ds, id_col="vec_id", max_hamming=2, nbits=16,
         code_fn=embedding_sign_code_fn(nbits=16), max_bucket=4096)
@@ -679,7 +674,7 @@ def q57_cluster_dedup_firstwins(sf_dir: str):
                          "code": pa.array(codes, pa.int64()),
                          "__id64": pa.array(str_id64(sids), pa.int64())})
 
-    skinny = (_read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
+    skinny = (_side(sf_dir, "embeddings", columns=["vec_id", "embedding"])[0]
               .map_batches(add_cols, batch_format="pyarrow").materialize())
     pairs_ds, n_dropped = hamming_pairs_ds(
         skinny, code_col="code", id_col="__id64", max_hamming=2, nbits=16,
@@ -738,7 +733,7 @@ def q21_minhash_simhash_dups(sf_dir: str):
     # repartition: the documents table is ONE parquet file -> one read
     # block -> a serial sketch pass; 32 blocks parallelize the explode
     # (the text payload is tiny, the shuffle is noise)
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"]).repartition(32)
+    ds = _side(sf_dir, "documents", columns=["doc_id", "text"])[0].repartition(32)
     # ONE corpus pass feeds both sketch paths AND the Jaccard verify
     # (round-4 verdict #8 fusion — was ~6 executions re-reading the corpus)
     mh, sh = fused_sketch_neardup(ds, k=64, bands=16, jaccard_threshold=0.2,
@@ -783,7 +778,7 @@ def q53_ngram_jaccard(sf_dir: str):
     text.words verified on the testdata — all-ASCII, no short docs)."""
     from .stages.dedup_text import ngram_jaccard_pairs
 
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
+    ds = _side(sf_dir, "documents", columns=["doc_id", "text"])[0]
     return ngram_jaccard_pairs(ds, threshold=0.2, ngram=3)
 
 
@@ -821,7 +816,7 @@ def q23_doc_quality(sf_dir: str):
                 [to_int64(fingerprint(x)) for x in texts], pa.int64()),
         })
 
-    return _read(sf_dir, "documents", columns=["doc_id", "text"]).map_batches(
+    return _side(sf_dir, "documents", columns=["doc_id", "text"])[0].map_batches(
         score, batch_format="pyarrow")
 
 
@@ -1356,10 +1351,10 @@ def q33_dim_profiles(sf_dir: str):
         return pa.table(
             {"key": pc.utf8_upper(pc.utf8_slice_codeunits(t["p_name"], 0, 6))})
 
-    acct = (_read(sf_dir, "customer", columns=["c_acctbal"])
+    acct = (_side(sf_dir, "customer", columns=["c_acctbal"])[0]
             .map_batches(bucketize, batch_format="pyarrow")
             .groupby("key").aggregate(Count(alias_name="n")).to_pandas())
-    pref = (_read(sf_dir, "part", columns=["p_name"])
+    pref = (_side(sf_dir, "part", columns=["p_name"])[0]
             .map_batches(prefix, batch_format="pyarrow")
             .groupby("key").aggregate(Count(alias_name="n")).to_pandas())
     acct.insert(0, "kind", "acctbal")
@@ -1389,10 +1384,10 @@ def q35_segment_revenue(sf_dir: str):
             "total_e2": np.round(t["o_totalprice"].to_numpy() * 100).astype(np.int64),
         })
 
-    orders = _read(sf_dir, "orders", columns=["o_custkey", "o_totalprice"]).map_batches(
+    orders = _side(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])[0].map_batches(
         cents, batch_format="pyarrow")
-    customer = _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"]
-                     ).rename_columns({"c_custkey": "o_custkey"})
+    customer = _side(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"]
+                     )[0].rename_columns({"c_custkey": "o_custkey"})
     seg = pa.schema([("o_custkey", pa.int64()), ("c_mktsegment", pa.string())])
     joined = cogroup(
         [(orders, pa.schema([("o_custkey", pa.int64()), ("total_e2", pa.int64())])),
@@ -1431,7 +1426,7 @@ def q36_salted_user_totals(sf_dir: str):
             np.ones(t.num_rows, dtype=np.int64),
         ], schema=sch)
 
-    ds = _read(sf_dir, "events", columns=["user_id", "value"]).map_batches(
+    ds = _side(sf_dir, "events", columns=["user_id", "value"])[0].map_batches(
         cents, batch_format="pyarrow")
     out = salted_aggregate((ds, sch), "user_id", {"one": "count", "value_e2": "sum"},
                            n_salts=8).to_pandas()
@@ -1776,11 +1771,11 @@ def q40_union_counts(sf_dir: str):
 
         return fn
 
-    clicks = _read(sf_dir, "events", columns=["event_type"],
-                   filter=(pc.field("event_type") == "click")).map_batches(
+    clicks = _side(sf_dir, "events", columns=["event_type"],
+                   filter=(pc.field("event_type") == "click"))[0].map_batches(
         tag("click"), batch_format="pyarrow")
-    purchases = _read(sf_dir, "events", columns=["event_type"],
-                      filter=(pc.field("event_type") == "purchase")).map_batches(
+    purchases = _side(sf_dir, "events", columns=["event_type"],
+                      filter=(pc.field("event_type") == "purchase"))[0].map_batches(
         tag("purchase"), batch_format="pyarrow")
     return clicks.union(purchases).groupby("kind").aggregate(Count(alias_name="n"))
 
@@ -1839,7 +1834,7 @@ def q42_value_std_by_type(sf_dir: str):
         return pa.table({"event_type": t["event_type"], "e2": e2, "e2sq": e2 * e2})
 
     out = (
-        _read(sf_dir, "events", columns=["event_type", "value"])
+        _side(sf_dir, "events", columns=["event_type", "value"])[0]
         .map_batches(mom, batch_format="pyarrow")
         .groupby("event_type")
         .aggregate(Sum("e2", alias_name="s1"), Sum("e2sq", alias_name="s2"),
@@ -2069,10 +2064,10 @@ def q38_ann_ivf_lsh(sf_dir: str):
     from .stages.ann import ivf_topk_cosine, lsh_topk_cosine, topk_cosine
 
     def emb():  # one column-pruned read per ANN consumer
-        return _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
+        return _side(sf_dir, "embeddings", columns=["vec_id", "embedding"])[0]
 
-    qrows = _read(sf_dir, "embeddings",
-                  filter=pc.field("vec_id").isin(_ANN_QUERY_IDS)).take_all()
+    qrows = _side(sf_dir, "embeddings",
+                  filter=pc.field("vec_id").isin(_ANN_QUERY_IDS))[0].take_all()
     qrows.sort(key=lambda r: r["vec_id"])
     qm = np.stack([np.asarray(r["embedding"], dtype=np.float64) for r in qrows])
     qids = np.array([r["vec_id"] for r in qrows], dtype=np.int64)
@@ -2301,7 +2296,7 @@ def q63_value_quantile_sketch(sf_dir: str):
 
     from .stages.quantiles import quantile_sketch, sketch_quantiles
 
-    ds = _read(sf_dir, "events", columns=["value"])
+    ds = _side(sf_dir, "events", columns=["value"])[0]
     sk = quantile_sketch(ds, "value", nbins=4096)
     qs = [0.5, 0.9, 0.99]
     est = sketch_quantiles(sk, qs)

@@ -17,6 +17,8 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.cogroup import N_BUCKETS, cogroup
+
 # A broadcast side is read by EVERY map task; 5M keys (~40-200 MB as Arrow)
 # is the upper bound where once-per-node object-store placement still beats
 # a shuffle join. Past this, use a cogroup join.
@@ -45,14 +47,12 @@ def _collect(ds, sch: pa.Schema, what: str, max_rows: int) -> list[pa.Array]:
     return [c.combine_chunks() for c in tbl.columns]
 
 
-def distinct_keys_ds(side, col: str, num_buckets: int = 64):
+def distinct_keys_ds(side, col: str, num_buckets: int = N_BUCKETS):
     """Distributed distinct of one column of ``side`` (a ``(Dataset,
     schema)`` pair): per-batch ``pc.unique`` partials -> ONE
     :func:`cogroup` -> ``pc.unique`` again per bucket. (A native
     ``groupby(col).count`` pays per-GROUP cost at distinct-key
     cardinality — the r3 CLAUDE.md lesson.)"""
-    from ..functions.cogroup import cogroup
-
     ds, sch = side
     sch = pa.schema([sch.field(col)])
 

@@ -34,7 +34,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.cogroup import _bucket_of, _runs, cogroup, per_key
+from ..functions.cogroup import N_BUCKETS, _bucket_of, _runs, cogroup, per_key
 from ..sources.objstore import drop_keys
 from . import broadcast
 
@@ -201,7 +201,7 @@ def _winners_schema(sch: pa.Schema, key: str, order_col: str) -> pa.Schema:
                       pa.field("__n", pa.int64())])
 
 
-def dup_winners(skinny, key: str, order_col: str, num_buckets: int = 64):
+def dup_winners(skinny, key: str, order_col: str, num_buckets: int = N_BUCKETS):
     """MATERIALIZED Dataset of ``(key, __min, __n)`` for duplicated keys
     only. The ``__n > 1`` filter runs distributed before anything reaches
     the driver; the materialized result is O(duplicate keys) in the object
@@ -236,7 +236,7 @@ def dup_winners(skinny, key: str, order_col: str, num_buckets: int = 64):
 
 
 def exact_losers_files(skinny, key: str, order_col: str, out_dir: str,
-                       dups=None, num_buckets: int = 64,
+                       dups=None, num_buckets: int = N_BUCKETS,
                        storage_options: dict | None = None) -> list[str]:
     """The bucketed 10^10 loser path (SCALE.md §4): losers are computed and
     written fully distributed — the driver never holds a key, a winner, or

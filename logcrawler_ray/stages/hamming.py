@@ -24,7 +24,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..functions.cogroup import _runs, cogroup
+from ..functions.cogroup import N_BUCKETS, _runs, cogroup
 from ..functions.hashing import to_int64, to_uint64
 from ..functions.phash import hamming_batch
 
@@ -52,7 +52,7 @@ def split_candidates(pairs: pd.DataFrame) -> tuple[pd.DataFrame, pd.DataFrame]:
     return pairs[~mark].reset_index(drop=True), dropped
 
 
-def distinct_pairs(pairs_ds, carry: str | None = None, num_buckets: int = 64,
+def distinct_pairs(pairs_ds, carry: str | None = None, num_buckets: int = N_BUCKETS,
                    cols: tuple[str, str] = ("a", "b")):
     """Distinct int64-pair rows via ONE coarse-bucket :func:`cogroup` + a
     C-level per-bucket combine. A native ``groupby([pair]).aggregate``

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..functions.cogroup import _runs, cogroup
+from ..functions.cogroup import N_BUCKETS, _runs, cogroup
 
 
 def _disc_index(q: float, n: np.ndarray) -> np.ndarray:
@@ -41,7 +41,7 @@ def _disc_index(q: float, n: np.ndarray) -> np.ndarray:
 
 
 def grouped_percentiles(side, group_col: str, value_col: str,
-                        qs: dict[str, float], num_buckets: int = 64):
+                        qs: dict[str, float], num_buckets: int = N_BUCKETS):
     """Exact per-group discrete percentiles of ``side`` (a ``(Dataset,
     schema)`` pair), one output column per entry of ``qs`` ({out_name:
     quantile in (0, 1]}).

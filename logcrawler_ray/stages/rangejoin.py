@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..functions.cogroup import cogroup
+from ..functions.cogroup import N_BUCKETS, cogroup
 from .asof import _i64
 
 _I64_MAX = (1 << 63) - 1
@@ -101,7 +101,7 @@ def _expand(lo: np.ndarray, counts: np.ndarray):
 
 def range_join(left, right, *, by: str, on: str, lower: int, upper: int,
                right_cols: list[str] | None = None, suffix: str = "_right",
-               buckets: int = 64):
+               buckets: int = N_BUCKETS):
     """Inner range join of two ``(Dataset, schema)`` sides; returns a
     Dataset of pair rows.
 

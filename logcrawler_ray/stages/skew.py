@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from ..functions.cogroup import cogroup
+from ..functions.cogroup import N_BUCKETS, cogroup
 
 
 def salted_aggregate(side, key: str, agg_cols: dict[str, str],
-                     n_salts: int = 16, num_buckets: int = 64):
+                     n_salts: int = 16, num_buckets: int = N_BUCKETS):
     """Two-phase skew-safe aggregation of ``side`` (a ``(Dataset, schema)``
     pair).
 

@@ -24,7 +24,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.cogroup import cogroup
+from ..functions.cogroup import N_BUCKETS, cogroup
 
 # Knuth's multiplicative constant: spreads sequential ids uniformly over
 # [0, 2^32). Kept as plain SQL-expressible arithmetic ((id * A) % 2^32) so
@@ -50,7 +50,7 @@ def _prune(t: pa.Table, group_col: str, sort_keys: list, k: int) -> pa.Table:
 
 def topk_per_group(side, *, group_col: str, order_col: str, k: int,
                    descending: bool = True,
-                   tiebreak_cols: tuple[str, ...] = (), buckets: int = 64):
+                   tiebreak_cols: tuple[str, ...] = (), buckets: int = N_BUCKETS):
     """Exact top-k rows per group of ``side`` (a ``(Dataset, schema)``
     pair); returns a Dataset with the side's columns.
 
@@ -70,7 +70,7 @@ def topk_per_group(side, *, group_col: str, order_col: str, k: int,
 
 
 def stratified_sample_hash(side, *, stratum_col: str, id_col: str, k: int,
-                           buckets: int = 64):
+                           buckets: int = N_BUCKETS):
     """Deterministic uniform sample of up to ``k`` rows per stratum of
     ``side`` (a ``(Dataset, schema)`` pair).
 

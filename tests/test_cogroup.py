@@ -75,6 +75,38 @@ def test_every_block_carries_the_declared_schema(ray_session):
     assert [r for b in blocks for r in b.to_pylist()] == [{"k": 7, "n": 3 * n}]
 
 
+def test_one_shuffle_partition_per_bucket(ray_session):
+    """The sort makes one partition per bucket, whatever the input's block
+    count (``n_buckets=1`` adds an empty sentinel partition)."""
+    import ray.data as rd
+
+    sch = pa.schema([("k", pa.int64())])
+    src = rd.from_arrow(pa.table({"k": pa.array(range(100), pa.int64())})).repartition(3)
+    for nb in (1, 5, 16):
+        blocks = _blocks(cogroup([(src, sch)], "k", lambda t: t, schema=sch, n_buckets=nb))
+        assert len(blocks) == max(nb, 2)
+        assert sorted(r["k"] for b in blocks for r in b.to_pylist()) == list(range(100))
+
+
+def test_building_a_plan_asks_the_cluster_nothing(ray_session, monkeypatch):
+    """A caller may build a co-group before Ray is started (Ray Data starts
+    a session on first execution), so building one reads no cluster
+    state: without a session, ``ray.cluster_resources()`` raises."""
+    import ray
+    import ray.data as rd
+
+    def not_started(*_a, **_k):
+        raise ray.exceptions.RaySystemError("Ray has not been started yet.")
+
+    sch = pa.schema([("k", pa.int64())])
+    src = rd.from_arrow(pa.table({"k": pa.array([3, 1, 3], pa.int64())}))
+    with monkeypatch.context() as m:
+        for name in ("cluster_resources", "available_resources", "nodes"):
+            m.setattr(ray, name, not_started)
+        ds = cogroup([(src, sch)], "k", lambda t: t, schema=sch, n_buckets=4)
+    assert sorted(r["k"] for r in ds.take_all()) == [1, 3, 3]
+
+
 def test_one_sided_buckets_get_typed_zero_row_tables(ray_session):
     """Bucket 0 holds only left keys, bucket 1 only right keys, bucket 2
     both: the absent side arrives as a zero-row table with its declared
