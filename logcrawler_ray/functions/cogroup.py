@@ -11,15 +11,17 @@ decodes and the as-of, range, frame and hash joins. It
    over the union, with one shuffle partition per bucket (groups are
    coarse buckets, never keys: a partition costs a reduce and a map
    task, and per-group Python ~1-2 ms). The boundaries are the bucket
-   ids, so the sort needs no sampling pass, and one typed marker row per
-   bucket keeps every partition non-empty;
+   ids, so the sort needs no sampling pass, and every bundled block
+   carries one typed marker row per bucket, so no partition of an input
+   with rows is empty;
 3. calls ``fn(*tables)`` once per non-empty bucket with one ``pa.Table``
    per side. Each table holds exactly that side's declared columns and
    Arrow types, and has zero rows when the side has none in the bucket;
 4. casts every output block to ``schema`` (schema metadata dropped), so
    Ray's schema unification keeps its hashable fast path. A bucket with
-   no rows returns ``schema``'s empty table: no output block is
-   column-less.
+   only markers returns ``schema``'s empty table, so no output block is
+   column-less unless every side is empty (Ray then passes its
+   column-less empty partitions through).
 
 Sides are ``(Dataset, pa.Schema)`` pairs, and that is the library's one
 convention for an operator input: column types come from the caller
@@ -46,10 +48,10 @@ from .hashing import hash64_str_array, splitmix64
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 
 # The default bucket count. Each bucket is one shuffle partition (a reduce
-# and a map task), so it caps how many reduce in parallel; callers with
-# large inputs pass more. A full check_oracle.py run summed ~59 s at 64
-# buckets and 31-37 s at 16 (8 Ray CPUs on 4 vCPUs).
-N_BUCKETS = 16
+# and a map task, ~6 ms at 8 Ray CPUs on one vCPU), so it caps how many
+# reduce in parallel; callers with large inputs pass more. At 8, full
+# check_oracle.py runs summed as much time as Ray's sampled sort did.
+N_BUCKETS = 8
 
 # Ray's sort runs one mapper task per block it receives, and every mapper
 # writes one piece per partition: tiny blocks (from_items makes one per
@@ -145,8 +147,6 @@ def cogroup(sides, key, fn, *, schema: pa.Schema, n_buckets: int = N_BUCKETS):
     once per non-empty bucket (``n_buckets`` of them, one shuffle
     partition each), which may hold many keys. Every output block carries
     ``schema``."""
-    import ray.data as rd
-
     keys = [key] if isinstance(key, str) else list(key)
     schema = schema.remove_metadata()
     decl = [s.remove_metadata() for _, s in sides]
@@ -168,22 +168,27 @@ def cogroup(sides, key, fn, *, schema: pa.Schema, n_buckets: int = N_BUCKETS):
 
         return fn_tag
 
-    def per_bucket(g: pa.Table) -> pa.Table:
-        # one bucket, rows sorted by side; its marker (side -1) leads
-        cut = np.searchsorted(g["__s"].to_numpy(), np.arange(len(decl) + 1))
-        if cut[0] == cut[-1]:  # the marker alone: no side has rows here
-            return schema.empty_table()
-        return fn(*[g.slice(a, z - a).select(ns).rename_columns(d.names).cast(d)
-                    for a, z, ns, d in zip(cut, cut[1:], names, decl)]
-                  ).select(schema.names).cast(schema)
-
-    # one sort partition per bucket, each led by a typed marker row (Ray
-    # samples its own boundaries when given none: n_buckets=1 gets a
-    # sentinel partition)
+    # one sort partition per bucket (Ray samples its own boundaries when
+    # given none: n_buckets=1 gets a sentinel partition). A partition that
+    # gets no rows comes out of Ray's sort column-less, and a map never
+    # calls its function on an empty block, so every bundled batch carries
+    # one typed marker row (side -1) per partition.
     lows = list(range(n_buckets)) if n_buckets > 1 else [0, 1]
     markers = pa.Table.from_arrays(
         [pa.array(lows, pa.int32()), pa.array(np.full(len(lows), -1, np.int8))]
         + [pa.nulls(len(lows), f.type) for f in list(union)[2:]], schema=union)
+
+    def bundle(t: pa.Table) -> pa.Table:
+        return pa.concat_tables([markers, t])
+
+    def per_bucket(g: pa.Table) -> pa.Table:
+        # one bucket, rows sorted by side; its markers (side -1) lead
+        cut = np.searchsorted(g["__s"].to_numpy(), np.arange(len(decl) + 1))
+        if cut[0] == cut[-1]:  # markers alone: no side has rows here
+            return schema.empty_table()
+        return fn(*[g.slice(a, z - a).select(ns).rename_columns(d.names).cast(d)
+                    for a, z, ns, d in zip(cut, cut[1:], names, decl)]
+                  ).select(schema.names).cast(schema)
 
     # bundle AFTER tagging: Ray concatenates the blocks it bundles, and
     # only tagged blocks are sure to carry a hashable (metadata-free)
@@ -191,14 +196,9 @@ def cogroup(sides, key, fn, *, schema: pa.Schema, n_buckets: int = N_BUCKETS):
     # stating Ray Data's own default retry count keeps the bundler from
     # fusing back onto the sides' input blocks and changes nothing else.
     tagged = [ds.map_batches(tag(i), batch_format="pyarrow")
-              .map_batches(_bundle, batch_format="pyarrow",
-                           batch_size=_MIN_SORT_BLOCK_ROWS,
-                           max_retries=-1)
+              .map_batches(bundle, batch_format="pyarrow",
+                           batch_size=_MIN_SORT_BLOCK_ROWS, max_retries=-1)
               for i, (ds, _) in enumerate(sides)]
-    return (rd.from_arrow(markers).union(*tagged)
-            .sort(["__b", "__s"], boundaries=lows[1:])
-            .map_batches(per_bucket, batch_format="pyarrow", batch_size=None))
-
-
-def _bundle(t: pa.Table) -> pa.Table:
-    return t
+    return (tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]) \
+        .sort(["__b", "__s"], boundaries=lows[1:]) \
+        .map_batches(per_bucket, batch_format="pyarrow", batch_size=None)

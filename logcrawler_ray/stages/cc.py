@@ -35,9 +35,15 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..functions.cogroup import _runs, cogroup
+from ..functions.cogroup import N_BUCKETS, _runs, cogroup
 
 _EDGES = pa.schema([("u", pa.int64()), ("v", pa.int64())])
+
+# Input edges per co-group bucket of a cc round. Both star steps over 32K
+# edges take ~28 ms on one core, and a bucket adds a reduce and a map task
+# to each of the round's two co-groups (~6 ms a bucket at 8 Ray CPUs on
+# one vCPU), so a small edge set runs its rounds in fewer buckets.
+_EDGES_PER_BUCKET = 1 << 15
 
 
 class CCNotConverged(RuntimeError):
@@ -109,7 +115,7 @@ def _edge_checksum(ds) -> tuple[int, int]:
 
 
 def cc_labels_dataset(edges_ds, a: str = "a", b: str = "b", *,
-                      n_buckets: int = 16, max_rounds: int = 60):
+                      n_buckets: int = N_BUCKETS, max_rounds: int = 60):
     """Distributed connected components: (a, b) int64 edge Dataset ->
     (node, component) Dataset, component = min node id.
 
@@ -123,8 +129,9 @@ def cc_labels_dataset(edges_ds, a: str = "a", b: str = "b", *,
       edges), m(u) = min(N(u)); every smaller neighbor v != m(u)
       re-hangs as (v, m(u)), and u itself hangs as (u, m(u)).
 
-    Both steps co-group rows on u in ``n_buckets`` coarse buckets and
-    compute the per-node minima vectorized inside each bucket. At the fixpoint
+    Both steps co-group rows on u in at most ``n_buckets`` coarse buckets
+    (one per ``_EDGES_PER_BUCKET`` input edges) and compute the per-node
+    minima vectorized inside each bucket. At the fixpoint
     the edge set IS the (node, component) star forest.
     """
     import ray.data as rd
@@ -140,6 +147,8 @@ def cc_labels_dataset(edges_ds, a: str = "a", b: str = "b", *,
     if edges.count() == 0:
         return rd.from_arrow(pa.table({"node": pa.array([], pa.int64()),
                                        "component": pa.array([], pa.int64())}))
+    # at least two: one bucket adds an always-empty sentinel partition
+    n_buckets = min(n_buckets, max(2, edges.count() // _EDGES_PER_BUCKET))
 
     def symmetric(t: pa.Table) -> pa.Table:
         """Both directions of every edge, so large-star sees full
@@ -195,7 +204,7 @@ def cc_labels_dataset(edges_ds, a: str = "a", b: str = "b", *,
 
 
 def cluster_losers_ds(pairs_ds, idmap_ds, *, id64_col: str = "__id64",
-                      id_col: str = "image_id", n_buckets: int = 16,
+                      id_col: str = "image_id", n_buckets: int = N_BUCKETS,
                       max_rounds: int = 60):
     """Pair Dataset (int64 hashed ids) + (id64, string id) map Dataset ->
     Dataset of LOSER string ids under first-wins cluster dedup (the
