@@ -172,7 +172,8 @@ def cogroup(sides, key, fn, *, schema: pa.Schema, n_buckets: int = N_BUCKETS):
     # given none: n_buckets=1 gets a sentinel partition). A partition that
     # gets no rows comes out of Ray's sort column-less, and a map never
     # calls its function on an empty block, so every bundled batch carries
-    # one typed marker row (side -1) per partition.
+    # one typed marker row (side -1) per partition: n_buckets extra rows
+    # per _MIN_SORT_BLOCK_ROWS input rows.
     lows = list(range(n_buckets)) if n_buckets > 1 else [0, 1]
     markers = pa.Table.from_arrays(
         [pa.array(lows, pa.int32()), pa.array(np.full(len(lows), -1, np.int8))]
