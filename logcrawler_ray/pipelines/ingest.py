@@ -230,8 +230,11 @@ def ingest(source, store: ObjectStore, pid: str = "ingest", *,
         files (:func:`_commit_loser_files`), never passing the driver.
 
     The losers become the delete-vector view ``pid``: the payload bytes are
-    written exactly once (lakehouse delete vectors; Lance deletions). A
-    committed ``pid`` returns at once.
+    written exactly once (lakehouse delete vectors; Lance deletions). The
+    returned view Dataset is built from manifests alone: its read tasks
+    load the losers (``ObjectStore.read_dataset``), so none transits the
+    driver on return. A committed ``pid`` returns at once, for a manifest
+    stat and two manifest reads.
     """
     import ray.data as rd
 

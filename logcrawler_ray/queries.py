@@ -1411,9 +1411,9 @@ def q35_segment_revenue(sf_dir: str):
     """,
 )
 def q36_salted_user_totals(sf_dir: str):
-    """Skew-safe two-phase salted aggregation (stages/skew.py) — result is
-    identical to a plain groupby, which IS the oracle: the salt spreads a
-    hot key over n_salts reducers, phase 2 merges the partials."""
+    """Skew-safe two-phase aggregation (stages/skew.py) — result is
+    identical to a plain groupby, which IS the oracle: a map-side combiner
+    cuts a hot key to one partial per batch, phase 2 merges the partials."""
     from .stages.skew import salted_aggregate
 
     sch = pa.schema([("user_id", pa.int64()), ("value_e2", pa.int64()),
@@ -1428,8 +1428,8 @@ def q36_salted_user_totals(sf_dir: str):
 
     ds = _side(sf_dir, "events", columns=["user_id", "value"])[0].map_batches(
         cents, batch_format="pyarrow")
-    out = salted_aggregate((ds, sch), "user_id", {"one": "count", "value_e2": "sum"},
-                           n_salts=8).to_pandas()
+    out = salted_aggregate((ds, sch), "user_id",
+                           {"one": "count", "value_e2": "sum"}).to_pandas()
     out = out.rename(columns={"one": "n"})
     out["total"] = out.pop("value_e2") / 100.0
     return out

@@ -106,19 +106,42 @@ def _merge_one_fragment(fs_or_url, frag_key: str, dst_key: str, key: str,
     return dst_key, kept.num_rows
 
 
-def _read_keys(pafs, keys: list[str], columns: list[str] | None):
-    """One Arrow table per data file, read straight from its key."""
+def _delete_vector(pafs, files: list[str], key_col: str) -> pa.Array:
+    """One view link's delete keys as one Arrow array (NEVER a Python set:
+    :func:`drop_keys` probes it with ``is_in``)."""
+    return pa.concat_tables(_read_keys(pafs, files, [key_col]))[key_col].combine_chunks()
+
+
+def _read_keys(pafs, keys: list[str], columns: list[str] | None,
+               chain: list = ()):
+    """One Arrow table per data file, read straight from its key, minus the
+    rows of the view ``chain`` (one ``(key_col, delete_files)`` per link):
+    the store's one read generator, run by ``read_table`` and by
+    :func:`_manifest_dataset`'s tasks. The delete keys load once, before
+    the first file; each file runs :func:`drop_keys` per link as it is
+    read. Key columns ``columns`` omits are read for the drop only."""
+    drops = [(c, _delete_vector(pafs, files, c)) for c, files in chain]
+    cols = columns
+    if columns is not None:
+        cols = columns + [c for c in dict.fromkeys(c for c, _ in chain)
+                          if c not in columns]
     for k in keys:
         with pafs.open_input_file(k) as f:
-            yield pq.read_table(f, columns=columns)
+            t = pq.read_table(f, columns=cols)
+        for c, drop in drops:
+            t = drop_keys(t, c, drop)
+        yield t if cols == columns else t.select(columns)
 
 
 def _manifest_dataset(keys: list[str], columns: list[str] | None, pafs,
-                      file_rows: list[int | None]):
-    """Dataset over exactly ``keys`` (a partition's manifest file list).
+                      file_rows: list[int | None], chain: list = ()):
+    """Dataset over exactly ``keys`` (a partition's manifest file list),
+    minus the rows of the view ``chain`` (see :func:`_read_keys`).
 
     One read task per contiguous file group, each running
-    :func:`_read_keys` with ``columns`` pushed down. Unlike
+    :func:`_read_keys` with ``columns`` pushed down and the chain's delete
+    vectors loaded inside the task: a view read is this one operator, and
+    building it reads no data and puts no object on the driver. Unlike
     ``rd.read_parquet`` it resolves no paths, prefetches no footers and
     runs no sampling tasks when the Dataset is built — the manifest
     already names every file. The task count is Ray's own read floor, two
@@ -127,8 +150,8 @@ def _manifest_dataset(keys: list[str], columns: list[str] | None, pafs,
     keep the read from fusing with the next map).
 
     ``file_rows`` (aligned with ``keys``; ``None`` where a manifest predates
-    per-file counts) gives each task its row count, so ``count()`` on the
-    read is answered from metadata without running it."""
+    per-file counts) gives each task its row count, so ``count()`` on a
+    base read is answered from metadata; a view read's count runs."""
     import ray
     import ray.data as rd
     from ray.data.block import BlockMetadata
@@ -141,8 +164,10 @@ def _manifest_dataset(keys: list[str], columns: list[str] | None, pafs,
         def get_read_tasks(self, parallelism: int) -> list:
             n = max(1, min(parallelism, len(keys)))
             cuts = [len(keys) * i // n for i in range(n + 1)]
-            return [ReadTask(lambda g=keys[a:b]: _read_keys(pafs, g, columns),
-                             BlockMetadata(num_rows=None if None in file_rows[a:b]
+            return [ReadTask(lambda g=keys[a:b]: _read_keys(pafs, g, columns,
+                                                            chain),
+                             BlockMetadata(num_rows=None if chain
+                                           or None in file_rows[a:b]
                                            else sum(file_rows[a:b]),
                                            size_bytes=None,
                                            input_files=keys[a:b],
@@ -347,10 +372,9 @@ class ObjectStore:
                 f"rewrite_partition through chained views ({pid} -> "
                 f"{base} -> ...) is unsupported; read + append instead")
         key_col, dropped = self._delete_keys(pid)
-        anti = self._anti_view
 
         def wrapped(t, _fn=fragment_fn):
-            return _fn(anti(t, key_col, dropped, None))
+            return _fn(drop_keys(t, key_col, dropped))
 
         return wrapped, base, self._shadow_from(m)
 
@@ -390,28 +414,15 @@ class ObjectStore:
     def _snapshot_read_dataset(self, columns):
         """Whole-store Dataset read with snapshot semantics (union of
         per-pid reads); ``None`` -> flat fast path is exact."""
-        ms = self._all_manifests()
-        live = self._live_of(ms)
+        live = self._live_manifests()
         if not any(m.get("view") for m in live.values()):
             return None
         import ray.data as rd
 
-        def carries_schema(p: str) -> bool:
-            # fileless partitions — including views over fileless bases —
-            # carry no schema and would poison the union; resolved from
-            # the already-fetched manifest map (zero extra GETs)
-            m, seen = ms[p], set()
-            while True:
-                v = m.get("view")
-                if not v:
-                    return bool(m["files"])
-                b = v["base"]
-                if b in seen or b not in ms:
-                    return False
-                seen.add(b)
-                m = ms[b]
-
-        pids = [p for p in live if carries_schema(p)]
+        # fileless partitions (views over fileless bases too) carry no
+        # schema and would poison the union; resolved under the caller's
+        # manifest prefetch (zero extra GETs)
+        pids = [p for p in live if self._resolve(p)[0]]
         if not pids:
             return rd.from_arrow(pa.table({}))
         dss = [self.read_dataset(p, columns=columns) for p in pids]
@@ -786,29 +797,29 @@ class ObjectStore:
         return self.manifest(pid).get("view")
 
     def _delete_keys(self, pid: str) -> tuple[str, pa.Array]:
-        """Delete keys of a view as an Arrow array (NEVER a Python set —
-        readers probe it with vectorized ``pc.is_in``)."""
-        import pyarrow.compute as pc
-
+        """Delete keys of view ``pid`` for driver-side maintenance; view
+        reads load them in their read tasks (:func:`_read_keys`)."""
         v = self._view_of(pid)
-        tab = pa.concat_tables(_read_keys(self._pafs(), v["delete_files"], None))
-        return v["key_col"], pc.unique(tab[v["key_col"]].combine_chunks())
+        return v["key_col"], _delete_vector(self._pafs(), v["delete_files"],
+                                            v["key_col"])
 
-    @staticmethod
-    def _anti_view(t: pa.Table, key_col: str, drop: pa.Array,
-                   columns: list[str] | None) -> pa.Table:
-        """A view's rows of ``t`` (:func:`drop_keys`), projected to
-        ``columns``: shared by every view reader."""
-        out = drop_keys(t, key_col, drop)
-        if columns is not None and key_col not in columns:
-            out = out.select(columns)
-        return out
+    def _resolve(self, pid: str) -> tuple[list[str], list, list]:
+        """``pid``'s data files, their row counts (``None`` where a
+        manifest predates per-file counts) and its view chain, one
+        ``(key_col, delete_files)`` per view link (empty for a base
+        partition), reading each manifest of the chain once."""
+        m, chain = self.manifest(pid), []
+        while m.get("view"):
+            v = m["view"]
+            chain.append((v["key_col"], v["delete_files"]))
+            m = self.manifest(v["base"])
+        return m["files"], m.get("file_rows", [None] * len(m["files"])), chain
 
     # -- readers ------------------------------------------------------------
     def files(self, pid: str | None = None) -> list[str]:
         """Data files of committed partitions only (crashed stages
         invisible; view partitions resolve to their base's files)."""
-        return self._files_rows(pid)[0]
+        return self._read_plan(pid)[0]
 
     def file_schema(self, pid: str, columns: list[str] | None = None) -> pa.Schema:
         """``pid``'s column types (projected to ``columns``) from its first
@@ -817,25 +828,29 @@ class ObjectStore:
             sch = pq.read_schema(f).remove_metadata()
         return sch if columns is None else pa.schema([sch.field(c) for c in columns])
 
-    def _files_rows(self, pid: str | None) -> tuple[list[str], list]:
-        """:meth:`files` and each file's row count from the same manifests
-        (``None`` where a manifest predates per-file counts)."""
-        if pid is None and self._mcache is None:
+    def _read_plan(self, pid: str | None) -> tuple[list[str], list, list]:
+        """:meth:`_resolve` of ``pid``, or the flat whole store: every live
+        partition's files and row counts, with no view chain."""
+        if pid is not None:
+            return self._resolve(pid)
+        if self._mcache is None:
             with self._manifest_cache(self._all_manifests()):
-                return self._files_rows(None)
+                return self._read_plan(None)
         files: list[str] = []
         rows: list = []
-        for p in [pid] if pid else self._live_manifests():
-            m = self.manifest(p)
-            if m.get("view"):
-                f, r = self._files_rows(m["view"]["base"])
-            else:
-                f, r = m["files"], m.get("file_rows", [None] * len(m["files"]))
+        for p in self._live_manifests():
+            f, r, _ = self._resolve(p)
             files += f
             rows += r
-        return files, rows
+        return files, rows, []
 
     def read_dataset(self, pid: str | None = None, columns: list[str] | None = None):
+        """``pid`` (or the whole-store snapshot) as a lazy Dataset. A view
+        read is ONE ``ReadManifest`` operator over its base's files whose
+        read tasks apply the whole view chain's delete vectors themselves
+        (:func:`_manifest_dataset`): building it reads no data file and
+        puts no object on the driver, and no key ever transits it. A view
+        read's ``count()`` runs; a base read's comes from the manifest."""
         import ray.data as rd
 
         if pid is None:
@@ -847,32 +862,16 @@ class ObjectStore:
             snap = self._snapshot_read_dataset(columns)
             if snap is not None:
                 return snap
-        if pid is not None and self._view_of(pid):
-            base = self._view_of(pid)["base"]
-            if not self.files(base):  # fileless base: nothing to anti-join
-                return self.read_dataset(base)
-            key_col, dropped = self._delete_keys(pid)
-            cols = columns
-            if cols is not None and key_col not in cols:
-                cols = [*cols, key_col]
-            ds = self.read_dataset(base, columns=cols)
-            import ray
-
-            # losers broadcast ONCE as an Arrow array; every task probes it
-            # with a vectorized is_in (never a per-row Python loop)
-            ref = ray.put(dropped)
-            anti = self._anti_view
-
-            def anti_fn(t: pa.Table) -> pa.Table:
-                return anti(t, key_col, ray.get(ref), columns)
-
-            return ds.map_batches(anti_fn, batch_format="pyarrow")
-        files, counts = self._files_rows(pid)
+        files, counts, chain = self._read_plan(pid)
         if not files:
             return rd.from_arrow(pa.table({}))
-        return _manifest_dataset(files, columns, self._pafs(), counts)
+        return _manifest_dataset(files, columns, self._pafs(), counts, chain)
 
     def read_table(self, pid: str | None = None, columns: list[str] | None = None) -> pa.Table:
+        """``pid`` (or the whole-store snapshot) as one Arrow table, read
+        by the same generator as :meth:`read_dataset`'s tasks
+        (:func:`_read_keys`) run on the driver: one base file at a time,
+        each filtered through the view chain as it is read."""
         if pid is None:
             if self._mcache is None:
                 with self._manifest_cache(self._all_manifests()):
@@ -880,23 +879,10 @@ class ObjectStore:
             snap = self._snapshot_read_table(columns)
             if snap is not None:
                 return snap
-        if pid is not None and self._view_of(pid):
-            key_col, dropped = self._delete_keys(pid)
-            base = self._view_of(pid)["base"]
-            cols = columns
-            if cols is not None and key_col not in cols:
-                cols = [*cols, key_col]
-            if self._view_of(base):  # chained views: the base view's rows
-                tabs = [self.read_table(base, columns=cols)]
-            else:  # one base file at a time, never the whole partition
-                tabs = _read_keys(self._pafs(), self.files(base), cols)
-            out = [self._anti_view(t, key_col, dropped, columns)
-                   for t in tabs if t.num_columns]  # fileless base: none
-            return pa.concat_tables(out) if out else pa.table({})
-        files = self.files(pid)
+        files, _, chain = self._read_plan(pid)
         if not files:
             return pa.table({})
-        return pa.concat_tables(_read_keys(self._pafs(), files, columns))
+        return pa.concat_tables(_read_keys(self._pafs(), files, columns, chain))
 
     # -- upsert (the reference's bulk_update, S10) ------------------------------
     def merge_insert(self, pid: str, updates: pa.Table, key: str, *,

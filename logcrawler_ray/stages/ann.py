@@ -21,6 +21,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .broadcast import collect_table
+
 
 def _to_matrix(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
     arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
@@ -210,9 +212,10 @@ def cosine_neardup_pairs_ds(ds, threshold: float = 0.9,
         sel = t.filter(pc.is_in(t[id_col], value_set=ray.get(need_ref)))
         return pa.table({id_col: sel[id_col], vec_col: sel[vec_col]})
 
-    vec_tab = pa.concat_tables(ray.get(
+    vec_tab = collect_table(
         ds.select_columns([id_col, vec_col])
-        .map_batches(collect, batch_format="pyarrow").to_arrow_refs()))
+        .map_batches(collect, batch_format="pyarrow"),
+        pa.schema([(id_col, pa.int64()), (vec_col, pa.list_(pa.float64()))]))
     ids_v = vec_tab[id_col].combine_chunks().to_numpy().astype(np.int64)
     mat_v = _normalize(_to_matrix(vec_tab[vec_col]))
     order = np.argsort(ids_v)  # searchsorted below needs sorted ids

@@ -36,13 +36,20 @@ def _guard(n: int, what: str, max_rows: int) -> None:
             "use a cogroup shuffle join instead")
 
 
+def collect_table(ds, sch: pa.Schema) -> pa.Table:
+    """``ds``'s ``sch`` columns as one Arrow table of the declared types on
+    the driver; an empty ``ds`` gives ``sch``'s empty table. One execution:
+    unlike ``to_arrow_refs()`` it runs no ``limit(1)`` schema probe, and
+    unlike ``to_pandas()`` it keeps nullable int64 keys int64."""
+    blocks = ds.iter_batches(batch_size=None, batch_format="pyarrow")
+    return pa.concat_tables([sch.empty_table()] + [
+        b.select(sch.names).cast(sch) for b in blocks if b.num_rows])
+
+
 def _collect(ds, sch: pa.Schema, what: str, max_rows: int) -> list[pa.Array]:
     """``ds``'s ``sch`` columns as Arrow arrays on the driver, LIMIT-bounded
-    to ``max_rows + 1`` rows BEFORE the collect. No pandas round trip (it
-    made nullable int64 keys float64); an empty side is typed."""
-    blocks = ds.limit(max_rows + 1).iter_batches(batch_size=None, batch_format="pyarrow")
-    tbl = pa.concat_tables([sch.empty_table()] + [
-        b.select(sch.names).cast(sch) for b in blocks if b.num_rows])
+    to ``max_rows + 1`` rows BEFORE the collect (:func:`collect_table`)."""
+    tbl = collect_table(ds.limit(max_rows + 1), sch)
     _guard(tbl.num_rows, what, max_rows)
     return [c.combine_chunks() for c in tbl.columns]
 

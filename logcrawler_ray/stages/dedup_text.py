@@ -28,6 +28,7 @@ import pyarrow.compute as pc
 from ..functions.cogroup import _runs, cogroup
 from ..functions.hashing import hash64_str_array, splitmix64, to_int64
 from ..functions.text import shingle_hashes, words
+from .broadcast import collect_table
 
 _MERSENNE = np.uint64((1 << 61) - 1)
 
@@ -266,7 +267,8 @@ def verify_jaccard_pairs(ds, pairs_ds, text_col: str = "text",
         # Arrow-native broadcast (round-2 advice): the shingle sets ship as
         # ONE (ids, list<uint64>) Arrow pair — compact buffers, no driver
         # dict-of-Python-sets; per-pair set ops touch only each batch's rows
-        tbl = pa.concat_tables(ray.get(shingle_ds.to_arrow_refs()))
+        tbl = collect_table(shingle_ds, pa.schema(
+            [(id_col, pa.int64()), ("shingles", pa.list_(pa.uint64()))]))
         sets_ref = ray.put((tbl[id_col].combine_chunks(),
                             tbl["shingles"].combine_chunks()))
 
@@ -368,8 +370,6 @@ def fused_sketch_neardup(ds, *, text_col: str = "text", id_col: str = "doc_id",
 
     Returns ``(minhash_df (a, b, jaccard), simhash_df (a, b, hamming))``.
     """
-    import ray
-
     from ..functions.hashing import to_int64
     from ..functions.text import words
     from .hamming import hamming_near_dup_pairs, hamming_pairs_local
@@ -433,10 +433,11 @@ def fused_sketch_neardup(ds, *, text_col: str = "text", id_col: str = "doc_id",
         # per-band bucket pairing and the pigeonhole run in-process
         import ray.data as rd
 
-        skinny = pa.concat_tables(ray.get(rows.map_batches(
-            lambda t: t.filter(pc.not_equal(t["kind"], 2))
-                       .select(["kind", "band", "bucket", "doc_id"]),
-            batch_format="pyarrow").to_arrow_refs()))
+        skinny = collect_table(rows.map_batches(
+            lambda t: t.filter(pc.not_equal(t["kind"], 2)),
+            batch_format="pyarrow"), pa.schema(
+                [("kind", pa.int8()), ("band", pa.int32()),
+                 ("bucket", pa.int64()), ("doc_id", pa.int64())]))
         cands = (band_candidate_pairs(skinny.filter(
             pc.equal(skinny["kind"], 0)), max_bucket).to_pandas()
             .drop_duplicates(["a", "b"]))

@@ -24,7 +24,7 @@ from ..functions.cogroup import N_BUCKETS, cogroup
 
 
 def salted_aggregate(side, key: str, agg_cols: dict[str, str],
-                     n_salts: int = 16, num_buckets: int = N_BUCKETS):
+                     num_buckets: int = N_BUCKETS):
     """Two-phase skew-safe aggregation of ``side`` (a ``(Dataset, schema)``
     pair).
 
@@ -35,9 +35,8 @@ def salted_aggregate(side, key: str, agg_cols: dict[str, str],
     Phase 1 is a map-side COMBINER: each batch reduces to one row per key
     it sees (C-level Arrow group_by), so a hot key contributes O(blocks)
     partial rows instead of its full row count — for algebraic aggregates
-    the combiner subsumes explicit key salting (``n_salts`` is kept for
-    API compatibility; a salt bound only matters when phase 1 is itself a
-    shuffle). Phase 2 merges the partials under ONE :func:`cogroup`
+    the combiner subsumes explicit key salting (a salt bound only matters
+    when phase 1 is itself a shuffle). Phase 2 merges the partials under ONE :func:`cogroup`
     — a native per-key ``groupby(key).aggregate`` pays per-GROUP cost
     (~17-150 us/distinct key, the r3 CLAUDE.md lesson), the wrong shape
     when key cardinality is the user/host population.

@@ -23,7 +23,7 @@ def test_salted_aggregate_matches_plain(ray_session, skewed_df):
 
     ds = (rd.from_pandas(skewed_df).repartition(8),
           pa.Schema.from_pandas(skewed_df, preserve_index=False))
-    out = salted_aggregate(ds, "host", {"v": "sum"}, n_salts=8).to_pandas()
+    out = salted_aggregate(ds, "host", {"v": "sum"}).to_pandas()
     expect = skewed_df.groupby("host", as_index=False)["v"].sum()
     got = out.sort_values("host").reset_index(drop=True)
     expect = expect.sort_values("host").reset_index(drop=True)
@@ -36,7 +36,7 @@ def test_salted_aggregate_min_max_count(ray_session, skewed_df):
     df = skewed_df.rename(columns={"v": "x"})
     df["n"] = 1
     ds = (rd.from_pandas(df).repartition(4), pa.Schema.from_pandas(df, preserve_index=False))
-    out = salted_aggregate(ds, "host", {"x": "min", "n": "count"}, n_salts=4).to_pandas()
+    out = salted_aggregate(ds, "host", {"x": "min", "n": "count"}).to_pandas()
     expect_min = df.groupby("host")["x"].min()
     expect_n = df.groupby("host").size()
     for _, row in out.iterrows():

@@ -6,10 +6,16 @@ order-insensitive values (rows sorted by all columns, columns sorted by
 name). Usage:
 
     python tools/check_oracle.py [sf_dir] [query ...]
+
+The last line counts two ``ray.data`` log records a run should not need:
+plans Ray re-ran under ``limit(1)`` to learn a schema, and "RefBundle
+with a different schema" warnings (an operator emitted a block whose
+schema differs from its previous block's).
 """
 
 from __future__ import annotations
 
+import logging
 import os
 import sys
 import time
@@ -97,6 +103,30 @@ def compare(name: str, ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> list[str]:
     return problems
 
 
+class RayDataLogCounter(logging.Handler):
+    """Counts ``LimitOperator[limit=1]`` execution plans and
+    "RefBundle with a different schema" warnings on the ``ray.data``
+    logger (which every Ray Data module logs under)."""
+
+    def __init__(self):
+        super().__init__()
+        self.limit_plans = 0
+        self.schema_warnings = 0
+
+    def emit(self, record: logging.LogRecord) -> None:
+        msg = record.getMessage()
+        if msg.startswith("Execution plan of Dataset") \
+                and "LimitOperator[limit=1]" in msg:
+            self.limit_plans += 1
+        elif "RefBundle with a different schema" in msg:
+            self.schema_warnings += 1
+
+    def summary(self) -> str:
+        return (f"ray.data log: {self.limit_plans} LimitOperator[limit=1] plans, "
+                f"{self.schema_warnings} 'RefBundle with a different schema' "
+                "warnings")
+
+
 def main() -> int:
     args = [a for a in sys.argv[1:] if a != "--determinism"]
     check_det = "--determinism" in sys.argv
@@ -111,6 +141,8 @@ def main() -> int:
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
+    counter = RayDataLogCounter()
+    logging.getLogger("ray.data").addHandler(counter)
 
     sys.path.insert(0, ROOT)
     import __ray_entry__ as entrymod
@@ -159,6 +191,7 @@ def main() -> int:
         else:
             print(f"PASS {name}: {len(ray_df)} rows ({dt:.1f}s)")
     ray.shutdown()
+    print(counter.summary())
     return 1 if failures else 0
 
 
