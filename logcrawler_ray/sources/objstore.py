@@ -61,7 +61,7 @@ def drop_keys(t: pa.Table, key_col: str, drop: pa.Array) -> pa.Table:
     the broadcast dedup filter all run it), one ``pc.is_in`` and a
     ``filter``. The filter copies every kept payload byte, so a caller
     holding many rows runs it per file or batch, never over a
-    concatenation (see ``read_table``)."""
+    concatenation (see :func:`_read_keys`)."""
     import pyarrow.compute as pc
 
     if len(drop) == 0 or pa.types.is_null(drop.type):
@@ -313,9 +313,8 @@ class ObjectStore:
     @contextmanager
     def _manifest_cache(self, ms: dict[str, dict]):
         """Serve ``manifest()`` from a prefetched map for the duration of a
-        whole-store read, so per-pid view resolution (files / _view_of /
-        base reads) re-uses the one fetch pass instead of issuing per-pid
-        GETs. Driver-side reads only; writers never run under the cache.
+        whole-store read, so per-pid view resolution (:meth:`_resolve`)
+        re-uses the one fetch pass instead of issuing per-pid GETs. Driver-side reads only; writers never run under the cache.
         Nests: an inner scope restores the outer cache on exit."""
         prev = self._mcache
         self._mcache = ms

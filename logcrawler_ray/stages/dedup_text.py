@@ -434,7 +434,8 @@ def fused_sketch_neardup(ds, *, text_col: str = "text", id_col: str = "doc_id",
         import ray.data as rd
 
         skinny = collect_table(rows.map_batches(
-            lambda t: t.filter(pc.not_equal(t["kind"], 2)),
+            lambda t: t.filter(pc.not_equal(t["kind"], 2))
+                       .select(["kind", "band", "bucket", "doc_id"]),
             batch_format="pyarrow"), pa.schema(
                 [("kind", pa.int8()), ("band", pa.int32()),
                  ("bucket", pa.int64()), ("doc_id", pa.int64())]))
