@@ -464,52 +464,10 @@ class CrawlEngine:
         # wave-* image partitions, and — critically — stale checkpoints,
         # whose higher wave numbers would make CheckpointDir._prune delete
         # the NEW run's checkpoints and resume() continue the OLD crawl.
-        import os
-
-        def _drop_closure(store, doomed: set[str]) -> None:
-            """Drop ``doomed`` plus everything that reads THROUGH it
-            (views, supersedes holders) — a stale view left standing
-            would shadow and mis-filter the new run's recreated
-            partitions. Dependents drop first (drop_partition refuses
-            to orphan a live view)."""
-            ms = store._all_manifests()
-            changed = True
-            while changed:
-                changed = False
-                for p, m in ms.items():
-                    if p in doomed:
-                        continue
-                    refs = set(m.get("supersedes") or ())
-                    if m.get("view"):
-                        refs.add(m["view"]["base"])
-                    if refs & doomed:
-                        doomed.add(p)
-                        changed = True
-
-            def depth(p: str) -> int:
-                d, m, seen = 0, ms.get(p), {p}
-                while m and m.get("view"):
-                    b = m["view"]["base"]
-                    if b in seen:  # corrupt view cycle: don't hang start()
-                        break
-                    seen.add(b)
-                    d, m = d + 1, ms.get(b)
-                return d
-
-            for p in sorted(doomed & set(ms), key=depth, reverse=True):
-                # dependents-first order makes the per-drop live-view scan
-                # redundant (O(P^2) metadata GETs on a remote store)
-                store.drop_partition(p, force=True)
-
-        _drop_closure(self.log_store, set(self.log_store.partitions()))
-        _drop_closure(self.store, {p for p in self.store.partitions()
-                                   if p.startswith("wave-")})
-        for f in os.listdir(self.ckpt.root):
-            if f.startswith("wave-") and f.endswith(".ckpt"):
-                try:
-                    os.remove(os.path.join(self.ckpt.root, f))
-                except OSError:
-                    pass
+        self.log_store.drop_partitions(self.log_store.partitions())
+        self.store.drop_partitions(p for p in self.store.partitions()
+                                   if p.startswith("wave-"))
+        self.ckpt.clear()
         self.state = CrawlState(self.cfg, use_actors=True)
         self.state.enqueue([s["url"] for s in seeds], [s["depth"] for s in seeds])
         self.ckpt.save(0, {"cfg_seed": self.cfg.seed, "state": self.state.state()})

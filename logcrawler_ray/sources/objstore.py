@@ -32,8 +32,15 @@ rename, so the protocol never needs one):
   the previous manifest naming the previous stage — the partition reads
   exactly as before — plus unreferenced objects that :meth:`ObjectStore.gc`
   reclaims.
+- Every read and every rewrite consumes ONE resolved plan
+  (:meth:`ObjectStore._plan`): the partition's — or the whole-store
+  snapshot's — data files, each with its row count and its view chain.
+  Reads run one generator over it (:func:`_read_keys`), on the driver or
+  in ``ReadManifest`` tasks; ``merge_insert`` and ``rewrite_partition``
+  run one kernel (:meth:`ObjectStore._rewrite`) that writes one fresh
+  stage and commits one manifest, views and chained views included.
 - Upsert (:meth:`ObjectStore.merge_insert`) is METADATA-ONLY for untouched
-  fragments: the new manifest re-references their existing keys.
+  files: the new manifest re-references their existing keys.
 
 The reference deletes partial output on failure instead
 (02_combine_logs.py:156-162) — the same invariant, made atomic here.
@@ -48,12 +55,12 @@ import os
 import posixpath
 import time
 import uuid
-from contextlib import contextmanager
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from .store import write_fragment
+
 
 def drop_keys(t: pa.Table, key_col: str, drop: pa.Array) -> pa.Table:
     """``t`` without the rows whose ``key_col`` is in ``drop``: the store's
@@ -69,115 +76,126 @@ def drop_keys(t: pa.Table, key_col: str, drop: pa.Array) -> pa.Table:
     return t.filter(pc.invert(pc.is_in(t[key_col], value_set=drop)))
 
 
-def _merge_one_fragment(fs_or_url, frag_key: str, dst_key: str, key: str,
-                        upd_keys, compression: str,
-                        storage_options: dict | None = None):
-    """One fragment of :meth:`ObjectStore.merge_insert` — runs serially on
-    the driver or fanned out as a ``ray.remote`` task (per-fragment GET
-    latency is highest exactly on remote stores, so the wide upsert must
-    not be O(fragments) serial round trips).
-
-    ``storage_options`` rebuilds the driver's exact filesystem (endpoint,
-    credentials) when only the URL ships to the task (ADVICE r4).
-    Key-column scan first; an untouched fragment is re-referenced AS-IS
-    (metadata-only). Returns ``(live_key | None, rows)``."""
-    import pyarrow.compute as pc
-
-    if isinstance(fs_or_url, str):
-        import fsspec
-
-        fs, _ = fsspec.core.url_to_fs(fs_or_url, **(storage_options or {}))
-    else:
-        fs = fs_or_url
-    with fs.open(frag_key, "rb") as fh:
-        keys_only = pq.read_table(fh, columns=[key])
-    hit = pc.sum(pc.is_in(keys_only[key], value_set=upd_keys)).as_py() or 0
-    if hit == 0:
-        return frag_key, keys_only.num_rows
-    with fs.open(frag_key, "rb") as fh:
-        frag = pq.read_table(fh)
-    kept = drop_keys(frag, key, upd_keys)
-    if not kept.num_rows:
-        return None, 0
-    proto = fs.protocol if isinstance(fs.protocol, str) else fs.protocol[0]
-    url = dst_key if proto in ("file", "local") else f"{proto}://{dst_key}"
-    write_fragment(kept, url, compression=compression,
-                   storage_options=storage_options)
-    return dst_key, kept.num_rows
-
-
-def _delete_vector(pafs, files: list[str], key_col: str) -> pa.Array:
-    """One view link's delete keys as one Arrow array (NEVER a Python set:
-    :func:`drop_keys` probes it with ``is_in``)."""
-    return pa.concat_tables(_read_keys(pafs, files, [key_col]))[key_col].combine_chunks()
-
-
-def _read_keys(pafs, keys: list[str], columns: list[str] | None,
-               chain: list = ()):
-    """One Arrow table per data file, read straight from its key, minus the
-    rows of the view ``chain`` (one ``(key_col, delete_files)`` per link):
-    the store's one read generator, run by ``read_table`` and by
-    :func:`_manifest_dataset`'s tasks. The delete keys load once, before
-    the first file; each file runs :func:`drop_keys` per link as it is
-    read. Key columns ``columns`` omits are read for the drop only."""
-    drops = [(c, _delete_vector(pafs, files, c)) for c, files in chain]
-    cols = columns
-    if columns is not None:
-        cols = columns + [c for c in dict.fromkeys(c for c, _ in chain)
-                          if c not in columns]
-    for k in keys:
-        with pafs.open_input_file(k) as f:
+def _read_keys(pafs, plan: list, columns: list[str] | None):
+    """One Arrow table per plan entry ``(file, rows, chain)`` (see
+    :meth:`ObjectStore._plan`), read straight from its key, minus the rows
+    of the entry's view ``chain``: the store's one read generator, run by
+    ``read_table``, by :func:`_manifest_dataset`'s tasks and by the rewrite
+    kernel (:func:`_rewrite_files`). Each distinct chain link's delete keys
+    load once, when the first file that needs them is read, and each file
+    runs :func:`drop_keys` per link as it is read. Key columns ``columns``
+    omits are read for the drop only."""
+    drops: dict[tuple, pa.Array] = {}
+    for key, _, chain in plan:
+        cols = columns
+        if columns is not None:
+            cols = columns + [c for c in dict.fromkeys(c for c, _ in chain)
+                              if c not in columns]
+        with pafs.open_input_file(key) as f:
             t = pq.read_table(f, columns=cols)
-        for c, drop in drops:
-            t = drop_keys(t, c, drop)
+        for link in chain:
+            if link not in drops:
+                drops[link] = ObjectStore._delete_keys(pafs, *link)
+            t = drop_keys(t, link[0], drops[link])
         yield t if cols == columns else t.select(columns)
 
 
-def _manifest_dataset(keys: list[str], columns: list[str] | None, pafs,
-                      file_rows: list[int | None], chain: list = ()):
-    """Dataset over exactly ``keys`` (a partition's manifest file list),
-    minus the rows of the view ``chain`` (see :func:`_read_keys`).
-
-    One read task per contiguous file group, each running
-    :func:`_read_keys` with ``columns`` pushed down and the chain's delete
-    vectors loaded inside the task: a view read is this one operator, and
-    building it reads no data and puts no object on the driver. Unlike
-    ``rd.read_parquet`` it resolves no paths, prefetches no footers and
-    runs no sampling tasks when the Dataset is built — the manifest
-    already names every file. The task count is Ray's own read floor, two
-    per cluster CPU, capped at one per file; it is passed as the read's
-    block count, so Ray never splits the read's blocks (a split would also
-    keep the read from fusing with the next map).
-
-    ``file_rows`` (aligned with ``keys``; ``None`` where a manifest predates
-    per-file counts) gives each task its row count, so ``count()`` on a
-    base read is answered from metadata; a view read's count runs."""
+def _n_tasks(n_items: int) -> int:
+    """Ray's read floor, two tasks per cluster CPU, capped at one per item:
+    the task count of a store read and of a store rewrite."""
     import ray
+
+    # no Ray session yet: Ray Data starts a local one on the first read
+    cpus = ray.cluster_resources().get("CPU", 1) if ray.is_initialized() else 1
+    return min(n_items, 2 * max(1, int(cpus)))
+
+
+def _cut(items: list, n: int) -> list[list]:
+    """``items`` in ``n`` contiguous groups (at least one, at most one per
+    item)."""
+    n = max(1, min(n, len(items)))
+    cuts = [len(items) * i // n for i in range(n + 1)]
+    return [items[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _manifest_dataset(plan: list, columns: list[str] | None, pafs):
+    """Dataset over exactly ``plan``'s files (see :meth:`ObjectStore._plan`),
+    each minus the rows of its view chain.
+
+    One read task per contiguous group of entries, each running
+    :func:`_read_keys` with ``columns`` pushed down and the chains' delete
+    vectors loaded inside the task: a view read, and a whole-store read
+    with live views, is this one operator, and building it reads no data
+    and puts no object on the driver. Unlike ``rd.read_parquet`` it
+    resolves no paths, prefetches no footers and runs no sampling tasks
+    when the Dataset is built — the plan already names every file. The
+    task count (:func:`_n_tasks`) is passed as the read's block count, so
+    Ray never splits the read's blocks (a split would also keep the read
+    from fusing with the next map).
+
+    A task whose entries all carry a row count and no chain gives Ray its
+    row count, so ``count()`` on a base read, or on a whole-store read
+    with no live view, is answered from metadata; a view read's count
+    runs."""
     import ray.data as rd
     from ray.data.block import BlockMetadata
     from ray.data.datasource import Datasource, ReadTask
+
+    def rows(group: list) -> int | None:
+        if any(chain or n is None for _, n, chain in group):
+            return None
+        return sum(n for _, n, _ in group)
 
     class ManifestDatasource(Datasource):  # runs as "ReadManifest"
         def estimate_inmemory_data_size(self) -> None:
             return None
 
         def get_read_tasks(self, parallelism: int) -> list:
-            n = max(1, min(parallelism, len(keys)))
-            cuts = [len(keys) * i // n for i in range(n + 1)]
-            return [ReadTask(lambda g=keys[a:b]: _read_keys(pafs, g, columns,
-                                                            chain),
-                             BlockMetadata(num_rows=None if chain
-                                           or None in file_rows[a:b]
-                                           else sum(file_rows[a:b]),
-                                           size_bytes=None,
-                                           input_files=keys[a:b],
+            return [ReadTask(lambda g=g: _read_keys(pafs, g, columns),
+                             BlockMetadata(num_rows=rows(g), size_bytes=None,
+                                           input_files=[f for f, _, _ in g],
                                            exec_stats=None))
-                    for a, b in zip(cuts, cuts[1:])]
+                    for g in _cut(plan, parallelism)]
 
-    # no Ray session yet: Ray Data starts a local one on the first read
-    cpus = ray.cluster_resources().get("CPU", 1) if ray.is_initialized() else 1
-    n_tasks = min(len(keys), 2 * max(1, int(cpus)))
-    return rd.read_datasource(ManifestDatasource(), override_num_blocks=n_tasks)
+    return rd.read_datasource(ManifestDatasource(),
+                              override_num_blocks=_n_tasks(len(plan)))
+
+
+def _rewrite_files(jobs: list, pafs, fn, key: str | None, upd_keys,
+                   compression: str, storage_options: dict | None) -> list:
+    """One group of :meth:`ObjectStore._rewrite`'s jobs, run serially on
+    the driver or as one Ray task. Each job is a plan entry and the key
+    and URL it is rewritten to: the file is read through its view chain
+    (:func:`_read_keys`), mapped by ``fn``, stripped of the upserted
+    keys ``upd_keys`` and written; a file that ends empty is dropped.
+
+    Metadata-only upsert: a chain-free entry (a file of the partition's
+    own manifest) whose key column holds no upserted key is kept AS-IS,
+    after reading its key column only. Returns ``(key, rows)`` per kept
+    file."""
+    import pyarrow.compute as pc
+
+    out, todo = [], []
+    for job in jobs:
+        (src, _, chain), _, _ = job
+        if upd_keys is not None and not chain:
+            with pafs.open_input_file(src) as f:
+                ks = pq.read_table(f, columns=[key])[key]
+            if not pc.any(pc.is_in(ks, value_set=upd_keys)).as_py():
+                out.append((src, len(ks)))
+                continue
+        todo.append(job)
+    for (_, dst, url), t in zip(todo, _read_keys(pafs, [e for e, _, _ in todo],
+                                                 None)):
+        if fn is not None:
+            t = fn(t)
+        if upd_keys is not None:
+            t = drop_keys(t, key, upd_keys)
+        if t.num_rows:
+            write_fragment(t, url, compression=compression,
+                           storage_options=storage_options)
+            out.append((dst, t.num_rows))
+    return out
 
 
 def open_store(root: str, compression: str = "none", **kw) -> ObjectStore:
@@ -195,18 +213,22 @@ class ObjectStore:
     snappy costs ~4x write CPU for zero size win.
 
     Whole-store reads (``read_table()`` / ``read_dataset()`` / ``rows()``
-    with no pid) are SNAPSHOTS:
+    with no pid) are SNAPSHOTS, resolved by :meth:`_plan` from one fetch
+    of every manifest:
 
     - a committed delete-vector view SHADOWS its base partition (reading
       both would double-count the base and ignore the deletes);
     - a partition MATERIALIZED in place of a view (``merge_insert`` /
-      ``rewrite_partition`` on a view pid) keeps shadowing the old base
-      via the manifest's ``supersedes`` list — the snapshot invariant
-      survives the view's lifecycle, not just its creation;
+      ``rewrite_partition`` on a view pid, chained or not) keeps
+      shadowing the old base via the manifest's ``supersedes`` list,
+      which :meth:`_put_manifest` inherits on every commit — the snapshot
+      invariant survives the view's lifecycle, not just its creation;
     - sibling views over one base are BOTH live (a user-created
       ambiguity: the snapshot is then their union);
     - the maintenance writers (``merge_insert`` / ``rewrite_partition``
-      / ``drop_partition``) REFUSE to touch a live view's base. The hot
+      / ``drop_partition``) REFUSE to touch a live view's base;
+      ``drop_partitions`` drops the views (and superseding partitions)
+      that read through what it drops, dependents first. The hot
       append paths (``append_table`` / ``commit_external`` /
       ``append_dataset``) are deliberately unguarded — the check costs
       one manifest scan per commit, and no pipeline appends over a
@@ -246,9 +268,6 @@ class ObjectStore:
             raise ValueError("an object store is shared by definition; "
                              "shared_fs=False is contradictory here")
         self.shared_fs = bool(shared_fs) or not self._local
-        # pid -> manifest map served by manifest() during one whole-store
-        # read (see _manifest_cache)
-        self._mcache: dict[str, dict] | None = None
         try:
             fs.makedirs(self._key("_manifests"), exist_ok=True)
         except Exception:
@@ -304,24 +323,8 @@ class ObjectStore:
     # -- snapshot semantics (whole-store reads) ------------------------------
     def _all_manifests(self) -> dict[str, dict]:
         """pid -> manifest, every manifest fetched exactly ONCE (manifest
-        GETs are the dominant metadata cost on a remote object store).
-        Served straight from an active :meth:`_manifest_cache`."""
-        if self._mcache is not None:
-            return self._mcache
+        GETs are the dominant metadata cost on a remote object store)."""
         return {p: self.manifest(p) for p in self.partitions()}
-
-    @contextmanager
-    def _manifest_cache(self, ms: dict[str, dict]):
-        """Serve ``manifest()`` from a prefetched map for the duration of a
-        whole-store read, so per-pid view resolution (:meth:`_resolve`)
-        re-uses the one fetch pass instead of issuing per-pid GETs. Driver-side reads only; writers never run under the cache.
-        Nests: an inner scope restores the outer cache on exit."""
-        prev = self._mcache
-        self._mcache = ms
-        try:
-            yield
-        finally:
-            self._mcache = prev
 
     def _assert_not_view_base(self, pid: str, action: str) -> None:
         """Mutating or dropping the BASE of a live delete-vector view
@@ -335,100 +338,23 @@ class ObjectStore:
                     f"{action} on '{pid}', which is the base of live view "
                     f"'{p}'; drop or materialize the view first")
 
-    @staticmethod
-    def _live_of(ms: dict[str, dict]) -> dict[str, dict]:
-        shadowed: set[str] = set()
-        for m in ms.values():
-            v = m.get("view")
-            if v:
-                shadowed.add(v["base"])
-            shadowed.update(m.get("supersedes") or ())
+    @classmethod
+    def _live_of(cls, ms: dict[str, dict]) -> dict[str, dict]:
+        shadowed = {p for m in ms.values() for p in cls._shadow_from(m)}
         return {p: m for p, m in ms.items() if p not in shadowed}
-
-    def _live_manifests(self) -> dict[str, dict]:
-        return self._live_of(self._all_manifests())
 
     @staticmethod
     def _shadow_from(m: dict) -> list[str]:
-        """What a partition committed in place of the one holding
-        manifest ``m`` must keep shadowing: the view's base plus any
-        supersedes list the manifest already carries (inherited from
-        earlier incarnations of the pid)."""
+        """What the partition holding manifest ``m`` shadows in the
+        whole-store snapshot, and what a partition committed in its place
+        must keep shadowing: the view's base plus any supersedes list the
+        manifest already carries (inherited from earlier incarnations of
+        the pid)."""
         sup = list(m.get("supersedes") or ())
         v = m.get("view")
         if v and v["base"] not in sup:
             return [v["base"], *sup]
         return sup
-
-    def _materialize_view_plan(self, pid: str, m: dict, fragment_fn):
-        """Plan for rewriting view ``pid`` into a plain partition:
-        ``(wrapped_fragment_fn, base, supersedes)`` — the wrapped fn runs
-        the delete vector before the caller's fn; chained views refuse
-        loudly (only THIS view's deletes would be applied)."""
-        base = m["view"]["base"]
-        if self._view_of(base):
-            raise ValueError(
-                f"rewrite_partition through chained views ({pid} -> "
-                f"{base} -> ...) is unsupported; read + append instead")
-        key_col, dropped = self._delete_keys(pid)
-
-        def wrapped(t, _fn=fragment_fn):
-            return _fn(drop_keys(t, key_col, dropped))
-
-        return wrapped, base, self._shadow_from(m)
-
-    def _materialize_upsert(self, pid: str, updates, key: str) -> None:
-        """merge_insert on a view pid: materialize into a plain partition,
-        keeping the base SHADOWED in the whole-store snapshot.
-
-        STREAMING, never the whole partition in driver memory: the
-        rewrite pass runs base fragments through the delete vector and
-        drops the updated keys ONE FRAGMENT AT A TIME; the follow-up
-        plain upsert then re-references every rewritten fragment
-        (nothing contains an updated key anymore) and adds the updates
-        as one new fragment. Two commits instead of one — a crash
-        between them leaves a correct store that simply lacks the
-        upsert, the same observable state as crashing before a
-        single-commit upsert."""
-        upd_keys = pa.array(sorted(set(updates[key].to_pylist())))
-
-        def drop_updated(t: pa.Table) -> pa.Table:
-            return drop_keys(t, key, upd_keys)
-
-        self.rewrite_partition(pid, drop_updated)
-        self.merge_insert(pid, updates, key=key)
-
-    def _snapshot_read_table(self, columns):
-        """Whole-store table read with snapshot semantics; ``None`` means
-        no live view exists, so the caller's flat files() fast path is
-        exact (files()/rows() already restrict to live pids). Runs under
-        the caller's manifest prefetch."""
-        live = self._live_of(self._all_manifests())
-        if not any(m.get("view") for m in live.values()):
-            return None
-        tabs = [t for t in (self.read_table(p, columns=columns)
-                            for p in live) if t.num_columns]
-        return pa.concat_tables(tabs) if tabs else pa.table({})
-
-    def _snapshot_read_dataset(self, columns):
-        """Whole-store Dataset read with snapshot semantics (union of
-        per-pid reads); ``None`` -> flat fast path is exact."""
-        live = self._live_manifests()
-        if not any(m.get("view") for m in live.values()):
-            return None
-        import ray.data as rd
-
-        # fileless partitions (views over fileless bases too) carry no
-        # schema and would poison the union; resolved under the caller's
-        # manifest prefetch (zero extra GETs)
-        pids = [p for p in live if self._resolve(p)[0]]
-        if not pids:
-            return rd.from_arrow(pa.table({}))
-        dss = [self.read_dataset(p, columns=columns) for p in pids]
-        out = dss[0]
-        for d in dss[1:]:
-            out = out.union(d)
-        return out
 
     # -- commit protocol -----------------------------------------------------
     def is_done(self, pid: str) -> bool:
@@ -444,8 +370,6 @@ class ObjectStore:
             for k in names if k.endswith(".json"))
 
     def manifest(self, pid: str) -> dict:
-        if self._mcache is not None and pid in self._mcache:
-            return self._mcache[pid]
         return json.loads(self._retry(self.fs.cat_file, self._manifest_key(pid)))
 
     def rows(self, pid: str | None = None) -> int:
@@ -453,7 +377,8 @@ class ObjectStore:
         Whole-store = the SNAPSHOT (see :class:`ObjectStore`)."""
         if pid is not None:
             return self.manifest(pid)["rows"]
-        return sum(m["rows"] for m in self._live_manifests().values())
+        live = self._live_of(self._all_manifests())
+        return sum(m["rows"] for m in live.values())
 
     def _put_manifest(self, pid: str, manifest: dict) -> None:
         """THE commit point: one atomic object PUT, nothing else.
@@ -464,14 +389,16 @@ class ObjectStore:
         ever renamed; data objects never move)."""
         # overwriting a partition that shadows others must keep shadowing
         # them (single inheritance chokepoint — every commit path PUTs
-        # here): the pid's shadow set (view base + supersedes) only grows
-        # until the pid is dropped
-        if "supersedes" not in manifest and self.is_done(pid):
-            base = (manifest.get("view") or {}).get("base")
-            old = [p for p in self._shadow_from(self.manifest(pid))
-                   if p != base]
-            if old:
-                manifest = {**manifest, "supersedes": old}
+        # here, and no caller sets "supersedes" itself): the pid's shadow
+        # set (view base + supersedes) only grows until the pid is dropped
+        try:
+            old = self._shadow_from(self.manifest(pid))
+        except FileNotFoundError:
+            old = []  # a first commit
+        base = (manifest.get("view") or {}).get("base")
+        old = [p for p in old if p != base]
+        if old:
+            manifest = {**manifest, "supersedes": old}
         payload = json.dumps(manifest).encode()
         if self._local:
             dst = self._manifest_key(pid)
@@ -502,19 +429,15 @@ class ObjectStore:
                 "meta": meta or {}}
 
     # -- writers --------------------------------------------------------------
-    def append_table(self, pid: str, table: pa.Table, meta: dict | None = None,
-                     supersedes: list[str] | None = None) -> None:
-        """Atomically write one partition from a driver-side Arrow table.
-        ``supersedes`` keeps the snapshot shadow when this write
-        MATERIALIZES a former view."""
+    def append_table(self, pid: str, table: pa.Table,
+                     meta: dict | None = None) -> None:
+        """Atomically write one partition from a driver-side Arrow table."""
         stage = self._new_stage(pid)
         key = posixpath.join(stage, "part-0.parquet")
         write_fragment(table, self._url(key), compression=self.compression,
                        storage_options=self.storage_options)
-        manifest = self._data_manifest([key], [table.num_rows], meta)
-        if supersedes is not None:  # explicit [] = clear (skip inheritance)
-            manifest["supersedes"] = supersedes
-        self._put_manifest(pid, manifest)
+        self._put_manifest(pid, self._data_manifest([key], [table.num_rows],
+                                                     meta))
 
     def append_dataset(self, pid: str, ds, meta: dict | None = None) -> int:
         """Atomically write one partition from a ray.data.Dataset (streamed
@@ -546,8 +469,9 @@ class ObjectStore:
         that read fan-out wants). Content-identical rewrite: row counts,
         keys and order-within-fragments are unchanged, so it is safe under
         live views over this partition. Driver memory is bounded by one
-        output file's rows. ``supersedes`` and meta ride through the
-        commit; old objects become gc-able garbage. Returns the new
+        output file's rows. Meta rides through the commit (and the
+        snapshot shadow through :meth:`_put_manifest`); old objects
+        become gc-able garbage. Returns the new
         fragment count."""
         m = self.manifest(pid)
         if m.get("view"):
@@ -580,10 +504,8 @@ class ObjectStore:
             if buffered >= target_rows:
                 flush()
         flush()
-        manifest = self._data_manifest(new_files, counts, m.get("meta"))
-        if m.get("supersedes"):
-            manifest["supersedes"] = m["supersedes"]
-        self._put_manifest(pid, manifest)
+        self._put_manifest(pid, self._data_manifest(new_files, counts,
+                                                    m.get("meta")))
         self.gc(pid)
         return len(new_files)
 
@@ -669,6 +591,26 @@ class ObjectStore:
             self._retry(self.fs.rm, self._key("data", pid), recursive=True)
         except FileNotFoundError:
             pass
+
+    def drop_partitions(self, pids) -> None:
+        """Drop ``pids`` plus every partition that reads THROUGH them (a
+        view over one, or one superseding it, transitively) — a stale
+        view left standing would shadow and mis-filter a recreated
+        partition. Dependents drop first, so a crash mid-sweep orphans no
+        view, and that order makes the per-drop live-view scan of
+        :meth:`drop_partition` redundant (O(P^2) manifest GETs on a
+        remote store). Pids with no manifest are ignored."""
+        ms = self._all_manifests()
+        refs = {p: set(self._shadow_from(m)) for p, m in ms.items()}
+        doomed = set(pids) & set(ms)
+        while more := {p for p, r in refs.items() if r & doomed} - doomed:
+            doomed |= more
+        while doomed:
+            # no leaf left: a corrupt view cycle, dropped as it stands
+            leaves = doomed - {b for p in doomed for b in refs[p]} or doomed
+            for p in sorted(leaves):
+                self.drop_partition(p, force=True)
+            doomed -= leaves
 
     def gc(self, pid: str, grace_s: float = 0.0) -> int:
         """Delete data objects of ``pid`` not referenced by its manifest
@@ -784,7 +726,15 @@ class ObjectStore:
 
     def _commit_view(self, pid: str, base_pid: str, delete_keys_files: list[str],
                      key_col: str, n_deleted: int, meta: dict | None) -> int:
-        rows = self.rows(base_pid) - n_deleted
+        """One view manifest PUT; its rows are the base's rows minus the
+        delete keys, which must be a subset of the base's keys. Over a
+        zero-row base every key is absent and the view holds 0 rows."""
+        base = self.rows(base_pid)
+        if base and n_deleted > base:
+            raise ValueError(
+                f"view '{pid}' deletes {n_deleted} keys from '{base_pid}', "
+                f"which holds {base} rows; delete keys must be base keys")
+        rows = max(base - n_deleted, 0)
         self._put_manifest(pid, {
             "rows": rows, "files": [],
             "view": {"base": base_pid, "key_col": key_col,
@@ -792,33 +742,47 @@ class ObjectStore:
             "meta": meta or {}})
         return rows
 
-    def _view_of(self, pid: str) -> dict | None:
-        return self.manifest(pid).get("view")
+    @staticmethod
+    def _delete_keys(pafs, key_col: str, files: tuple[str, ...]) -> pa.Array:
+        """One view link's delete keys as one Arrow array (NEVER a Python
+        set: :func:`drop_keys` probes it with ``is_in``), read where the
+        link's rows are dropped: in a read or rewrite task, or in the
+        driver's ``read_table``."""
+        tabs = _read_keys(pafs, [(f, None, ()) for f in files], [key_col])
+        return pa.concat_tables(tabs)[key_col].combine_chunks()
 
-    def _delete_keys(self, pid: str) -> tuple[str, pa.Array]:
-        """Delete keys of view ``pid`` for driver-side maintenance; view
-        reads load them in their read tasks (:func:`_read_keys`)."""
-        v = self._view_of(pid)
-        return v["key_col"], _delete_vector(self._pafs(), v["delete_files"],
-                                            v["key_col"])
+    def _plan(self, pid: str | None = None) -> list[tuple]:
+        """``pid`` — or, for ``None``, every live partition of the
+        whole-store snapshot — resolved into the entries every read and
+        rewrite consumes: one ``(file, rows, chain)`` per data file, with
+        ``rows`` from the manifest (``None`` where it predates per-file
+        counts) and ``chain`` the file's view links, one ``(key_col,
+        delete_files)`` per link, outermost first. A chain-free entry is a
+        file of the partition's own manifest. Each manifest is fetched
+        once; fileless partitions contribute no entries."""
+        ms = self._all_manifests() if pid is None else {}
 
-    def _resolve(self, pid: str) -> tuple[list[str], list, list]:
-        """``pid``'s data files, their row counts (``None`` where a
-        manifest predates per-file counts) and its view chain, one
-        ``(key_col, delete_files)`` per view link (empty for a base
-        partition), reading each manifest of the chain once."""
-        m, chain = self.manifest(pid), []
-        while m.get("view"):
-            v = m["view"]
-            chain.append((v["key_col"], v["delete_files"]))
-            m = self.manifest(v["base"])
-        return m["files"], m.get("file_rows", [None] * len(m["files"])), chain
+        def get(p: str) -> dict:
+            if p not in ms:
+                ms[p] = self.manifest(p)
+            return ms[p]
+
+        plan: list[tuple] = []
+        for p in self._live_of(ms) if pid is None else [pid]:
+            m, chain = get(p), ()
+            while m.get("view"):
+                v = m["view"]
+                chain += ((v["key_col"], tuple(v["delete_files"])),)
+                m = get(v["base"])
+            rows = m.get("file_rows", [None] * len(m["files"]))
+            plan += [(f, n, chain) for f, n in zip(m["files"], rows)]
+        return plan
 
     # -- readers ------------------------------------------------------------
     def files(self, pid: str | None = None) -> list[str]:
         """Data files of committed partitions only (crashed stages
         invisible; view partitions resolve to their base's files)."""
-        return self._read_plan(pid)[0]
+        return [f for f, _, _ in self._plan(pid)]
 
     def file_schema(self, pid: str, columns: list[str] | None = None) -> pa.Schema:
         """``pid``'s column types (projected to ``columns``) from its first
@@ -827,165 +791,121 @@ class ObjectStore:
             sch = pq.read_schema(f).remove_metadata()
         return sch if columns is None else pa.schema([sch.field(c) for c in columns])
 
-    def _read_plan(self, pid: str | None) -> tuple[list[str], list, list]:
-        """:meth:`_resolve` of ``pid``, or the flat whole store: every live
-        partition's files and row counts, with no view chain."""
-        if pid is not None:
-            return self._resolve(pid)
-        if self._mcache is None:
-            with self._manifest_cache(self._all_manifests()):
-                return self._read_plan(None)
-        files: list[str] = []
-        rows: list = []
-        for p in self._live_manifests():
-            f, r, _ = self._resolve(p)
-            files += f
-            rows += r
-        return files, rows, []
-
     def read_dataset(self, pid: str | None = None, columns: list[str] | None = None):
-        """``pid`` (or the whole-store snapshot) as a lazy Dataset. A view
-        read is ONE ``ReadManifest`` operator over its base's files whose
-        read tasks apply the whole view chain's delete vectors themselves
-        (:func:`_manifest_dataset`): building it reads no data file and
-        puts no object on the driver, and no key ever transits it. A view
-        read's ``count()`` runs; a base read's comes from the manifest."""
-        import ray.data as rd
+        """``pid`` (or the whole-store snapshot) as a lazy Dataset: ONE
+        ``ReadManifest`` operator over :meth:`_plan`'s files whose read
+        tasks apply each file's view chain themselves
+        (:func:`_manifest_dataset`). Building it reads no data file and
+        puts no object on the driver, and no key ever transits it. A read
+        touching a view runs its ``count()``; any other count comes from
+        the manifests."""
+        plan = self._plan(pid)
+        if not plan:
+            import ray.data as rd
 
-        if pid is None:
-            if self._mcache is None:
-                # ONE manifest prefetch covers the snapshot probe AND the
-                # flat files(None) fallthrough
-                with self._manifest_cache(self._all_manifests()):
-                    return self.read_dataset(None, columns=columns)
-            snap = self._snapshot_read_dataset(columns)
-            if snap is not None:
-                return snap
-        files, counts, chain = self._read_plan(pid)
-        if not files:
             return rd.from_arrow(pa.table({}))
-        return _manifest_dataset(files, columns, self._pafs(), counts, chain)
+        return _manifest_dataset(plan, columns, self._pafs())
+
+    def iter_tables(self, pid: str | None = None,
+                    columns: list[str] | None = None):
+        """``pid`` (or the whole-store snapshot) as one Arrow table per data
+        file, read by the same generator as :meth:`read_dataset`'s tasks
+        (:func:`_read_keys`) run on the driver, each file filtered through
+        its view chain as it is read: driver memory is one file."""
+        return _read_keys(self._pafs(), self._plan(pid), columns)
 
     def read_table(self, pid: str | None = None, columns: list[str] | None = None) -> pa.Table:
-        """``pid`` (or the whole-store snapshot) as one Arrow table, read
-        by the same generator as :meth:`read_dataset`'s tasks
-        (:func:`_read_keys`) run on the driver: one base file at a time,
-        each filtered through the view chain as it is read."""
-        if pid is None:
-            if self._mcache is None:
-                with self._manifest_cache(self._all_manifests()):
-                    return self.read_table(None, columns=columns)
-            snap = self._snapshot_read_table(columns)
-            if snap is not None:
-                return snap
-        files, _, chain = self._read_plan(pid)
-        if not files:
-            return pa.table({})
-        return pa.concat_tables(_read_keys(self._pafs(), files, columns, chain))
+        """:meth:`iter_tables` concatenated into one Arrow table."""
+        tabs = list(self.iter_tables(pid, columns))
+        return pa.concat_tables(tabs) if tabs else pa.table({})
 
-    # -- upsert (the reference's bulk_update, S10) ------------------------------
+    # -- rewrites (the reference's bulk_update, S10) ----------------------------
+    def _rewrite(self, pid: str, fn=None, *, upsert: pa.Table | None = None,
+                 key: str | None = None, meta: dict | None = None) -> int:
+        """The store's one rewrite kernel: every file of :meth:`_plan`
+        (``pid``) is read through its view chain, mapped by ``fn``
+        (``pa.Table -> pa.Table``), stripped of ``upsert``'s ``key``
+        values and written into ONE fresh stage; ``upsert``'s rows follow
+        as one fragment, and ONE manifest commit (which keeps a former
+        view's base shadowed, see :meth:`_put_manifest`) plus ``gc``
+        finish it. A view pid is thereby materialized into its own files,
+        whatever the length of its chain.
+
+        Driver memory is one file, never the partition: the files are
+        rewritten in Ray tasks (contiguous groups, :func:`_n_tasks`) when
+        a session is live, there is more than one file and the root is not
+        process-local ``memory://``; serially on the driver otherwise.
+        Returns the partition's rows."""
+        plan = self._plan(pid)
+        stage = self._new_stage(pid)
+        jobs = []
+        for i, entry in enumerate(plan):
+            # index prefix: files from different stages may share a basename
+            dst = posixpath.join(stage, f"{i:05d}-{posixpath.basename(entry[0])}")
+            jobs.append((entry, dst, self._url(dst)))
+        upd_keys = None
+        if upsert is not None:
+            upd_keys = pa.array(sorted(set(upsert[key].to_pylist())))
+        pafs = self._pafs()
+        import ray
+
+        if ray.is_initialized() and len(jobs) > 1 and self._proto != "memory":
+            task = ray.remote(num_cpus=1)(_rewrite_files)
+            ref = ray.put(upd_keys)
+            outs = ray.get([task.remote(g, pafs, fn, key, ref, self.compression,
+                                        self.storage_options)
+                            for g in _cut(jobs, _n_tasks(len(jobs)))])
+        else:
+            outs = [_rewrite_files(jobs, pafs, fn, key, upd_keys,
+                                   self.compression, self.storage_options)]
+        kept = [k for out in outs for k in out]
+        if upsert is not None:
+            if plan:
+                with pafs.open_input_file(plan[0][0]) as f:
+                    upsert = upsert.select(pq.read_schema(f).names)
+            uk = posixpath.join(stage, "upsert.parquet")
+            write_fragment(upsert, self._url(uk), compression=self.compression,
+                           storage_options=self.storage_options)
+            kept.append((uk, upsert.num_rows))
+        kept.sort()
+        manifest = self._data_manifest(
+            [k for k, _ in kept], [n for _, n in kept],
+            self.manifest(pid).get("meta") if meta is None else meta)
+        self._put_manifest(pid, manifest)
+        self.gc(pid)
+        return manifest["rows"]
+
     def merge_insert(self, pid: str, updates: pa.Table, key: str, *,
                      allow_view_base: bool = False) -> None:
         """Upsert rows of one partition by key (reference:
         13_calculate_image_stats.py:109-116 / 14_calculate_closest_frames.py:122-129
-        ``bulk_update``), committed atomically.
+        ``bulk_update``), committed atomically by the rewrite kernel
+        (:meth:`_rewrite`): one manifest commit on a plain partition or
+        on a view, chained or not.
 
-        Untouched fragments are re-referenced in the new manifest AS-IS
-        (zero copies, zero moves); only fragments containing an updated
-        key are rewritten into a fresh stage — in parallel Ray tasks when
-        a session is live. Driver memory stays O(updates), never
-        O(partition)."""
+        Metadata-only for untouched files: a file of ``pid``'s own
+        manifest whose key column holds no updated key is re-referenced
+        AS-IS (zero copies, zero moves); every other file is rewritten. A
+        view's files are its base's, so a view is always rewritten into
+        its own. Driver memory stays O(updates), never O(partition)."""
         if not self.is_done(pid):
             self.append_table(pid, updates)
             return
         if not allow_view_base:  # True = caller asserts the upsert is
             # key-and-count-preserving, so dependent views stay exact
             self._assert_not_view_base(pid, "merge_insert")
-        if self._view_of(pid):
-            # view partitions have no fragments of their own: materialize
-            self._materialize_upsert(pid, updates, key)
-            self.gc(pid)  # the view's now-unreferenced delete objects
-            return
-        m = self.manifest(pid)
-        files = m["files"]
-        upd_keys = pa.array(sorted(set(updates[key].to_pylist())))
-        if files:
-            with self._pafs().open_input_file(files[0]) as fh:
-                schema_names = pq.read_schema(fh).names
-        else:
-            schema_names = updates.column_names
-        stage = self._new_stage(pid)
-        # index-prefixed destination keys: two source fragments from
-        # DIFFERENT stages may share a basename; a bare-basename dst would
-        # overwrite one and double-reference the other (ADVICE r4)
-        jobs = [(f, posixpath.join(stage, f"{i:05d}-{posixpath.basename(f)}"))
-                for i, f in enumerate(files)]
-        import ray
-
-        # Fan out one task per fragment. memory:// is process-local —
-        # tasks on other workers would see a different store, so it stays
-        # serial.
-        if (ray.is_initialized() and len(jobs) > 1
-                and self._proto != "memory"):
-            task = ray.remote(num_cpus=1)(_merge_one_fragment)
-            kref = ray.put(upd_keys)
-            results = ray.get([
-                task.remote(self.root, src, dst, key, kref, self.compression,
-                            self.storage_options)
-                for src, dst in jobs])
-        else:
-            results = [_merge_one_fragment(self.fs, src, dst, key, upd_keys,
-                                           self.compression)
-                       for src, dst in jobs]
-        up = updates.select(schema_names)
-        uk = posixpath.join(stage, f"upsert-{uuid.uuid4().hex}.parquet")
-        write_fragment(up, self._url(uk), compression=self.compression,
-                       storage_options=self.storage_options)
-        kept = sorted([(k, n) for k, n in results if k is not None]
-                      + [(uk, up.num_rows)])
-        manifest = self._data_manifest([k for k, _ in kept],
-                                       [n for _, n in kept], m.get("meta"))
-        if m.get("supersedes"):
-            manifest["supersedes"] = m["supersedes"]
-        self._put_manifest(pid, manifest)
-        self.gc(pid)
+        self._rewrite(pid, upsert=updates, key=key)
 
     def rewrite_partition(self, pid: str, fragment_fn, meta: dict | None = None,
                           *, allow_view_base: bool = False) -> int:
-        """Map every fragment through ``fragment_fn(pa.Table) -> pa.Table``
-        into a new atomically-committed partition, ONE FRAGMENT AT A TIME
-        (driver memory = one fragment) — the streaming path for
-        schema-widening rewrites. A VIEW pid is materialized: each base
-        fragment passes through the delete vector first, and the new
-        plain partition keeps the base shadowed. Returns total rows."""
+        """Map every file of ``pid`` through ``fragment_fn(pa.Table) ->
+        pa.Table`` into a new atomically-committed partition, ONE FILE AT
+        A TIME (the rewrite kernel, :meth:`_rewrite`) — the streaming path
+        for schema-widening rewrites. A view pid, chained or not, is
+        materialized: each base file passes through the whole chain's
+        delete vectors first, and the new plain partition keeps the old
+        base shadowed. ``fragment_fn`` runs in Ray tasks when the kernel
+        fans out, so it must pickle. Returns total rows."""
         if not allow_view_base:  # True = fn is row-count/key-preserving
             self._assert_not_view_base(pid, "rewrite_partition")
-        m = self.manifest(pid)
-        supersedes = m.get("supersedes")
-        src_files = m["files"]
-        if m.get("view"):
-            fragment_fn, base, supersedes = self._materialize_view_plan(
-                pid, m, fragment_fn)
-            src_files = self.files(base)
-        pafs = self._pafs()
-        stage = self._new_stage(pid)
-        kept = []
-        for i, f in enumerate(src_files):
-            with pafs.open_input_file(f) as fh:
-                out = fragment_fn(pq.read_table(fh))
-            if out.num_rows:
-                # index prefix: source fragments from different stages may
-                # share a basename (ADVICE r4)
-                nk = posixpath.join(stage, f"{i:05d}-{posixpath.basename(f)}")
-                write_fragment(out, self._url(nk), compression=self.compression,
-                               storage_options=self.storage_options)
-                kept.append((nk, out.num_rows))
-        kept.sort()
-        manifest = self._data_manifest(
-            [k for k, _ in kept], [n for _, n in kept],
-            meta if meta is not None else m.get("meta"))
-        if supersedes:
-            manifest["supersedes"] = supersedes
-        self._put_manifest(pid, manifest)
-        self.gc(pid)
-        return manifest["rows"]
+        return self._rewrite(pid, fragment_fn, meta=meta)

@@ -208,8 +208,8 @@ def cluster_losers_ds(pairs_ds, idmap_ds, *, id64_col: str = "__id64",
                       max_rounds: int = 60):
     """Pair Dataset (int64 hashed ids) + (id64, string id) map Dataset ->
     Dataset of LOSER string ids under first-wins cluster dedup (the
-    per-component lexicographic-MIN string id survives — the same winner
-    rule as :func:`neardup_losers_str`), fully distributed:
+    per-component lexicographic-MIN string id survives), fully
+    distributed:
 
     1. :func:`cc_labels_dataset` labels every paired node;
     2. string ids attach to labels via a :func:`cogroup` on the id64 —
@@ -259,18 +259,3 @@ def neardup_losers(pairs: pd.DataFrame, a: str = "a", b: str = "b") -> frozenset
     stages/dedup.py broadcasts, so delete-vector commits apply unchanged."""
     lab = cc_labels_df(pairs, a=a, b=b)
     return frozenset(lab.loc[lab["node"] != lab["component"], "node"])
-
-
-def neardup_losers_str(pairs: pd.DataFrame, a: str = "a", b: str = "b") -> frozenset:
-    """:func:`neardup_losers` for STRING-id pairs (e.g. the corpus's
-    image_id): ids are coded to their rank in sorted order, so the int
-    component minimum IS the lexicographic minimum — first-wins keeps
-    the smallest string id of each cluster."""
-    if pairs.empty:
-        return frozenset()
-    cats = np.unique(np.concatenate(
-        [pairs[a].to_numpy(), pairs[b].to_numpy()]))
-    code = {s: i for i, s in enumerate(cats)}
-    coded = pd.DataFrame({a: pairs[a].map(code).astype(np.int64),
-                          b: pairs[b].map(code).astype(np.int64)})
-    return frozenset(cats[i] for i in neardup_losers(coded, a=a, b=b))

@@ -35,22 +35,26 @@ class CheckpointDir:
         os.replace(tmp, self._path(wave))
         self._prune()
 
-    def _prune(self) -> None:
-        waves = sorted(
-            int(f[5:11]) for f in os.listdir(self.root)
-            if f.startswith("wave-") and f.endswith(".ckpt")
-        )
-        for w in waves[: -self.KEEP]:
+    def _waves(self) -> list[int]:
+        return sorted(int(f[5:11]) for f in os.listdir(self.root)
+                      if f.startswith("wave-") and f.endswith(".ckpt"))
+
+    def _prune(self, keep: int = KEEP) -> None:
+        waves = self._waves()
+        for w in waves[: max(0, len(waves) - keep)]:
             try:
                 os.remove(self._path(w))
             except OSError:
                 pass
 
+    def clear(self) -> None:
+        """Remove every checkpoint: a fresh crawl must not resume, or have
+        :meth:`_prune` keep, the checkpoints of an earlier run whose wave
+        numbers are higher than its own."""
+        self._prune(keep=0)
+
     def latest(self) -> tuple[int, dict] | None:
-        waves = sorted(
-            int(f[5:11]) for f in os.listdir(self.root)
-            if f.startswith("wave-") and f.endswith(".ckpt")
-        )
+        waves = self._waves()
         if not waves:
             return None
         wave = waves[-1]

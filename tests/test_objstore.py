@@ -424,8 +424,8 @@ def test_whole_store_read_with_view_over_empty_base(ray_session, tmp_path):
 
 def test_rewrite_partition_materializes_views(tmp_path):
     """rewrite_partition on a view pid applies the delete vector before
-    the caller's fragment fn and keeps the base shadowed; chained views
-    refuse loudly."""
+    the caller's fragment fn and keeps the base shadowed; a chained view
+    applies every link's deletes."""
     import pyarrow.compute as pc
 
     def widen(t: pa.Table) -> pa.Table:
@@ -440,11 +440,12 @@ def test_rewrite_partition_materializes_views(tmp_path):
         assert got["image_id"].to_pylist() == ["a", "c"]
         assert got["v2"].to_pylist() == [10, 30]
         assert st.rows() == 2  # raw stays shadowed in the snapshot
-        # chained: view over a view refuses
+        # chained: view over a view equals its read followed by the fn
         st.commit_delete_view("v1", "raw", [], key_col="image_id")
         st.commit_delete_view("v2p", "v1", ["a"], key_col="image_id")
-        with pytest.raises(ValueError):
-            st.rewrite_partition("v2p", widen)
+        want = widen(st.read_table("v2p")).sort_by("image_id")
+        assert st.rewrite_partition("v2p", widen) == want.num_rows
+        assert st.read_table("v2p").sort_by("image_id").equals(want)
 
 
 def test_live_view_base_is_guarded(tmp_path):

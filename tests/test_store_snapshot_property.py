@@ -14,8 +14,8 @@ non-shadowed pids, each read with its own view semantics.
 
 Generator restrictions mirror the engine's real usage: a partition that
 is the base of a live view is never mutated or dropped (a view's
-manifest row count snapshots the base at commit time), and rewrite on a
-chained view refuses loudly (covered in tests/test_objstore.py).
+manifest row count snapshots the base at commit time). Upserts and
+rewrites of a view, chained or not, materialize it through every link.
 """
 
 import uuid
@@ -112,9 +112,6 @@ def _apply(store, model: Model, op) -> None:
         _, pid = op
         if pid not in model.parts or pid in model.bases():
             return
-        p = model.parts[pid]
-        if p[0] == "view" and model.parts[p[1]][0] == "view":
-            return  # chained rewrite refuses (tested elsewhere)
         keep = model.shadow_of(pid)
 
         def bump(t: pa.Table) -> pa.Table:
